@@ -17,7 +17,6 @@ from gcsynth import (
     exact_moments,
     final_state_query,
     gcs_certificate,
-    highest_weight_state,
     make_budget,
     make_so2n,
     propagate,
@@ -34,7 +33,7 @@ rng = np.random.default_rng(11)
 gates = [GroupOp(int(rng.integers(6)),
                  complex(rng.normal(scale=0.5), rng.normal(scale=0.5)))
          for _ in range(11)]
-csa = algebra.cartan_weyl.csa_ops(algebra.basis)
+csa = algebra.csa_ops
 gates.insert(5, expi_hermitian(0.4 * csa[0] - 0.7 * csa[2]))
 
 actions = [adjoint_action_of(g, algebra) for g in gates]
@@ -46,8 +45,7 @@ print(f"{len(gates)}-gate circuit on {algebra.name}: purity {final.purity:.12f},
       f"certificate {'pass' if ok else 'FAIL'} (deficit {deficit:.2e})")
 
 # Cross-check against the brute-force state vector (desk scale only).
-hw, _ = highest_weight_state(algebra)
-state = hw
+state = algebra.highest_weight[0]
 for g in gates:
     if isinstance(g, GroupOp):
         state = apply_circuit(state, [g], algebra)

@@ -14,6 +14,12 @@ then for each root l a pair of Hermitian partners (O_u, O_v) with
     O_u = E+ + E-,      O_v = i(E- - E+),
 
 so the raising operator is recovered as E+ = (O_u + i O_v) / 2.
+
+`Algebra` is the one home of the quantities synthesis derives from the
+algebra alone: the stacked CSA generators, the highest-weight state and its
+weights, the spectral gap of the highest-weight Hamiltonian, and each
+root's pi-reflection exponent.  Each is computed on first use and cached on
+the instance, so it lives exactly as long as the algebra does.
 """
 
 from dataclasses import dataclass, field
@@ -25,13 +31,14 @@ import numpy as np
 from .errors import (
     BasisNotClosed,
     CsaNotAbelian,
-    EtaNotPositiveAfterSwap,
     GcsynthError,
     GramNotDiagonal,
     KillingFormDegenerate,
     LinearlyDependentBasis,
     NonHermitianInput,
+    NotUnique,
     RootPairNotEigenvector,
+    ZeroGap,
     ZeroRootBracket,
 )
 
@@ -45,6 +52,8 @@ CSA_COMMUTE_TOL = 1e-12
 EIGENVECTOR_TOL = 1e-10
 SU2_TOL = 1e-10
 ADJOINT_TOL = 1e-9
+KERNEL_TOL = 1e-10
+WEIGHT_TOL = 1e-8
 
 
 def commutator(a, b):
@@ -168,18 +177,14 @@ class CartanWeylData:
         object.__setattr__(self, "pair_map", tuple(tuple(p) for p in self.pair_map))
         object.__setattr__(self, "root_triples", tuple(self.root_triples))
 
-    def csa_ops(self, basis):
-        """CSA generator matrices H_1..H_R drawn from `basis`."""
-        return basis.basis[list(self.csa_indices)]
-
-    @property
+    @cached_property
     def mu_matrix(self):
         """Stacked root coefficients, shape (L, R): Z_l = sum_r mu[l, r] H_r."""
-        return np.array([t.mu for t in self.root_triples])
+        return _freeze([t.mu for t in self.root_triples])
 
-    @property
+    @cached_property
     def etas(self):
-        return np.array([t.eta for t in self.root_triples])
+        return _freeze([t.eta for t in self.root_triples])
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,8 +385,7 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
 
     Raises
     ------
-    CsaNotAbelian, RootPairNotEigenvector, ZeroRootBracket,
-    EtaNotPositiveAfterSwap
+    CsaNotAbelian, RootPairNotEigenvector, ZeroRootBracket
     """
     csa_indices = tuple(int(i) for i in csa_indices)
     pair_map = tuple((int(u), int(v)) for u, v in root_pairs)
@@ -448,23 +452,17 @@ def _root_triples(basis, csa_indices, raising, lowering):
     triples = []
     for l in range(raising.shape[0]):
         e_plus, e_minus = raising[l], lowering[l]
-        for attempt in range(2):
-            z = commutator(e_plus, e_minus)
-            z_norm = np.linalg.norm(z)
-            if z_norm <= 1e-12 * max(1.0, np.linalg.norm(e_plus) ** 2):
-                raise ZeroRootBracket(f"[E+, E-] vanished for root {l}")
-            mu = np.array([trace_pair(z, h).real for h in csa_ops]) / norm
-            z_csa = np.einsum("r,rij->ij", mu, csa_ops)
-            if np.linalg.norm(z - z_csa) > 1e-8 * z_norm:
-                raise ZeroRootBracket(f"[E+, E-] of root {l} is not in the CSA span")
-            eta = (trace_pair(commutator(z, e_plus), e_minus) / (norm / 2.0)).real
-            if eta > 0:
-                break
-            # Provably unreachable for a genuine root pair (eta * ||E+||_F^2
-            # = ||Z||_F^2 > 0); retained as a guard against corrupt inputs.
-            e_plus, e_minus = e_minus, e_plus
-        else:
-            raise EtaNotPositiveAfterSwap(f"root {l}: eta <= 0 in both orientations")
+        z = commutator(e_plus, e_minus)
+        z_norm = np.linalg.norm(z)
+        if z_norm <= 1e-12 * max(1.0, np.linalg.norm(e_plus) ** 2):
+            raise ZeroRootBracket(f"[E+, E-] vanished for root {l}")
+        mu = np.array([trace_pair(z, h).real for h in csa_ops]) / norm
+        z_csa = np.einsum("r,rij->ij", mu, csa_ops)
+        if np.linalg.norm(z - z_csa) > 1e-8 * z_norm:
+            raise ZeroRootBracket(f"[E+, E-] of root {l} is not in the CSA span")
+        # eta * N/2 = Tr(Z [E+, E-]) = ||Z||_F^2 by the cyclic trace identity,
+        # so eta > 0 whenever the bracket above is nonzero.
+        eta = (trace_pair(commutator(z, e_plus), e_minus) / (norm / 2.0)).real
         resid = np.linalg.norm(commutator(z, e_plus) - eta * e_plus)
         if resid > SU2_TOL * max(1.0, eta) * max(1.0, np.linalg.norm(e_plus)):
             raise RootPairNotEigenvector(
@@ -566,7 +564,7 @@ def validate_algebra(basis, cw=None, adjoint=None):
     if cw is None:
         return report
 
-    csa_ops = cw.csa_ops(basis)
+    csa_ops = mats[list(cw.csa_indices)]
     commute = 0.0
     for r in range(cw.rank_R):
         for s in range(r + 1, cw.rank_R):
@@ -685,6 +683,118 @@ class Algebra:
         if self.name != "custom":
             return self.name
         return "custom-" + self.basis.fingerprint()
+
+    @cached_property
+    def csa_ops(self):
+        """Stacked CSA generators H_1..H_R on the defining representation."""
+        return _freeze(self.basis.basis[list(self.cartan_weyl.csa_indices)])
+
+    @cached_property
+    def highest_weight(self):
+        """The highest-weight state and its CSA weights, as (state, w(H_r)).
+
+        The state is the unit vector annihilated by every raising operator and
+        a simultaneous CSA eigenvector.  On representations with more than one
+        irreducible component the joint kernel contains one candidate per
+        component; candidates are refined into weight vectors and the one with
+        the lexicographically largest weight vector is returned (all
+        candidates are dominant, so any choice is algebraically consistent;
+        the tie-break makes it deterministic).
+
+        Raises
+        ------
+        NotUnique
+            If no dominant candidate exists (inconsistent root labeling) or
+            two candidates carry identical weights (e.g. repeated irreducible
+            blocks).
+        """
+        cw = self.cartan_weyl
+        raising = np.asarray(cw.raising_ops)
+        kernel_op = np.einsum("lji,ljk->ik", raising.conj(), raising)
+        evals, evecs = np.linalg.eigh(kernel_op)
+        scale = max(1.0, float(evals.max()))
+        kernel = evecs[:, evals <= KERNEL_TOL * scale]
+        if kernel.shape[1] == 0:
+            raise NotUnique("no state is annihilated by all raising operators")
+
+        dominant = [(vec, w) for vec, w in _weight_vectors(kernel, self.csa_ops)
+                    if (cw.mu_matrix @ w / cw.etas >= -WEIGHT_TOL).all()]
+        if not dominant:
+            raise NotUnique("no annihilated weight vector is dominant; check the root labeling")
+        dominant.sort(key=lambda item: tuple(-item[1]))
+        if len(dominant) > 1 and np.allclose(dominant[0][1], dominant[1][1], atol=WEIGHT_TOL):
+            raise NotUnique(
+                f"{len(dominant)} annihilated weight vectors share the top weight; "
+                "the representation contains repeated components"
+            )
+        state, weights = dominant[0]
+
+        for l, e_plus in enumerate(raising):
+            resid = np.linalg.norm(e_plus @ state)
+            if resid > KERNEL_TOL * max(1.0, np.linalg.norm(e_plus)):
+                raise NotUnique(
+                    f"selected state is not annihilated by E+_{l} (residual {resid:.2e})")
+        return _freeze(state), _freeze(weights)
+
+    @cached_property
+    def spectral_gap(self):
+        """Gap between the two largest eigenvalues of F_hw = sum_r w(H_r) H_r."""
+        f_hw = np.einsum("r,rij->ij", self.highest_weight[1], self.csa_ops)
+        evals = np.linalg.eigvalsh(f_hw)
+        gap = float(evals[-1] - evals[-2])
+        scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
+        if gap <= 1e-12 * scale:
+            raise ZeroGap("highest-weight Hamiltonian has a degenerate top eigenvalue")
+        return gap
+
+    @cached_property
+    def reflection_alphas(self):
+        """Per root, the exponent alpha of the pi rotation mapping Sz -> -Sz.
+
+        |alpha| = pi / sqrt(2 eta); the phase is picked from {1, i, -1, -i} by
+        checking which exponent best realizes Sz -> -Sz under conjugation (all
+        four are exact in theory; the check pins a deterministic choice and
+        guards against sign-convention drift in loaded algebra data).
+        """
+        cw = self.cartan_weyl
+        alphas = []
+        for triple, e_plus, e_minus in zip(cw.root_triples, cw.raising_ops, cw.lowering_ops):
+            magnitude = np.pi / np.sqrt(2.0 * triple.eta)
+            best = None
+            for phase in (1.0, 1j, -1.0, -1j):
+                alpha = magnitude * phase
+                w = expi_hermitian(alpha * e_plus + np.conj(alpha) * e_minus)
+                resid = float(np.linalg.norm(w.conj().T @ triple.sz @ w + triple.sz))
+                if best is None or resid < best[0] - 1e-12:
+                    best = (resid, alpha)
+            alphas.append(best[1])
+        return tuple(alphas)
+
+
+def _weight_vectors(subspace, csa_ops):
+    """Diagonalize the CSA action within a subspace; return (vector, weights) pairs."""
+    k = subspace.shape[1]
+    if k == 1:
+        vecs = [subspace[:, 0]]
+    else:
+        # A fixed incommensurate combination splits distinct weights at once.
+        coeffs = 1.0 / np.sqrt(np.arange(2, len(csa_ops) + 2, dtype=float))
+        combo = np.einsum("r,rij->ij", coeffs, csa_ops)
+        sub = subspace.conj().T @ combo @ subspace
+        _, v = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+        vecs = [subspace @ v[:, i] for i in range(k)]
+    out = []
+    for vec in vecs:
+        vec = vec / np.linalg.norm(vec)
+        weights = np.empty(len(csa_ops))
+        for r, h in enumerate(csa_ops):
+            hv = h @ vec
+            w = np.real(np.vdot(vec, hv))
+            if np.linalg.norm(hv - w * vec) > WEIGHT_TOL * max(1.0, float(np.abs(h).max())):
+                raise NotUnique("annihilated subspace does not split into weight vectors")
+            weights[r] = w
+        out.append((vec, weights))
+    return out
 
 
 def assemble_algebra(basis, csa_indices, root_pairs, name="custom", validate=True):

@@ -61,20 +61,17 @@ def select_pivot(decomp):
     return int(mags.argmax())
 
 
-def plan_step(decomp, triple, normalize_rotation=True):
+def plan_step(decomp, triple):
     """Compute the rotation that annihilates the pivot coefficient.
+
+    The in-plane exponent (pi_x, pi_y) is scaled by
+    theta / sqrt(xi_x^2 + xi_y^2), making the su(2) rotation angle equal theta.
 
     Parameters
     ----------
     decomp : CwDecomposition
     triple : RootTriple
         The pivot root's su(2) data (mu, eta).
-    normalize_rotation : bool
-        With True (default) the in-plane exponent (pi_x, pi_y) is scaled by
-        theta / sqrt(xi_x^2 + xi_y^2), making the su(2) rotation angle equal
-        theta.  False leaves the transverse-field magnitude in the exponent
-        (diagnostic only; it rotates by theta * |xi_perp| and fails to
-        diagonalize even a single su(2)).
     """
     iota = complex(decomp.iota[triple.root_index])
     if iota == 0:
@@ -85,7 +82,7 @@ def plan_step(decomp, triple, normalize_rotation=True):
     xi_z = eta * float(np.dot(decomp.gamma, triple.mu)) / float(np.dot(triple.mu, triple.mu))
     rho = math.hypot(xi_x, xi_y)
     theta = math.atan2(rho, xi_z)
-    scale = theta / rho if normalize_rotation else theta
+    scale = theta / rho
     pi_x = scale * xi_y
     pi_y = -scale * xi_x
     alpha = (pi_x - 1j * pi_y) / math.sqrt(2.0 * eta)

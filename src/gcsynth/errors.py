@@ -41,10 +41,6 @@ class ZeroRootBracket(GcsynthError):
     """[E+, E-] vanished for some root; the pair is invalid."""
 
 
-class EtaNotPositiveAfterSwap(GcsynthError):
-    """Could not orient a root pair so its su(2) scale is positive."""
-
-
 class ValidationFailed(GcsynthError):
     """An algebra failed its invariant suite; carries the diagnostic report."""
 
@@ -65,12 +61,20 @@ class NonHermitianObservable(GcsynthError):
     """Expectation requested for a non-Hermitian matrix."""
 
 
+class ShotCountOverflow(GcsynthError):
+    """A shot count exceeds what the int64 sampler can draw."""
+
+
 # ---------------------------------------------------------------------------
 # Moments and diagonalization
 # ---------------------------------------------------------------------------
 
 class LengthMismatch(GcsynthError):
     """Moment vector length does not match the algebra dimension."""
+
+
+class NonFiniteMoments(GcsynthError):
+    """A moment vector holds NaN or infinite values."""
 
 
 class AlreadyDiagonal(GcsynthError):

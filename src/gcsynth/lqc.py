@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LeavesAlgebraSpan, NotAGcs
 from .moments import MomentVector
 from .pipeline import synthesize
-from .states import GroupOp, group_op_unitary, highest_weight_state, exact_moments
+from .states import GroupOp, group_op_unitary, exact_moments
 
 SPAN_TOL = 1e-8
 
@@ -93,19 +93,9 @@ def propagate(circuit):
                         shots=circuit.initial.shots, seed=circuit.initial.seed)
 
 
-def trajectory(circuit):
-    """Moment vectors after each gate (initial first); length = gates + 1."""
-    out = [circuit.initial]
-    values = np.asarray(circuit.initial.values, dtype=float)
-    for action in circuit.actions:
-        values = action.matrix @ values
-        out.append(MomentVector(values=values, source=circuit.initial.source))
-    return out
-
-
 def gcs_certificate(moments, algebra, tol=1e-8):
     """Whether the moments carry the full orbit purity; returns (ok, deficit)."""
-    _, weights = highest_weight_state(algebra)
+    weights = algebra.highest_weight[1]
     p_h = float(np.dot(weights, weights))
     deficit = p_h - moments.purity
     return bool(abs(deficit) <= tol * p_h), float(deficit)
@@ -113,8 +103,7 @@ def gcs_certificate(moments, algebra, tol=1e-8):
 
 def hw_moments(algebra):
     """Exact moments of the highest-weight state (the canonical LQC input)."""
-    hw, _ = highest_weight_state(algebra)
-    return exact_moments(hw, algebra)
+    return exact_moments(algebra.highest_weight[0], algebra)
 
 
 def final_state_query(moments, algebra, budget):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, NonFiniteMoments
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -41,6 +41,12 @@ class MomentVector:
 
     def __len__(self):
         return self.values.size
+
+
+def require_finite(values, context="moment vector"):
+    """Raise NonFiniteMoments unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteMoments(f"{context} holds NaN or infinite values")
 
 
 def purity(moments):
@@ -81,6 +87,7 @@ def build_target(moments, algebra):
             f"moment vector has length {len(moments)}, algebra dimension is {algebra.dim}"
         )
     values = np.asarray(moments.values, dtype=float)
+    require_finite(values)
     if moments.source == "sampled":
         bounds = algebra.observable_norms
         values = np.clip(values, -bounds, bounds)
@@ -104,21 +111,9 @@ def project_csa(decomp):
 
 def assemble_operator(decomp, algebra):
     """Dense defining-representation matrix of a CwDecomposition."""
-    cw = algebra.cartan_weyl
-    csa_ops = cw.csa_ops(algebra.basis)
-    out = np.einsum("r,rij->ij", decomp.gamma, csa_ops).astype(complex)
-    part = np.einsum("l,lij->ij", decomp.iota, np.asarray(cw.raising_ops))
+    out = np.einsum("r,rij->ij", decomp.gamma, algebra.csa_ops).astype(complex)
+    part = np.einsum("l,lij->ij", decomp.iota, np.asarray(algebra.cartan_weyl.raising_ops))
     return out + part + part.conj().T
-
-
-def assemble_from_moments(moments, algebra, clip=None):
-    """Dense matrix F = sum_m <O_m> O_m (clipping sampled estimates)."""
-    values = np.asarray(moments.values, dtype=float)
-    do_clip = moments.source == "sampled" if clip is None else clip
-    if do_clip:
-        bounds = algebra.observable_norms
-        values = np.clip(values, -bounds, bounds)
-    return np.einsum("m,mij->ij", values, np.asarray(algebra.basis.basis))
 
 
 def decomposition_coefficients(decomp, algebra):

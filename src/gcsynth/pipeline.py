@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import diagonalize, weyl
-from .errors import GapBudgetInfeasible, ZeroGap
+from .errors import GapBudgetInfeasible
 from .moments import MomentVector, build_target, project_csa
 from .states import (
     HiddenGcs,
@@ -80,16 +80,8 @@ class VerificationResult:
 
 
 def spectral_gap(algebra):
-    """Gap between the two largest eigenvalues of F_hw = sum_r w(H_r) H_r."""
-    _, weights = highest_weight_state(algebra)
-    csa_ops = algebra.cartan_weyl.csa_ops(algebra.basis)
-    f_hw = np.einsum("r,rij->ij", weights, csa_ops)
-    evals = np.linalg.eigvalsh(f_hw)
-    gap = float(evals[-1] - evals[-2])
-    scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-    if gap <= 1e-12 * scale:
-        raise ZeroGap("highest-weight Hamiltonian has a degenerate top eigenvalue")
-    return gap
+    """Gap between the two largest eigenvalues of F_hw; see `Algebra.spectral_gap`."""
+    return algebra.spectral_gap
 
 
 def hoeffding_shots(o_norm, eps_m, delta, num_observables):
@@ -105,6 +97,9 @@ def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
+    # The accessors, not the properties, so that traced runs charge the first
+    # (uncached) computation of each to its own layer.
+    _, weights = highest_weight_state(algebra)
     gap = spectral_gap(algebra)
     o_norm = algebra.max_observable_norm
     num_roots = algebra.cartan_weyl.num_roots_L
@@ -117,7 +112,6 @@ def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
         )
     shots = hoeffding_shots(o_norm, eps_m, delta, algebra.dim) \
         if shots_override is None else int(shots_override)
-    _, weights = highest_weight_state(algebra)
     d0_cap = float(np.dot(weights, weights))  # d^0 <= purity
     return ToleranceBudget(
         epsilon=float(epsilon),
@@ -187,8 +181,7 @@ def synthesize(source, algebra, budget, seed=None, max_steps=None):
 
 def circuit_state(ops, algebra):
     """Apply a preparation circuit to the highest-weight state."""
-    hw, _ = highest_weight_state(algebra)
-    return apply_circuit(hw, ops, algebra)
+    return apply_circuit(algebra.highest_weight[0], ops, algebra)
 
 
 def verify(report_or_ops, reference, algebra):

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .moments import MomentVector
+from .moments import MomentVector, require_finite
 from .states import GroupOp
 
 
@@ -122,6 +122,7 @@ def load_moments(path):
     source = "sampled" if shots else "exact"
     moments = MomentVector(values=np.array(values, dtype=float), source=source,
                            shots=shots, seed=data.get("seed"))
+    require_finite(moments.values, f"{path}: moments")
     return moments, data["algebra"]
 
 
@@ -202,6 +203,7 @@ def load_lqc(path):
         if not isinstance(initial, list):
             raise ParseError(f"{path}: initial must be 'hw' or a list of moments")
         initial = MomentVector(values=np.array(initial, dtype=float), source="exact")
+        require_finite(initial.values, f"{path}: initial")
     return gates, initial, data["algebra"]
 
 

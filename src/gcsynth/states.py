@@ -1,8 +1,9 @@
 """Exact dense-vector state engine on the defining representation.
 
-Provides highest-weight state construction, group-element application,
-exact expectations, seeded projective-measurement sampling, and the hidden
-black-box source used to exercise the synthesis pipeline.
+Provides group-element application, exact expectations, seeded
+projective-measurement sampling, and the hidden black-box source used to
+exercise the synthesis pipeline.  The highest-weight state itself is
+derived and cached by `Algebra.highest_weight`.
 """
 
 from dataclasses import dataclass
@@ -10,11 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import expi_hermitian
-from .errors import NonHermitianObservable, NotUnique
+from .errors import NonHermitianObservable, ShotCountOverflow
 from .moments import MomentVector
-
-KERNEL_TOL = 1e-10
-WEIGHT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,101 +64,9 @@ def apply_circuit(state, ops, algebra):
     return out
 
 
-_HW_CACHE = {}
-
-
 def highest_weight_state(algebra):
-    """Construct the highest-weight state and its CSA weights.
-
-    The state is the unit vector annihilated by every raising operator and
-    a simultaneous CSA eigenvector.  On representations with more than one
-    irreducible component the joint kernel contains one candidate per
-    component; candidates are refined into weight vectors and the one with
-    the lexicographically largest weight vector is returned (all candidates
-    are dominant, so any choice is algebraically consistent; the tie-break
-    makes it deterministic).
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Unit state vector and the weight vector w(H_r).
-
-    Raises
-    ------
-    NotUnique
-        If no dominant candidate exists (inconsistent root labeling) or two
-        candidates carry identical weights (e.g. repeated irreducible
-        blocks).
-    """
-    cached = _HW_CACHE.get(algebra)
-    if cached is not None:
-        return cached
-
-    cw = algebra.cartan_weyl
-    raising = np.asarray(cw.raising_ops)
-    kernel_op = np.einsum("lji,ljk->ik", raising.conj(), raising)
-    evals, evecs = np.linalg.eigh(kernel_op)
-    scale = max(1.0, float(evals.max()))
-    kernel = evecs[:, evals <= KERNEL_TOL * scale]
-    if kernel.shape[1] == 0:
-        raise NotUnique("no state is annihilated by all raising operators")
-
-    candidates = _split_into_weight_vectors(kernel, algebra)
-    mu = cw.mu_matrix
-    etas = cw.etas
-    dominant = [(vec, w) for vec, w in candidates
-                if (mu @ w / etas >= -WEIGHT_TOL).all()]
-    if not dominant:
-        raise NotUnique("no annihilated weight vector is dominant; check the root labeling")
-    dominant.sort(key=lambda item: tuple(-item[1]))
-    if len(dominant) > 1 and np.allclose(dominant[0][1], dominant[1][1], atol=WEIGHT_TOL):
-        raise NotUnique(
-            f"{len(dominant)} annihilated weight vectors share the top weight; "
-            "the representation contains repeated components"
-        )
-    state, weights = dominant[0]
-
-    for l, e_plus in enumerate(raising):
-        resid = np.linalg.norm(e_plus @ state)
-        if resid > KERNEL_TOL * max(1.0, np.linalg.norm(e_plus)):
-            raise NotUnique(f"selected state is not annihilated by E+_{l} (residual {resid:.2e})")
-
-    state = state.copy()
-    weights = weights.copy()
-    state.setflags(write=False)
-    weights.setflags(write=False)
-    if len(_HW_CACHE) >= 128:
-        _HW_CACHE.clear()
-    _HW_CACHE[algebra] = (state, weights)
-    return state, weights
-
-
-def _split_into_weight_vectors(subspace, algebra):
-    """Diagonalize the CSA action within a subspace; return (vector, weights) pairs."""
-    cw = algebra.cartan_weyl
-    csa_ops = cw.csa_ops(algebra.basis)
-    k = subspace.shape[1]
-    if k == 1:
-        vecs = [subspace[:, 0]]
-    else:
-        # A fixed incommensurate combination splits distinct weights at once.
-        coeffs = 1.0 / np.sqrt(np.arange(2, cw.rank_R + 2, dtype=float))
-        combo = np.einsum("r,rij->ij", coeffs, csa_ops)
-        sub = subspace.conj().T @ combo @ subspace
-        _, v = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-        vecs = [subspace @ v[:, i] for i in range(k)]
-    out = []
-    for vec in vecs:
-        vec = vec / np.linalg.norm(vec)
-        weights = np.empty(cw.rank_R)
-        for r, h in enumerate(csa_ops):
-            hv = h @ vec
-            w = np.real(np.vdot(vec, hv))
-            if np.linalg.norm(hv - w * vec) > WEIGHT_TOL * max(1.0, float(np.abs(h).max())):
-                raise NotUnique("annihilated subspace does not split into weight vectors")
-            weights[r] = w
-        out.append((vec, weights))
-    return out
+    """The highest-weight state and its CSA weights; see `Algebra.highest_weight`."""
+    return algebra.highest_weight
 
 
 def expectation(state, observable):
@@ -206,6 +112,10 @@ def sample_measurements(state, observable, shots, seed, observable_index=0):
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > np.iinfo(np.int64).max:
+        raise ShotCountOverflow(
+            f"{shots} shots per observable exceed the sampler's int64 range"
+        )
     obs = np.asarray(observable, dtype=complex)
     if np.abs(obs - obs.conj().T).max() > 1e-12 * (1.0 + np.abs(obs).max()):
         raise NonHermitianObservable("sampling requires a Hermitian observable")
@@ -253,7 +163,7 @@ class HiddenGcs:
     Draws `num_ops` random group operations (alpha from a standard complex
     Gaussian), applies them to the highest-weight state, and hides the
     result.  The synthesis pipeline may only request measurement samples;
-    the exact-moment and fidelity oracles exist for test harnesses.
+    the exact-moment and verification oracles exist for test harnesses.
     """
 
     def __init__(self, algebra, seed, num_ops):
@@ -270,8 +180,7 @@ class HiddenGcs:
             alpha = complex(rng.standard_normal(), rng.standard_normal()) / np.sqrt(2.0)
             ops.append(GroupOp(l, alpha))
         self._ops = tuple(ops)
-        hw, _ = highest_weight_state(algebra)
-        self._state = apply_circuit(hw, ops, algebra)
+        self._state = apply_circuit(algebra.highest_weight[0], ops, algebra)
         self._state.setflags(write=False)
 
     def sample_moments(self, shots, seed=None):
@@ -292,18 +201,10 @@ class HiddenGcs:
         """The random ops that built the hidden state.  Test harness only."""
         return self._ops
 
-    def fidelity(self, candidate_state):
-        return float(abs(np.vdot(self._state, np.asarray(candidate_state, dtype=complex))))
-
-    def distance(self, candidate_state):
-        """Euclidean distance minimized over a global phase."""
-        return phase_min_distance(self._state, candidate_state)
-
     def verify_circuit(self, ops):
         """Fidelity and phase-minimized distance of `ops` applied to |hw>."""
-        hw, _ = highest_weight_state(self.algebra)
-        cand = apply_circuit(hw, ops, self.algebra)
-        return self.fidelity(cand), self.distance(cand)
+        cand = apply_circuit(self.algebra.highest_weight[0], ops, self.algebra)
+        return state_fidelity(self._state, cand), phase_min_distance(self._state, cand)
 
 
 def hidden_gcs(algebra, seed, num_ops):

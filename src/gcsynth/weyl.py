@@ -3,7 +3,8 @@
 A reflection in root l is the group operation exp{i(alpha E+_l + alpha* E-_l)}
 with |alpha| = pi / sqrt(2 eta_l): a pi rotation about an equatorial axis of
 the root's su(2), which maps Sz_l -> -Sz_l and therefore sends a weight state
-to the state with the Weyl-reflected weight.  Reflections are chosen
+to the state with the Weyl-reflected weight.  The exponents are derived once
+per algebra and cached as `Algebra.reflection_alphas`.  Reflections are chosen
 greedily among roots where the current weight sits below the equator
 (m_l < 0), taking the one that most increases the overlap with the
 highest weight; the secondary functional sum_l m_l strictly increases at
@@ -17,7 +18,7 @@ import numpy as np
 
 from .algebra import expi_hermitian
 from .errors import DegenerateTop, NoProgress, NotAWeightState
-from .states import GroupOp, highest_weight_state, state_fidelity
+from .states import GroupOp, state_fidelity
 
 DEGENERACY_REL_TOL = 1e-8
 WEIGHT_RESID_TOL = 1e-9
@@ -54,8 +55,7 @@ def top_weight_state(csa_decomp, algebra):
     """
     if np.abs(csa_decomp.iota).max(initial=0.0) > 1e-10 * (1.0 + np.abs(csa_decomp.gamma).max(initial=0.0)):
         raise ValueError("top_weight_state expects a CSA-projected decomposition (iota = 0)")
-    cw = algebra.cartan_weyl
-    csa_ops = cw.csa_ops(algebra.basis)
+    csa_ops = algebra.csa_ops
     f_csa = np.einsum("r,rij->ij", csa_decomp.gamma, csa_ops)
     evals, evecs = np.linalg.eigh(f_csa)
     top, second = evals[-1], evals[-2]
@@ -82,26 +82,8 @@ def _measure_weights(state, csa_ops, tol=WEIGHT_RESID_TOL):
 
 
 def reflection_alpha(algebra, root_index):
-    """Exponent alpha realizing the pi rotation for one root.
-
-    |alpha| = pi / sqrt(2 eta); the phase is picked from {1, i, -1, -i} by
-    checking which exponent best realizes Sz -> -Sz under conjugation (all
-    four are exact in theory; the check pins a deterministic choice and
-    guards against sign-convention drift in loaded algebra data).
-    """
-    cw = algebra.cartan_weyl
-    triple = cw.root_triples[root_index]
-    magnitude = np.pi / np.sqrt(2.0 * triple.eta)
-    e_plus = cw.raising_ops[root_index]
-    e_minus = cw.lowering_ops[root_index]
-    best = None
-    for phase in (1.0, 1j, -1.0, -1j):
-        alpha = magnitude * phase
-        w = expi_hermitian(alpha * e_plus + np.conj(alpha) * e_minus)
-        resid = float(np.linalg.norm(w.conj().T @ triple.sz @ w + triple.sz))
-        if best is None or resid < best[0] - 1e-12:
-            best = (resid, alpha)
-    return best[1]
+    """Exponent alpha realizing the pi rotation for one root; see `Algebra.reflection_alphas`."""
+    return algebra.reflection_alphas[root_index]
 
 
 def reflect_to_highest_weight(info, algebra):
@@ -123,11 +105,11 @@ def reflect_to_highest_weight(info, algebra):
         not a GCS).
     """
     cw = algebra.cartan_weyl
-    csa_ops = cw.csa_ops(algebra.basis)
+    csa_ops = algebra.csa_ops
     state = np.asarray(info.state, dtype=complex)
     weights = _measure_weights(state, csa_ops, tol=1e-8)
 
-    hw, w_hw = highest_weight_state(algebra)
+    hw, w_hw = algebra.highest_weight
     mu = cw.mu_matrix
     etas = cw.etas
     w_scale = max(1.0, float(np.abs(w_hw).max()))
@@ -140,7 +122,7 @@ def reflect_to_highest_weight(info, algebra):
             break
         best = None
         for l in candidates:
-            alpha = reflection_alpha(algebra, int(l))
+            alpha = algebra.reflection_alphas[l]
             w_op = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
             new_state = w_op @ state
             new_weights = _measure_weights(new_state, csa_ops)

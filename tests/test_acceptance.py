@@ -130,7 +130,7 @@ def test_criterion_5_oracle_equivalences(catalog_algebras):
         mats = np.asarray(algebra.basis.basis)
         adj = np.asarray(algebra.adjoint.matrices)
         cw = algebra.cartan_weyl
-        csa_ops = cw.csa_ops(algebra.basis)
+        csa_ops = algebra.csa_ops
         hw, w_hw = highest_weight_state(algebra)
         f_hw = np.einsum("r,rij->ij", w_hw, csa_ops)
         budget = make_budget(1e-6, 0.05, algebra)

@@ -122,3 +122,25 @@ def test_out_dir_env_default(tmp_path, su2_file, monkeypatch, su2_half):
     assert main(["synth", "--algebra", str(su2_file), "--moments", str(moments_path),
                  "--epsilon", "1e-4", "--quiet"]) == 0
     assert (tmp_path / "circuit.json").exists()
+
+
+def _one_json_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_synth_nan_moments_exits_1(tmp_path, su2_file, capsys):
+    moments_path = tmp_path / "m.json"
+    save_moments(MomentVector([1.0, float("nan"), 0.0]), "su2:1", moments_path)
+    code = main(["synth", "--algebra", str(su2_file), "--moments", str(moments_path),
+                 "--epsilon", "1e-4", "--quiet", "--out", str(tmp_path / "c.json")])
+    assert code == 1
+    assert _one_json_error_line(capsys)["error"] == "NonFiniteMoments"
+
+
+def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):
+    code = main(["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", "1e-12",
+                 "--quiet", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert _one_json_error_line(capsys)["error"] == "ShotCountOverflow"

@@ -109,20 +109,6 @@ def test_plan_zero_pivot_raises(su2_half):
         plan_step(_decomp([1.0], [0.0]), su2_half.cartan_weyl.root_triples[0])
 
 
-def test_unnormalized_rotation_fails_to_diagonalize(su2_half):
-    # Diagnostic variant: without the theta/|xi_perp| normalization the
-    # su(2) rotation angle is theta * |xi_perp|; for F = s_x that is a full
-    # pi rotation, which maps s_x -> -s_x and reduces nothing.
-    decomp = _decomp([0.0], [1.0])
-    plan = plan_step(decomp, su2_half.cartan_weyl.root_triples[0],
-                     normalize_rotation=False)
-    from gcsynth.states import GroupOp
-    u = group_op_unitary(GroupOp(0, plan.alpha), su2_half)
-    conj = u.conj().T @ assemble_operator(decomp, su2_half) @ u
-    out = decomposition_from_operator(conj, su2_half)
-    assert abs(out.iota[0]) == pytest.approx(1.0, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # apply_step
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from gcsynth import (
     verify,
 )
 from gcsynth.errors import LeavesAlgebraSpan, NotAGcs
-from gcsynth.lqc import hw_moments, trajectory
+from gcsynth.lqc import hw_moments
 from gcsynth.states import group_op_unitary
 
 
@@ -64,7 +64,7 @@ def test_action_is_orthogonal(catalog_algebras):
 def test_csa_phase_unitary_accepted(so6):
     # A CSA-diagonal phase unitary is not of displacement form but stays
     # in the span; it must be accepted with an orthogonal action.
-    csa = so6.cartan_weyl.csa_ops(so6.basis)
+    csa = so6.csa_ops
     gen = 0.3 * csa[0] + 0.9 * csa[1] - 0.4 * csa[2]
     from gcsynth.algebra import expi_hermitian
     action = adjoint_action_of(expi_hermitian(gen), so6)
@@ -115,10 +115,10 @@ def test_purity_preserved_along_trajectory(so6):
     rng = np.random.default_rng(29)
     ops = _random_group_ops(so6, rng, 8)
     actions = [adjoint_action_of(op, so6) for op in ops]
-    circuit = LqcCircuit(actions=actions, initial=hw_moments(so6))
-    p_h = circuit.initial.purity
-    for point in trajectory(circuit):
-        assert point.purity == pytest.approx(p_h, abs=1e-10)
+    initial = hw_moments(so6)
+    for k in range(len(actions) + 1):
+        point = propagate(LqcCircuit(actions=actions[:k], initial=initial))
+        assert point.purity == pytest.approx(initial.purity, abs=1e-10)
 
 
 def test_long_circuit_brute_force(so4):

@@ -1,20 +1,24 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from gcsynth import (
+    MomentVector,
     hidden_gcs,
     highest_weight_state,
     hoeffding_shots,
     make_budget,
+    make_su2,
     orthonormalize_basis,
     spectral_gap,
     synthesize,
     verify,
 )
 from gcsynth.algebra import assemble_algebra
-from gcsynth.errors import GapBudgetInfeasible
+from gcsynth.errors import GapBudgetInfeasible, NonFiniteMoments, ShotCountOverflow
 from gcsynth.states import phase_min_distance
 
 
@@ -30,7 +34,7 @@ def test_gap_su2_half(su2_half):
 def test_gap_su2_one_from_eigensolve(su2_one):
     # Oracle: direct 3x3 eigensolve of w(O_z) O_z.
     hw, w = highest_weight_state(su2_one)
-    csa = su2_one.cartan_weyl.csa_ops(su2_one.basis)
+    csa = su2_one.csa_ops
     evals = np.linalg.eigvalsh(np.einsum("r,rij->ij", w, csa))
     assert spectral_gap(su2_one) == pytest.approx(evals[-1] - evals[-2], abs=1e-12)
 
@@ -160,7 +164,7 @@ def test_conjugation_identity_through_circuit(so4):
     moments = handle.exact_moments()
     report = synthesize(moments, so4, budget)
     hw, w = highest_weight_state(so4)
-    csa = so4.cartan_weyl.csa_ops(so4.basis)
+    csa = so4.csa_ops
     f_hw = np.einsum("r,rij->ij", w, csa)
     unitary = np.eye(so4.rep_dim, dtype=complex)
     for op in report.ops:
@@ -205,3 +209,36 @@ def test_exact_moment_distance_scales_with_epsilon(catalog_algebras):
             report = synthesize(handle.exact_moments(), algebra, budget)
             check = verify(report, handle.reference_state(), algebra)
             assert check.distance <= 10.0 * epsilon
+
+
+# ---------------------------------------------------------------------------
+# Bad inputs and lifetimes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_moments_rejected(so4, bad):
+    values = hidden_gcs(so4, seed=4, num_ops=3).exact_moments().values.copy()
+    values[2] = bad
+    budget = make_budget(1e-6, 0.05, so4)
+    with pytest.raises(NonFiniteMoments):
+        synthesize(MomentVector(values), so4, budget)
+
+
+def test_shot_count_beyond_int64_rejected(su2_half):
+    budget = make_budget(1e-12, 0.05, su2_half)
+    assert budget.Q > np.iinfo(np.int64).max
+    with pytest.raises(ShotCountOverflow):
+        synthesize(hidden_gcs(su2_half, seed=1, num_ops=2), su2_half, budget, seed=1)
+
+
+def test_algebra_freed_after_use():
+    # Derived data is cached on the algebra itself, so nothing else keeps it alive.
+    algebra = make_su2(2)
+    handle = hidden_gcs(algebra, seed=6, num_ops=3)
+    budget = make_budget(1e-6, 0.05, algebra)
+    report = synthesize(handle.exact_moments(), algebra, budget)
+    assert verify(report, handle.reference_state(), algebra).distance < 1e-5
+    ref = weakref.ref(algebra)
+    del algebra, handle
+    gc.collect()
+    assert ref() is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcsynth import GroupOp, MomentVector
-from gcsynth.errors import ParseError
+from gcsynth.errors import NonFiniteMoments, ParseError
 from gcsynth.serialize import (
     load_circuit,
     load_lqc,
@@ -93,3 +93,14 @@ def test_writer_is_deterministic(tmp_path):
     save_moments(moments, "su2:1", p1)
     save_moments(moments, "su2:1", p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_non_finite_moments_rejected_on_load(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"algebra": "su2:1", "moments": [1.0, NaN, 0.0]}')
+    with pytest.raises(NonFiniteMoments):
+        load_moments(path)
+    lqc_path = tmp_path / "lqc.json"
+    lqc_path.write_text('{"algebra": "su2:1", "initial": [Infinity, 0.0, 0.0], "gates": []}')
+    with pytest.raises(NonFiniteMoments):
+        load_lqc(lqc_path)

@@ -9,6 +9,7 @@ from gcsynth import (
     reflect_to_highest_weight,
     top_weight_state,
 )
+from gcsynth.algebra import expi_hermitian
 from gcsynth.errors import DegenerateTop, NoProgress, NotAWeightState
 from gcsynth.moments import CwDecomposition
 from gcsynth.states import phase_min_distance, state_fidelity
@@ -37,7 +38,7 @@ def test_top_su2_negative_gamma(su2_half):
 
 def test_top_so4_matches_brute_force(so4):
     rng = np.random.default_rng(15)
-    csa_ops = so4.cartan_weyl.csa_ops(so4.basis)
+    csa_ops = so4.csa_ops
     for _ in range(10):
         gamma = rng.standard_normal(2)
         f = np.einsum("r,rij->ij", gamma, csa_ops)
@@ -82,7 +83,7 @@ def test_so6_even_orbit_reaches_vacuum(so6):
     # All weight states in the orbit of the vacuum (even number of spin
     # flips) must reach |hw> in at most 4L reflections; odd-sector weight
     # states are outside the orbit and must raise NoProgress.
-    csa_ops = so6.cartan_weyl.csa_ops(so6.basis)
+    csa_ops = so6.csa_ops
     hw, w_hw = highest_weight_state(so6)
     num_roots = so6.cartan_weyl.num_roots_L
     for bits in itertools.product((0, 1), repeat=3):
@@ -104,7 +105,7 @@ def test_so6_even_orbit_reaches_vacuum(so6):
 
 def test_reflections_preserve_weight_states(so4):
     # Each emitted reflection maps weight states to weight states.
-    csa_ops = so4.cartan_weyl.csa_ops(so4.basis)
+    csa_ops = so4.csa_ops
     state = np.zeros(4, dtype=complex)
     state[3] = 1.0  # |11>: weights (-1, -1), the lowest in the even sector
     weights = np.array([np.real(np.vdot(state, h @ state)) for h in csa_ops])
@@ -124,7 +125,7 @@ def test_reflections_preserve_weight_states(so4):
 
 def test_progress_functional_increases(so6):
     # <state|F_hw|state> is non-decreasing and strictly increases overall.
-    csa_ops = so6.cartan_weyl.csa_ops(so6.basis)
+    csa_ops = so6.csa_ops
     hw, w_hw = highest_weight_state(so6)
     f_hw = np.einsum("r,rij->ij", w_hw, csa_ops)
     state = np.zeros(8, dtype=complex)
@@ -155,3 +156,15 @@ def test_reflection_alpha_magnitude(catalog_algebras):
         for t in algebra.cartan_weyl.root_triples:
             alpha = reflection_alpha(algebra, t.root_index)
             assert abs(alpha) == pytest.approx(np.pi / np.sqrt(2.0 * t.eta), rel=1e-12)
+
+
+def test_cached_reflection_alphas_flip_sz(catalog_algebras, su3):
+    # Each cached exponent is a pi rotation: W^dag Sz W = -Sz.
+    for algebra in catalog_algebras + [su3]:
+        cw = algebra.cartan_weyl
+        assert len(algebra.reflection_alphas) == cw.num_roots_L
+        for l, alpha in enumerate(algebra.reflection_alphas):
+            assert reflection_alpha(algebra, l) == alpha
+            w = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
+            sz = cw.root_triples[l].sz
+            assert np.abs(w.conj().T @ sz @ w + sz).max() < 1e-10
