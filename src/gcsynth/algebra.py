@@ -37,6 +37,7 @@ from .errors import (
     LinearlyDependentBasis,
     NonHermitianInput,
     NotUnique,
+    RootIndexOutOfRange,
     RootPairNotEigenvector,
     ZeroGap,
     ZeroRootBracket,
@@ -69,6 +70,18 @@ def i_bracket(a, b):
 def trace_pair(a, b):
     """Tr(a b) without forming the product."""
     return np.einsum("ij,ji->", a, b)
+
+
+def trace_gram(a, b):
+    """G[m, n] = Tr(a[m] b[n]) for stacks of square matrices, as one BLAS product."""
+    size = a.shape[-1] * a.shape[-1]  # Tr(x y) = vec(x) . vec(y^T)
+    return a.reshape(len(a), size) @ np.transpose(b, (0, 2, 1)).reshape(len(b), size).T
+
+
+def check_root_index(root_index, num_roots):
+    """Raise RootIndexOutOfRange unless 0 <= root_index < num_roots."""
+    if not 0 <= root_index < num_roots:
+        raise RootIndexOutOfRange(f"root index {root_index} is not in 0..{num_roots - 1}")
 
 
 def expi_hermitian(h):
@@ -186,29 +199,46 @@ class CartanWeylData:
     def etas(self):
         return _freeze([t.eta for t in self.root_triples])
 
+    @cached_property
+    def pair_indices(self):
+        """Partner-pair basis indices as two arrays (u, v), each of length L."""
+        return _freeze(np.array(self.pair_map, dtype=int).T)
+
 
 @dataclass(frozen=True, eq=False)
 class AdjointRep:
     """Hermitian form of the adjoint representation.
 
-    matrices[m] is the M x M Hermitian image of O_m; the map preserves the
-    stored-bracket structure constants exactly, so coefficient extraction
-    and group conjugation work in this representation with the same formulas
-    as in the defining one.  Tr(matrices[m] matrices[m']) = norm_adj * delta.
+    matrices[m] is the M x M Hermitian image of O_m, the plain commutator
+    [O_m, .] on basis coefficients; it preserves the stored-bracket structure
+    constants exactly, and Tr(matrices[m] matrices[m']) = norm_adj * delta.
+    raising_images[l] and lowering_images[l] are the images of E+-_l.
     """
 
     matrices: np.ndarray
     norm_adj: float
-    csa_images: np.ndarray = None
     raising_images: np.ndarray = None
     lowering_images: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", _freeze(self.matrices))
-        for name in ("csa_images", "raising_images", "lowering_images"):
+        for name in ("raising_images", "lowering_images"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _freeze(val))
+
+    def conjugation_matrix(self, root_index, alpha):
+        """Real orthogonal d with T^dag O_m T = sum_m' d[m, m'] O_m', in O(M^3).
+
+        T = exp{i(alpha E+_l + alpha* E-_l)} for l = root_index; a coefficient
+        vector c maps to d.T @ c.  The generator's image is i times a real
+        antisymmetric matrix, so its exponential is real.  Raises
+        RootIndexOutOfRange for an unknown root.
+        """
+        check_root_index(root_index, len(self.raising_images))
+        gen = alpha * self.raising_images[root_index] \
+            + np.conj(alpha) * self.lowering_images[root_index]
+        return expi_hermitian(gen).real
 
 
 def orthonormalize_basis(raw_basis, target_N=None):
@@ -338,7 +368,7 @@ def derive_structure(basis, cw=None):
     ----------
     basis : AlgebraBasis
     cw : CartanWeylData, optional
-        When given, adjoint images of H_r and E+-_l are attached.
+        When given, adjoint images of E+-_l are attached.
 
     Returns
     -------
@@ -354,16 +384,13 @@ def _adjoint_from_constants(f, dim_m, cw=None):
     adj = -1j * np.transpose(f, (0, 2, 1)).astype(complex)
     gram = np.einsum("mij,nji->mn", adj, adj).real
     norm_adj = float(np.trace(gram) / dim_m)
-    kwargs = {}
+    raising = lowering = None
     if cw is not None:
-        csa_images = adj[list(cw.csa_indices)]
-        raising = np.array([(adj[u] + 1j * adj[v]) / 2.0 for u, v in cw.pair_map])
-        kwargs = {
-            "csa_images": csa_images,
-            "raising_images": raising,
-            "lowering_images": np.conj(np.transpose(raising, (0, 2, 1))),
-        }
-    return AdjointRep(matrices=adj, norm_adj=norm_adj, **kwargs)
+        u, v = cw.pair_indices
+        raising = (adj[u] + 1j * adj[v]) / 2.0
+        lowering = np.conj(np.transpose(raising, (0, 2, 1)))
+    return AdjointRep(matrices=adj, norm_adj=norm_adj, raising_images=raising,
+                      lowering_images=lowering)
 
 
 def build_cartan_weyl(basis, csa_indices, root_pairs):
@@ -621,26 +648,18 @@ def validate_algebra(basis, cw=None, adjoint=None):
 
 
 def _conjugation_residual(basis, cw, adjoint):
-    """Deterministic probe: conjugation coefficients agree between representations."""
-    rng = np.random.default_rng(20240901)
-    coeffs = rng.standard_normal(basis.dim_M)
-    alpha = 0.37 - 0.21j
-    worst = 0.0
-    mats = np.asarray(basis.basis)
-    adj = np.asarray(adjoint.matrices)
-    for l in range(min(cw.num_roots_L, 3)):
-        gen_def = alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l]
-        u_def = expi_hermitian(gen_def)
-        x_def = np.einsum("m,mij->ij", coeffs, mats)
-        out_def = u_def.conj().T @ x_def @ u_def
-        c_def = np.einsum("ij,mji->m", out_def, mats).real / basis.normalization_N
+    """Worst entry gap between defining-rep conjugation and `conjugation_matrix`.
 
-        gen_adj = alpha * adjoint.raising_images[l] + np.conj(alpha) * adjoint.lowering_images[l]
-        u_adj = expi_hermitian(gen_adj)
-        x_adj = np.einsum("m,mij->ij", coeffs, adj)
-        out_adj = u_adj.conj().T @ x_adj @ u_adj
-        c_adj = np.einsum("ij,mji->m", out_adj, adj).real / adjoint.norm_adj
-        worst = max(worst, float(np.abs(c_def - c_adj).max()))
+    A fixed probe exponent on the first three roots; it pins the sign
+    convention of the adjoint images once per algebra, not once per step.
+    """
+    alpha = 0.37 - 0.21j
+    mats = np.asarray(basis.basis)
+    worst = 0.0
+    for l in range(min(cw.num_roots_L, 3)):
+        u_def = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
+        d_def = trace_gram(u_def.conj().T @ mats @ u_def, mats).real / basis.normalization_N
+        worst = max(worst, float(np.abs(d_def - adjoint.conjugation_matrix(l, alpha)).max()))
     return worst
 
 
@@ -749,26 +768,13 @@ class Algebra:
 
     @cached_property
     def reflection_alphas(self):
-        """Per root, the exponent alpha of the pi rotation mapping Sz -> -Sz.
+        """Per root, the exponent alpha = pi / sqrt(2 eta) of a rotation mapping Sz -> -Sz.
 
-        |alpha| = pi / sqrt(2 eta); the phase is picked from {1, i, -1, -i} by
-        checking which exponent best realizes Sz -> -Sz under conjugation (all
-        four are exact in theory; the check pins a deterministic choice and
-        guards against sign-convention drift in loaded algebra data).
+        Every phase of alpha gives a pi rotation about an equatorial axis of
+        the root's su(2), which maps Sz -> -Sz once the su(2) relations hold
+        (checked at assembly); the real exponent is used.
         """
-        cw = self.cartan_weyl
-        alphas = []
-        for triple, e_plus, e_minus in zip(cw.root_triples, cw.raising_ops, cw.lowering_ops):
-            magnitude = np.pi / np.sqrt(2.0 * triple.eta)
-            best = None
-            for phase in (1.0, 1j, -1.0, -1j):
-                alpha = magnitude * phase
-                w = expi_hermitian(alpha * e_plus + np.conj(alpha) * e_minus)
-                resid = float(np.linalg.norm(w.conj().T @ triple.sz @ w + triple.sz))
-                if best is None or resid < best[0] - 1e-12:
-                    best = (resid, alpha)
-            alphas.append(best[1])
-        return tuple(alphas)
+        return tuple(np.pi / np.sqrt(2.0 * t.eta) for t in self.cartan_weyl.root_triples)
 
 
 def _weight_vectors(subspace, csa_ops):

@@ -7,8 +7,9 @@ rotation that aligns the su(2) part with Sz.  The rotation axis lies in the
 Sx/Sy plane, perpendicular to (xi_x, xi_y), and the angle is the polar angle
 theta = arctan2(sqrt(xi_x^2 + xi_y^2), xi_z); the two-argument form keeps
 xi_z < 0 inputs on the (pi/2, pi) branch, where a principal-branch arctan
-would rotate toward the wrong pole.  Coefficient updates run in the
-M-dimensional adjoint representation, so one step costs O(M^3).
+would rotate toward the wrong pole.  Coefficients are updated by the
+rotation's real orthogonal M x M matrix in the adjoint representation
+(`AdjointRep.conjugation_matrix`), so one step costs O(M^3).
 """
 
 from dataclasses import dataclass, replace
@@ -16,9 +17,13 @@ import math
 
 import numpy as np
 
-from .algebra import expi_hermitian
 from .errors import AlreadyDiagonal, MaxStepsExceeded, StepDidNotReducePivot, ZeroPivot
-from .moments import CwDecomposition, offdiag_distance
+from .moments import (
+    CwDecomposition,
+    decomposition_coefficients,
+    decomposition_from_coefficients,
+    offdiag_distance,
+)
 from .states import GroupOp
 
 PIVOT_REL_TOL = 1e-10
@@ -90,65 +95,40 @@ def plan_step(decomp, triple):
                     theta=theta, pi_x=pi_x, pi_y=pi_y, alpha=alpha)
 
 
-def _flip(plan):
-    return replace(plan, theta=-plan.theta, pi_x=-plan.pi_x, pi_y=-plan.pi_y,
-                   alpha=-plan.alpha)
-
-
-def _adjoint_hamiltonian(decomp, adjoint):
-    out = np.einsum("r,rij->ij", decomp.gamma, np.asarray(adjoint.csa_images))
-    part = np.einsum("l,lij->ij", decomp.iota, np.asarray(adjoint.raising_images))
-    return out + part + part.conj().T
-
-
-def _extract(matrix, adjoint):
-    gamma = np.einsum("ij,rji->r", matrix, np.asarray(adjoint.csa_images)).real \
-        / adjoint.norm_adj
-    iota = 2.0 * np.einsum("ij,lji->l", matrix, np.asarray(adjoint.lowering_images)) \
-        / adjoint.norm_adj
-    return gamma, iota
-
-
 def apply_step(decomp, plan, algebra):
     """Conjugate by the planned rotation in the adjoint representation.
 
-    Returns the updated coefficients together with the plan actually used:
-    if the pivot coefficient survives, the step is retried once with the
-    rotation sense flipped (guard against sign-convention mismatches in
-    user-supplied algebra data) before giving up.
+    The coefficient vector c over the orthogonal basis becomes R.T @ c, with
+    R the rotation's `AdjointRep.conjugation_matrix`; its sign convention is
+    checked once, when the algebra is assembled.
 
     Returns
     -------
     (CwDecomposition, StepPlan)
-    """
-    adjoint = algebra.adjoint
-    d_before = offdiag_distance(decomp)
-    total = decomp.coefficient_norm_sq
-    f_adj = _adjoint_hamiltonian(decomp, adjoint)
-    # Absolute floor: near convergence sqrt(d) sinks below the conjugation
-    # noise floor and a purely relative test would trip falsely.
-    tol = PIVOT_REL_TOL * math.sqrt(d_before) + PIVOT_ABS_TOL * math.sqrt(max(total, 1.0))
+        The updated coefficients and the plan applied.
 
+    Raises
+    ------
+    StepDidNotReducePivot
+        If the pivot coefficient survives the step.
+    """
+    step_index = decomp.step_index + 1
     if plan.alpha == 0:
         # Identity conjugation: nothing moves and nothing to verify.
-        return (CwDecomposition(gamma=decomp.gamma.copy(), iota=decomp.iota.copy(),
-                                step_index=decomp.step_index + 1), plan)
+        return replace(decomp, step_index=step_index), plan
 
-    used = plan
-    for attempt in range(2):
-        gen = used.alpha * adjoint.raising_images[used.pivot] \
-            + np.conj(used.alpha) * adjoint.lowering_images[used.pivot]
-        v = expi_hermitian(gen)
-        conj = v.conj().T @ f_adj @ v
-        gamma, iota = _extract(conj, adjoint)
-        if abs(iota[used.pivot]) <= tol:
-            return (CwDecomposition(gamma=gamma, iota=iota,
-                                    step_index=decomp.step_index + 1), used)
-        used = _flip(plan)
-    raise StepDidNotReducePivot(
-        f"pivot {plan.pivot} kept |iota| = {abs(iota[plan.pivot]):.3e} "
-        f"(tol {tol:.3e}) in both orientations"
-    )
+    rot = algebra.adjoint.conjugation_matrix(plan.pivot, plan.alpha)
+    coeffs = rot.T @ decomposition_coefficients(decomp, algebra)
+    out = decomposition_from_coefficients(coeffs, algebra, step_index)
+    # Absolute floor: near convergence sqrt(d) sinks below the conjugation
+    # noise floor and a purely relative test would trip falsely.
+    tol = PIVOT_REL_TOL * math.sqrt(offdiag_distance(decomp)) \
+        + PIVOT_ABS_TOL * math.sqrt(max(decomp.coefficient_norm_sq, 1.0))
+    if not abs(out.iota[plan.pivot]) <= tol:
+        raise StepDidNotReducePivot(
+            f"pivot {plan.pivot} kept |iota| = {abs(out.iota[plan.pivot]):.3e} (tol {tol:.3e})"
+        )
+    return out, plan
 
 
 def step_bound(d0, eps_d, num_roots):
@@ -197,8 +177,8 @@ def run(decomp, algebra, eps_d, max_steps=None):
             )
         pivot = select_pivot(current)
         plan = plan_step(current, algebra.cartan_weyl.root_triples[pivot])
-        current, used = apply_step(current, plan, algebra)
-        ops.append(GroupOp(pivot, used.alpha))
+        current, _ = apply_step(current, plan, algebra)
+        ops.append(GroupOp(pivot, plan.alpha))
         trace.append(offdiag_distance(current))
     return DiagonalizationResult(ops=tuple(ops), final_decomp=current,
                                  trace=tuple(trace), steps_taken=len(ops))

@@ -65,6 +65,10 @@ class ShotCountOverflow(GcsynthError):
     """A shot count exceeds what the int64 sampler can draw."""
 
 
+class RootIndexOutOfRange(GcsynthError):
+    """A group operation names a root the algebra does not have."""
+
+
 # ---------------------------------------------------------------------------
 # Moments and diagonalization
 # ---------------------------------------------------------------------------
@@ -86,7 +90,7 @@ class ZeroPivot(GcsynthError):
 
 
 class StepDidNotReducePivot(GcsynthError):
-    """Pivot coefficient survived a step in both orientations; algebra data inconsistent."""
+    """Pivot coefficient survived its planned step; algebra data inconsistent."""
 
 
 class MaxStepsExceeded(GcsynthError):
@@ -123,6 +127,10 @@ class ZeroGap(GcsynthError):
 
 class LeavesAlgebraSpan(GcsynthError):
     """A gate's conjugation action does not preserve the algebra span."""
+
+
+class NonFiniteGate(GcsynthError):
+    """A gate matrix holds NaN or infinite entries."""
 
 
 class NotAGcs(GcsynthError):

@@ -2,20 +2,23 @@
 
 Gates act on the moment vector through their adjoint action
 d[m, m'] = Tr(O_m' T^dag O_m T)/N, so a circuit of length L propagates the
-M expectation values in O(L M^2) after the actions are built.  Gates given
-as explicit unitaries are accepted only when conjugation keeps the algebra
-span; the final state of a valid trajectory stays a GCS, certified by its
-purity, and can be handed back to the synthesis pipeline.
+M expectation values in O(L M^2) after the actions are built.  A group
+operation's action is `AdjointRep.conjugation_matrix`, O(M^3); explicit
+unitaries are conjugated on the defining representation and accepted only
+when conjugation keeps the algebra span.  The final state of a valid
+trajectory stays a GCS, certified by its purity, and can be handed back to
+the synthesis pipeline.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeavesAlgebraSpan, NotAGcs
+from .algebra import trace_gram
+from .errors import LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from .moments import MomentVector
 from .pipeline import synthesize
-from .states import GroupOp, group_op_unitary, exact_moments
+from .states import GroupOp, exact_moments
 
 SPAN_TOL = 1e-8
 
@@ -59,29 +62,30 @@ def adjoint_action_of(gate, algebra):
 
     Raises
     ------
-    LeavesAlgebraSpan
+    RootIndexOutOfRange, NonFiniteGate, LeavesAlgebraSpan
     """
     if isinstance(gate, GroupOp):
-        unitary = group_op_unitary(gate, algebra)
-        descriptor = f"group_op(l={gate.root_index})"
-    else:
-        unitary = np.asarray(gate, dtype=complex)
-        if unitary.shape != (algebra.rep_dim, algebra.rep_dim):
-            raise ValueError("unitary has the wrong dimension for this representation")
-        if np.abs(unitary.conj().T @ unitary - np.eye(algebra.rep_dim)).max() > 1e-10:
-            raise ValueError("gate matrix is not unitary")
-        descriptor = "unitary"
+        return AdjointAction(
+            matrix=algebra.adjoint.conjugation_matrix(gate.root_index, gate.alpha),
+            descriptor=f"group_op(l={gate.root_index})")
+    unitary = np.asarray(gate, dtype=complex)
+    if unitary.shape != (algebra.rep_dim, algebra.rep_dim):
+        raise ValueError("unitary has the wrong dimension for this representation")
+    if not np.isfinite(unitary).all():
+        raise NonFiniteGate("gate matrix holds NaN or infinite entries")
+    if not np.abs(unitary.conj().T @ unitary - np.eye(algebra.rep_dim)).max() <= 1e-10:
+        raise ValueError("gate matrix is not unitary")
     mats = np.asarray(algebra.basis.basis)
-    conjugated = np.einsum("ji,mjk,kl->mil", unitary.conj(), mats, unitary)
-    d_complex = np.einsum("mij,nji->mn", conjugated, mats) / algebra.norm
-    recon = np.einsum("mn,nij->mij", d_complex, mats)
-    resid = np.linalg.norm(conjugated - recon, axis=(1, 2))
-    scale = max(1.0, float(np.linalg.norm(mats, axis=(1, 2)).max()))
-    if resid.max() > SPAN_TOL * scale or np.abs(d_complex.imag).max() > SPAN_TOL:
+    conjugated = unitary.conj().T @ mats @ unitary
+    d_complex = trace_gram(conjugated, mats) / algebra.norm
+    flat = mats.reshape(algebra.dim, -1)
+    resid = np.linalg.norm(conjugated.reshape(algebra.dim, -1) - d_complex @ flat, axis=1)
+    scale = max(1.0, float(np.linalg.norm(flat, axis=1).max()))
+    if not (resid.max() <= SPAN_TOL * scale and np.abs(d_complex.imag).max() <= SPAN_TOL):
         raise LeavesAlgebraSpan(
             f"conjugation leaves the algebra span (worst residual {resid.max():.2e})"
         )
-    return AdjointAction(matrix=d_complex.real, descriptor=descriptor)
+    return AdjointAction(matrix=d_complex.real, descriptor="unitary")
 
 
 def propagate(circuit):

@@ -91,12 +91,7 @@ def build_target(moments, algebra):
     if moments.source == "sampled":
         bounds = algebra.observable_norms
         values = np.clip(values, -bounds, bounds)
-    cw = algebra.cartan_weyl
-    gamma = values[list(cw.csa_indices)]
-    u = [p[0] for p in cw.pair_map]
-    v = [p[1] for p in cw.pair_map]
-    iota = values[u] - 1j * values[v]
-    return CwDecomposition(gamma=gamma, iota=iota, step_index=0)
+    return decomposition_from_coefficients(values, algebra)
 
 
 def offdiag_distance(decomp):
@@ -119,12 +114,20 @@ def assemble_operator(decomp, algebra):
 def decomposition_coefficients(decomp, algebra):
     """Length-M coefficient vector of a CwDecomposition over the orthogonal basis."""
     cw = algebra.cartan_weyl
+    u, v = cw.pair_indices
     out = np.zeros(algebra.dim)
     out[list(cw.csa_indices)] = decomp.gamma
-    for l, (u, v) in enumerate(cw.pair_map):
-        out[u] = decomp.iota[l].real
-        out[v] = -decomp.iota[l].imag
+    out[u] = decomp.iota.real
+    out[v] = -decomp.iota.imag
     return out
+
+
+def decomposition_from_coefficients(coeffs, algebra, step_index=0):
+    """CwDecomposition of sum_m coeffs[m] O_m; inverse of `decomposition_coefficients`."""
+    cw = algebra.cartan_weyl
+    u, v = cw.pair_indices
+    return CwDecomposition(gamma=coeffs[list(cw.csa_indices)],
+                           iota=coeffs[u] - 1j * coeffs[v], step_index=step_index)
 
 
 def decomposition_from_operator(matrix, algebra):
@@ -132,9 +135,4 @@ def decomposition_from_operator(matrix, algebra):
     mats = np.asarray(algebra.basis.basis)
     coeffs = np.einsum("ij,mji->m", np.asarray(matrix, dtype=complex), mats) \
         / algebra.norm
-    cw = algebra.cartan_weyl
-    gamma = coeffs[list(cw.csa_indices)].real
-    u = [p[0] for p in cw.pair_map]
-    v = [p[1] for p in cw.pair_map]
-    iota = coeffs[u].real - 1j * coeffs[v].real
-    return CwDecomposition(gamma=gamma, iota=iota)
+    return decomposition_from_coefficients(coeffs.real, algebra)

@@ -145,17 +145,22 @@ def save_circuit(ops, kind_tags, trace, algebra_label, path):
     _dump(circuit_to_dict(ops, kind_tags, trace, algebra_label), path)
 
 
+def _group_op_from_json(entry, context):
+    """GroupOp from {"l": int, "alpha": [re, im]}, else ParseError; l is range-checked on use."""
+    _require(entry, ["l", "alpha"], context)
+    root, alpha = entry["l"], entry["alpha"]
+    if (not isinstance(root, int) or isinstance(root, bool)
+            or not isinstance(alpha, list) or len(alpha) != 2
+            or not all(isinstance(a, (int, float)) for a in alpha)):
+        raise ParseError(f"{context} must be {{'l': int, 'alpha': [re, im]}}")
+    return GroupOp(root, complex(alpha[0], alpha[1]))
+
+
 def load_circuit(path):
     data = _load(path)
     _require(data, ["algebra", "ops"], str(path))
-    ops = []
-    for k, entry in enumerate(data["ops"]):
-        _require(entry, ["l", "alpha"], f"{path}: ops[{k}]")
-        alpha = entry["alpha"]
-        if (not isinstance(entry["l"], int) or not isinstance(alpha, list)
-                or len(alpha) != 2):
-            raise ParseError(f"{path}: ops[{k}] must be {{'l': int, 'alpha': [re, im]}}")
-        ops.append(GroupOp(entry["l"], complex(alpha[0], alpha[1])))
+    ops = [_group_op_from_json(entry, f"{path}: ops[{k}]")
+           for k, entry in enumerate(data["ops"])]
     tags = data.get("kind_tags", ["jacobi"] * len(ops))
     if len(tags) != len(ops):
         raise ParseError(f"{path}: kind_tags length must match ops")
@@ -191,8 +196,7 @@ def load_lqc(path):
     for k, entry in enumerate(data["gates"]):
         _require(entry, ["type"], f"{path}: gates[{k}]")
         if entry["type"] == "group_op":
-            _require(entry, ["l", "alpha"], f"{path}: gates[{k}]")
-            gates.append(GroupOp(entry["l"], complex(entry["alpha"][0], entry["alpha"][1])))
+            gates.append(_group_op_from_json(entry, f"{path}: gates[{k}]"))
         elif entry["type"] == "unitary":
             _require(entry, ["matrix"], f"{path}: gates[{k}]")
             gates.append(_matrix_from_json(entry["matrix"], context=f"{path}: gates[{k}]"))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import expi_hermitian
+from .algebra import check_root_index, expi_hermitian
 from .errors import NonHermitianObservable, ShotCountOverflow
 from .moments import MomentVector
 
@@ -25,8 +25,6 @@ class GroupOp:
     def __post_init__(self):
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if self.root_index < 0:
-            raise ValueError("root_index must be a valid 0-based root index")
 
     def inverse(self):
         return GroupOp(self.root_index, -self.alpha)
@@ -43,8 +41,9 @@ class MeasurementRecord:
 
 
 def group_op_unitary(op, algebra):
-    """Dense unitary of a GroupOp on the defining representation."""
+    """Dense defining-representation unitary of a GroupOp; raises RootIndexOutOfRange."""
     cw = algebra.cartan_weyl
+    check_root_index(op.root_index, cw.num_roots_L)
     gen = op.alpha * cw.raising_ops[op.root_index] \
         + np.conj(op.alpha) * cw.lowering_ops[op.root_index]
     return expi_hermitian(gen)

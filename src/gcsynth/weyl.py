@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import expi_hermitian
 from .errors import DegenerateTop, NoProgress, NotAWeightState
-from .states import GroupOp, state_fidelity
+from .states import GroupOp, group_op_unitary, state_fidelity
 
 DEGENERACY_REL_TOL = 1e-8
 WEIGHT_RESID_TOL = 1e-9
@@ -123,8 +122,7 @@ def reflect_to_highest_weight(info, algebra):
         best = None
         for l in candidates:
             alpha = algebra.reflection_alphas[l]
-            w_op = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
-            new_state = w_op @ state
+            new_state = group_op_unitary(GroupOp(l, alpha), algebra) @ state
             new_weights = _measure_weights(new_state, csa_ops)
             overlap_gain = float(np.dot(w_hw, new_weights - weights))
             height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))

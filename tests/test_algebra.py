@@ -17,8 +17,10 @@ from gcsynth.errors import (
     KillingFormDegenerate,
     LinearlyDependentBasis,
     NonHermitianInput,
+    RootIndexOutOfRange,
     RootPairNotEigenvector,
 )
+from gcsynth.states import GroupOp, group_op_unitary
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, gell_mann
 
@@ -255,6 +257,32 @@ def test_orthogonality_all_pairs(catalog_algebras):
         gram = np.einsum("mij,nji->mn", mats, mats).real
         target = algebra.norm * np.eye(algebra.dim)
         assert np.abs(gram - target).max() < 1e-10 * algebra.norm
+
+
+def test_conjugation_matrix_matches_defining_rep(catalog_algebras, su3):
+    # Oracle: d[m, n] = Tr(U^dag O_m U O_n)/N with U the dense group unitary.
+    rng = np.random.default_rng(11)
+    for algebra in catalog_algebras + [su3]:
+        mats = np.asarray(algebra.basis.basis)
+        for l in range(algebra.cartan_weyl.num_roots_L):
+            alpha = complex(rng.normal(), rng.normal())
+            u = group_op_unitary(GroupOp(l, alpha), algebra)
+            oracle = np.einsum("mij,nji->mn", u.conj().T @ mats @ u, mats) / algebra.norm
+            d = algebra.adjoint.conjugation_matrix(l, alpha)
+            assert d.dtype == np.float64
+            assert np.abs(d - oracle).max() < 1e-12
+            assert np.abs(d @ d.T - np.eye(algebra.dim)).max() < 1e-12
+
+
+def test_out_of_range_root_index_is_typed(su2_half):
+    with pytest.raises(RootIndexOutOfRange):
+        su2_half.adjoint.conjugation_matrix(1, 0.3)
+    with pytest.raises(RootIndexOutOfRange):
+        su2_half.adjoint.conjugation_matrix(-1, 0.3)
+    with pytest.raises(RootIndexOutOfRange):
+        group_op_unitary(GroupOp(5, 0.3), su2_half)
+    with pytest.raises(RootIndexOutOfRange):
+        group_op_unitary(GroupOp(-1, 0.3), su2_half)
 
 
 def test_conjugation_consistency_oracle(catalog_algebras):

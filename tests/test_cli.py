@@ -139,6 +139,34 @@ def test_synth_nan_moments_exits_1(tmp_path, su2_file, capsys):
     assert _one_json_error_line(capsys)["error"] == "NonFiniteMoments"
 
 
+_GOOD_ALPHA = [0.3, 0.1]
+_NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("command, content, error", [
+    ("verify", {"ops": [{"l": 5, "alpha": _GOOD_ALPHA}]}, "RootIndexOutOfRange"),
+    ("lqc", {"gates": [{"type": "group_op", "l": 5, "alpha": _GOOD_ALPHA}]},
+     "RootIndexOutOfRange"),
+    ("lqc", {"gates": [{"type": "group_op", "l": "x", "alpha": _GOOD_ALPHA}]}, "ParseError"),
+    ("lqc", {"gates": [{"type": "group_op", "l": 0, "alpha": 3}]}, "ParseError"),
+    ("lqc", {"gates": [{"type": "unitary", "matrix": _NAN_UNITARY}]}, "NonFiniteGate"),
+], ids=["verify-root-range", "lqc-root-range", "lqc-root-type", "lqc-alpha-shape",
+        "lqc-nan-unitary"])
+def test_bad_gate_files_exit_1(tmp_path, capsys, command, content, error):
+    circuit_path = tmp_path / "bad.json"
+    circuit_path.write_text(json.dumps(dict(content, algebra="su2:1", initial="hw")))
+    out_path = tmp_path / "out.json"
+    if command == "verify":
+        argv = ["verify", "--algebra", "su2:1", "--circuit", str(circuit_path),
+                "--seed", "1", "--out", str(out_path)]
+    else:
+        argv = ["lqc", "run", "--algebra", "su2:1", "--circuit", str(circuit_path),
+                "--out", str(out_path)]
+    assert main(argv) == 1
+    assert _one_json_error_line(capsys)["error"] == error
+    assert not out_path.exists()
+
+
 def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):
     code = main(["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", "1e-12",
                  "--quiet", "--out", str(tmp_path / "r.json")])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from gcsynth import (
     step_bound,
 )
 from gcsynth.diagonalize import run
-from gcsynth.errors import AlreadyDiagonal, MaxStepsExceeded, ZeroPivot
+from gcsynth.errors import AlreadyDiagonal, MaxStepsExceeded, StepDidNotReducePivot, ZeroPivot
 from gcsynth.moments import CwDecomposition, assemble_operator, decomposition_from_operator
 from gcsynth.states import group_op_unitary
 
@@ -132,6 +134,21 @@ def test_apply_step_conserves_coefficient_norm(su3):
         after, _ = apply_step(decomp, plan, su3)
         assert after.coefficient_norm_sq == pytest.approx(
             decomp.coefficient_norm_sq, abs=1e-10)
+
+
+def test_sign_flipped_plan_raises(su3):
+    # Rotating the wrong way moves the field from polar angle theta to
+    # 2 theta, so the pivot survives unless theta = pi/2; no retry rescues it.
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        decomp = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
+        pivot = select_pivot(decomp)
+        plan = plan_step(decomp, su3.cartan_weyl.root_triples[pivot])
+        assert abs(plan.theta - np.pi / 2.0) > 1e-3
+        flipped = replace(plan, theta=-plan.theta, pi_x=-plan.pi_x, pi_y=-plan.pi_y,
+                          alpha=-plan.alpha)
+        with pytest.raises(StepDidNotReducePivot):
+            apply_step(decomp, flipped, su3)
 
 
 def test_apply_zero_alpha_plan_is_identity(su2_half):

@@ -15,7 +15,7 @@ from gcsynth import (
     propagate,
     verify,
 )
-from gcsynth.errors import LeavesAlgebraSpan, NotAGcs
+from gcsynth.errors import LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from gcsynth.lqc import hw_moments
 from gcsynth.states import group_op_unitary
 
@@ -69,6 +69,13 @@ def test_csa_phase_unitary_accepted(so6):
     from gcsynth.algebra import expi_hermitian
     action = adjoint_action_of(expi_hermitian(gen), so6)
     assert np.abs(action.matrix @ action.matrix.T - np.eye(so6.dim)).max() < 1e-9
+
+
+def test_non_finite_unitary_rejected(su2_half):
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = np.nan
+    with pytest.raises(NonFiniteGate):
+        adjoint_action_of(u, su2_half)
 
 
 def test_span_leaving_unitary_rejected(su2_one):

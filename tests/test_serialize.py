@@ -82,9 +82,17 @@ def test_missing_keys_raise(tmp_path):
 
 def test_malformed_ops_raise(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"algebra": "x", "ops": [{"l": 0, "alpha": [0.0]}]}))
-    with pytest.raises(ParseError):
-        load_circuit(path)
+    bad_entries = [{"l": 0, "alpha": [0.0]}, {"l": "x", "alpha": [0.1, 0.0]},
+                   {"l": True, "alpha": [0.1, 0.0]},
+                   {"l": 0, "alpha": 3}, {"l": 0, "alpha": ["a", 0.0]}, {"alpha": [0.1, 0.0]}]
+    for entry in bad_entries:
+        path.write_text(json.dumps({"algebra": "x", "ops": [entry]}))
+        with pytest.raises(ParseError):
+            load_circuit(path)
+        path.write_text(json.dumps({"algebra": "x", "initial": "hw",
+                                    "gates": [dict(entry, type="group_op")]}))
+        with pytest.raises(ParseError):
+            load_lqc(path)
 
 
 def test_writer_is_deterministic(tmp_path):
