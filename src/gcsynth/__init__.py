@@ -16,8 +16,6 @@ from .algebra import (
     RootTriple,
     assemble_algebra,
     build_cartan_weyl,
-    compute_root_triples,
-    derive_structure,
     orthonormalize_basis,
     validate_algebra,
 )

@@ -20,6 +20,14 @@ algebra alone: the stacked CSA generators, the highest-weight state and its
 weights, the spectral gap of the highest-weight Hamiltonian, and each
 root's pi-reflection exponent.  Each is computed on first use and cached on
 the instance, so it lives exactly as long as the algebra does.
+
+Each structural invariant has one function.  Closure and the adjoint
+bracket homomorphism are both `_bracket_residual`; closure and the Killing
+form are cached on `AlgebraBasis` (the adjoint Gram on `AdjointRep`), so
+each is computed once per assembly.  Construction raises a typed error from
+these values (`orthonormalize_basis`; `build_cartan_weyl` via
+`_csa_commutator`), `validate_algebra` records them and adds the adjoint
+checks, and `assemble_algebra` raises `ValidationFailed` if any fails.
 """
 
 from dataclasses import dataclass, field
@@ -31,14 +39,15 @@ import numpy as np
 from .errors import (
     BasisNotClosed,
     CsaNotAbelian,
-    GcsynthError,
     GramNotDiagonal,
+    InvalidAlgebraSpec,
     KillingFormDegenerate,
     LinearlyDependentBasis,
     NonHermitianInput,
     NotUnique,
     RootIndexOutOfRange,
     RootPairNotEigenvector,
+    ValidationFailed,
     ZeroGap,
     ZeroRootBracket,
 )
@@ -60,11 +69,6 @@ WEIGHT_TOL = 1e-8
 def commutator(a, b):
     """Plain matrix commutator ab - ba."""
     return a @ b - b @ a
-
-
-def i_bracket(a, b):
-    """The stored-bracket convention i(ab - ba); real coefficients over Hermitian bases."""
-    return 1j * (a @ b - b @ a)
 
 
 def trace_pair(a, b):
@@ -94,11 +98,6 @@ def _freeze(arr):
     out = np.array(arr)
     out.setflags(write=False)
     return out
-
-
-def _is_hermitian(mat, tol=HERMITICITY_TOL):
-    scale = 1.0 + np.abs(mat).max()
-    return np.abs(mat - mat.conj().T).max() <= tol * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +136,27 @@ class AlgebraBasis:
         norms = np.array([np.abs(np.linalg.eigvalsh(o)).max() for o in self.basis])
         norms.setflags(write=False)
         return norms
+
+    @cached_property
+    def closure(self):
+        """(worst relative residual, (m, m')) of [O_m, O_m'] = sum_k f[m, m', k] O_k.
+
+        Plain commutators of i O_m obey the stored-bracket relations, so this
+        is `_bracket_residual` on i O_m.
+        """
+        return _bracket_residual(1j * self.basis, self.structure_constants)
+
+    @cached_property
+    def killing_form(self):
+        """K[m, m'] = -sum_ab f[m, a, b] f[m', a, b]; nonsingular iff semisimple."""
+        flat = self.structure_constants.reshape(self.dim_M, -1)
+        return _freeze(-flat @ flat.T)
+
+    @cached_property
+    def killing_conditioning(self):
+        """Smallest over largest singular value of the Killing form (0 if it vanishes)."""
+        svals = np.linalg.svd(self.killing_form, compute_uv=False)
+        return float(svals.min() / svals.max()) if svals.max() > 0.0 else 0.0
 
     def fingerprint(self):
         """Short content hash of the basis, for artifact cross-checks."""
@@ -216,16 +236,21 @@ class AdjointRep:
     """
 
     matrices: np.ndarray
-    norm_adj: float
-    raising_images: np.ndarray = None
-    lowering_images: np.ndarray = None
+    raising_images: np.ndarray
+    lowering_images: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", _freeze(self.matrices))
-        for name in ("raising_images", "lowering_images"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(val))
+        for name in ("matrices", "raising_images", "lowering_images"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    @cached_property
+    def gram(self):
+        """G[m, m'] = Tr(matrices[m] matrices[m']), real."""
+        return _freeze(trace_gram(self.matrices, self.matrices).real)
+
+    @cached_property
+    def norm_adj(self):
+        return float(np.trace(self.gram) / len(self.matrices))
 
     def conjugation_matrix(self, root_index, alpha):
         """Real orthogonal d with T^dag O_m T = sum_m' d[m, m'] O_m', in O(M^3).
@@ -261,20 +286,26 @@ def orthonormalize_basis(raw_basis, target_N=None):
     AlgebraBasis
         With structure constants derived and semisimplicity verified.
     """
-    mats = np.array([np.asarray(m, dtype=complex) for m in raw_basis])
+    try:
+        mats = np.array([np.asarray(m, dtype=complex) for m in raw_basis])
+    except (TypeError, ValueError) as exc:
+        raise InvalidAlgebraSpec(f"basis entries are not numeric matrices ({exc})") from exc
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("basis must be a sequence of square matrices of equal size")
+        raise InvalidAlgebraSpec("basis must be a sequence of square matrices of equal size")
     dim_m, rep_dim = mats.shape[0], mats.shape[1]
 
-    for k, mat in enumerate(mats):
-        if not _is_hermitian(mat):
-            raise NonHermitianInput(f"basis element {k} is not Hermitian")
+    herm = np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))).max(axis=(1, 2))
+    hermitian = herm <= HERMITICITY_TOL * (1.0 + np.abs(mats).max(axis=(1, 2)))
+    if not hermitian.all():
+        raise NonHermitianInput(f"basis element {int(np.argmin(hermitian))} is not Hermitian")
 
-    gram = np.einsum("mij,nji->mn", mats, mats)
+    gram = trace_gram(mats, mats)
     if np.abs(gram.imag).max() > 1e-10 * (1.0 + np.abs(gram.real).max()):
         raise NonHermitianInput("Gram matrix has imaginary part; inputs are inconsistent")
     gram = gram.real
-    diag = np.diag(gram).copy()
+    # Summed entrywise rather than read off the BLAS Gram, so the scale
+    # factors (hence the basis and every artifact) stay bit-stable.
+    diag = np.einsum("mij,mji->m", mats, mats).real
     if diag.min() <= 1e-12 * max(1.0, diag.max()):
         raise LinearlyDependentBasis("a basis element has (numerically) zero trace norm")
     off = gram - np.diag(diag)
@@ -288,109 +319,91 @@ def orthonormalize_basis(raw_basis, target_N=None):
 
     if target_N is not None:
         norm = float(target_N)
-        if norm <= 0:
-            raise ValueError("target_N must be positive")
+        if not norm > 0:
+            raise InvalidAlgebraSpec(f"target_N must be positive, got {target_N}")
     elif np.allclose(diag, diag[0], rtol=ORTHOGONALITY_TOL, atol=0.0):
         norm = float(diag.mean())
     else:
         norm = float(rep_dim)
     mats = mats * np.sqrt(norm / diag)[:, None, None]
 
-    f = _structure_constants(mats, norm)
-    _check_killing(f)
-    return AlgebraBasis(
-        dim_M=dim_m,
-        rep_dim=rep_dim,
-        basis=mats,
-        normalization_N=norm,
-        structure_constants=f,
-    )
-
-
-def _structure_constants(mats, norm):
-    """f[m, m', k] = Tr([O_m, O_m'] O_k) / N under the i-commutator, with closure check.
-
-    Works one row of brackets at a time so peak memory stays at O(M d^2)
-    rather than O(M^2 d^2).
-    """
-    dim_m, rep_dim = mats.shape[0], mats.shape[1]
-    # Flattened views let BLAS carry the trace contractions:
-    # Tr(B O_k) = vec(B) . vec(O_k^T).
-    flat = mats.reshape(dim_m, rep_dim * rep_dim)
-    flat_t = np.transpose(mats, (0, 2, 1)).reshape(dim_m, rep_dim * rep_dim)
-    f = np.empty((dim_m, dim_m, dim_m))
-    worst_imag = 0.0
-    worst_resid = 0.0
-    worst_pair = (0, 0)
-    bracket_scale = norm
-    for m in range(dim_m):
-        brackets = 1j * (mats[m] @ mats - mats @ mats[m])  # (M, d, d)
-        bflat = brackets.reshape(dim_m, rep_dim * rep_dim)
-        row = (bflat @ flat_t.T) / norm
-        worst_imag = max(worst_imag, float(np.abs(row.imag).max()))
-        f[m] = row.real
-        recon = f[m] @ flat
-        resid = np.linalg.norm(bflat - recon, axis=1)
-        bracket_scale = max(bracket_scale, float(np.linalg.norm(bflat, axis=1).max()))
-        if resid.max() > worst_resid:
-            worst_resid = float(resid.max())
-            worst_pair = (m, int(resid.argmax()))
-    if worst_imag > STRUCTURE_IMAG_TOL * (1.0 + np.abs(f).max()):
-        raise BasisNotClosed("structure constants have a large imaginary part")
-    if worst_resid > CLOSURE_TOL * bracket_scale:
-        m, n = worst_pair
-        raise BasisNotClosed(
-            f"[O_{m}, O_{n}] leaves the basis span (residual {worst_resid:.2e})"
-        )
-    return f
-
-
-def _check_killing(f):
-    """Semisimplicity witness: Killing form from structure constants is nondegenerate."""
-    killing = -np.einsum("mab,nab->mn", f, f)
-    svals = np.linalg.svd(killing, compute_uv=False)
-    if svals.max() == 0.0 or svals.min() <= KILLING_COND_TOL * svals.max():
+    basis = AlgebraBasis(dim_M=dim_m, rep_dim=rep_dim, basis=mats, normalization_N=norm,
+                         structure_constants=_structure_constants(mats, norm))
+    residual, (m, n) = basis.closure
+    if not residual <= CLOSURE_TOL:
+        raise BasisNotClosed(f"[O_{m}, O_{n}] leaves the basis span (residual {residual:.2e})")
+    if not basis.killing_conditioning > KILLING_COND_TOL:
         raise KillingFormDegenerate(
             "Killing form is singular; the basis does not span a semisimple algebra"
         )
-    return killing
+    return basis
 
 
-def derive_structure(basis, cw=None):
-    """Recompute structure constants and build the adjoint representation.
+def _structure_constants(mats, norm):
+    """f[m, m', k] = Tr([O_m, O_m'] O_k) / N under the i-commutator.
 
-    The adjoint matrices are taken in Hermitian form: with bar(O_m) the real
-    matrix of ad(O_m) over basis coefficients, matrices[m] = -i bar(O_m) is
-    Hermitian and satisfies the same stored-bracket relations and (up to the
-    constant norm_adj) the same orthogonality as the defining basis.
-
-    Parameters
-    ----------
-    basis : AlgebraBasis
-    cw : CartanWeylData, optional
-        When given, adjoint images of E+-_l are attached.
-
-    Returns
-    -------
-    (ndarray, AdjointRep)
-        The structure constants and the adjoint representation.
+    Works one row of brackets at a time so peak memory stays at O(M d^2)
+    rather than O(M^2 d^2).  Closure is checked by `AlgebraBasis.closure`.
     """
-    f = _structure_constants(np.asarray(basis.basis), basis.normalization_N)
-    return f, _adjoint_from_constants(f, basis.dim_M, cw)
+    dim_m, rep_dim = mats.shape[0], mats.shape[1]
+    # Tr(B O_k) = vec(B) . vec(O_k^T) lets BLAS carry the trace contractions.
+    flat_t = np.transpose(mats, (0, 2, 1)).reshape(dim_m, rep_dim * rep_dim)
+    f = np.empty((dim_m, dim_m, dim_m))
+    worst_imag = 0.0
+    for m in range(dim_m):
+        brackets = 1j * (mats[m] @ mats - mats @ mats[m])  # (M, d, d)
+        row = (brackets.reshape(dim_m, rep_dim * rep_dim) @ flat_t.T) / norm
+        worst_imag = max(worst_imag, float(np.abs(row.imag).max()))
+        f[m] = row.real
+    if worst_imag > STRUCTURE_IMAG_TOL * (1.0 + np.abs(f).max()):
+        raise BasisNotClosed("structure constants have a large imaginary part")
+    return f
 
 
-def _adjoint_from_constants(f, dim_m, cw=None):
-    # bar(O_m)[k, m'] = f[m, m', k]; Hermitian form is -i times that.
-    adj = -1j * np.transpose(f, (0, 2, 1)).astype(complex)
-    gram = np.einsum("mij,nji->mn", adj, adj).real
-    norm_adj = float(np.trace(gram) / dim_m)
-    raising = lowering = None
-    if cw is not None:
-        u, v = cw.pair_indices
-        raising = (adj[u] + 1j * adj[v]) / 2.0
-        lowering = np.conj(np.transpose(raising, (0, 2, 1)))
-    return AdjointRep(matrices=adj, norm_adj=norm_adj, raising_images=raising,
-                      lowering_images=lowering)
+def _bracket_residual(gens, f):
+    """Worst ||[X_m, X_n] - sum_k f[m, n, k] X_k|| over pairs m < n, and that pair.
+
+    Plain commutators, one row of brackets at a time; each residual is in the
+    Frobenius norm relative to max(1, ||X_m|| ||X_n||).  Pairs m >= n are
+    covered by antisymmetry of f, which the report checks on its own.  A NaN
+    residual is returned as the worst, so it fails every `<=` tolerance test.
+    """
+    dim_m = len(gens)
+    flat = gens.reshape(dim_m, -1)
+    norms = np.linalg.norm(flat, axis=1)
+    resid = np.zeros((dim_m, dim_m))
+    for m in range(dim_m - 1):
+        rest = gens[m + 1:]
+        brackets = (gens[m] @ rest).reshape(len(rest), -1)
+        brackets -= (rest @ gens[m]).reshape(len(rest), -1) + f[m, m + 1:] @ flat
+        resid[m, m + 1:] = np.linalg.norm(brackets, axis=1) \
+            / np.maximum(1.0, norms[m] * norms[m + 1:])
+    m, n = np.unravel_index(np.argmax(resid), resid.shape)
+    return float(resid[m, n]), (int(m), int(n))
+
+
+def _adjoint_from_constants(f, cw):
+    """Hermitian adjoint representation with the images of E+-_l attached.
+
+    matrices[m] = -i bar(O_m), where bar(O_m)[k, m'] = f[m, m', k] is the real
+    matrix of ad(O_m); it obeys the stored-bracket relations and, up to the
+    constant norm_adj, the orthogonality of the defining basis.
+    """
+    adj = np.transpose(f, (0, 2, 1)).astype(complex)
+    adj *= -1j
+    u, v = cw.pair_indices
+    raising = (adj[u] + 1j * adj[v]) / 2.0
+    lowering = np.conj(np.transpose(raising, (0, 2, 1)))
+    return AdjointRep(matrices=adj, raising_images=raising, lowering_images=lowering)
+
+
+def _csa_commutator(csa_ops):
+    """Worst entry of [H_r, H_s] over the CSA generators, its tolerance, and (r, s)."""
+    comm = np.abs(csa_ops[:, None] @ csa_ops[None] - csa_ops[None] @ csa_ops[:, None])
+    worst = comm.max(axis=(2, 3))
+    r, s = np.unravel_index(np.argmax(worst), worst.shape)
+    tol = CSA_COMMUTE_TOL * (1.0 + np.abs(csa_ops).max()) ** 2
+    return float(worst[r, s]), tol, (int(r), int(s))
 
 
 def build_cartan_weyl(basis, csa_indices, root_pairs):
@@ -412,50 +425,46 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
 
     Raises
     ------
-    CsaNotAbelian, RootPairNotEigenvector, ZeroRootBracket
+    InvalidAlgebraSpec, CsaNotAbelian, RootPairNotEigenvector, ZeroRootBracket
     """
     csa_indices = tuple(int(i) for i in csa_indices)
     pair_map = tuple((int(u), int(v)) for u, v in root_pairs)
     rank = len(csa_indices)
     num_roots = len(pair_map)
-    if 2 * num_roots + rank != basis.dim_M:
-        raise ValueError(
+    if rank == 0 or 2 * num_roots + rank != basis.dim_M:
+        raise InvalidAlgebraSpec(
             f"index bookkeeping is off: M={basis.dim_M} but R={rank}, L={num_roots}"
         )
     used = list(csa_indices) + [i for p in pair_map for i in p]
     if sorted(used) != list(range(basis.dim_M)):
-        raise ValueError("csa_indices and root_pairs must partition the basis indices")
+        raise InvalidAlgebraSpec("csa_indices and root_pairs must partition the basis indices")
 
     mats = np.asarray(basis.basis)
     csa_ops = mats[list(csa_indices)]
-    scale = 1.0 + max(float(np.abs(h).max()) for h in csa_ops)
-    for r in range(rank):
-        for s in range(r + 1, rank):
-            resid = np.abs(commutator(csa_ops[r], csa_ops[s])).max()
-            if resid > CSA_COMMUTE_TOL * scale * scale:
-                raise CsaNotAbelian(f"H_{r} and H_{s} do not commute (residual {resid:.2e})")
+    resid, tol, (r, s) = _csa_commutator(csa_ops)
+    if not resid <= tol:
+        raise CsaNotAbelian(f"H_{r} and H_{s} do not commute (residual {resid:.2e})")
 
-    raising = np.array([(mats[u] + 1j * mats[v]) / 2.0 for u, v in pair_map])
+    u, v = np.array(pair_map).T
+    raising = (mats[u] + 1j * mats[v]) / 2.0
     lowering = np.conj(np.transpose(raising, (0, 2, 1)))
 
-    # Each E+ must be a simultaneous eigenvector of ad(H_r).
+    # Each E+ must be a simultaneous eigenvector of ad(H_r), all r at once.
     norm = basis.normalization_N
+    h_scale = np.maximum(1.0, np.abs(csa_ops).max(axis=(1, 2)))
     for l, e_plus in enumerate(raising):
-        e_norm = np.linalg.norm(e_plus)
-        for r in range(rank):
-            comm = commutator(csa_ops[r], e_plus)
-            lam = trace_pair(comm, lowering[l]) / (norm / 2.0)
-            if abs(lam.imag) > EIGENVECTOR_TOL * (1.0 + abs(lam.real)):
-                raise RootPairNotEigenvector(
-                    f"root {l}: complex eigenvalue under ad(H_{r})"
-                )
-            resid = np.linalg.norm(comm - lam.real * e_plus)
-            if resid > EIGENVECTOR_TOL * max(1.0, e_norm) * max(1.0, float(np.abs(csa_ops[r]).max())):
-                raise RootPairNotEigenvector(
-                    f"root {l} is not an ad-eigenvector of H_{r} (residual {resid:.2e})"
-                )
+        comm = csa_ops @ e_plus - e_plus @ csa_ops  # (R, d, d)
+        lam = np.einsum("rij,ji->r", comm, lowering[l]) / (norm / 2.0)
+        resid = np.linalg.norm(comm - lam.real[:, None, None] * e_plus, axis=(1, 2))
+        ok = (np.abs(lam.imag) <= EIGENVECTOR_TOL * (1.0 + np.abs(lam.real))) \
+            & (resid <= EIGENVECTOR_TOL * max(1.0, np.linalg.norm(e_plus)) * h_scale)
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise RootPairNotEigenvector(
+                f"root {l} is not an ad-eigenvector of H_{r} (residual {resid[r]:.2e})"
+            )
 
-    triples = _root_triples(basis, csa_indices, raising, lowering)
+    triples = _root_triples(csa_ops, norm, raising, lowering)
     return CartanWeylData(
         rank_R=rank,
         num_roots_L=num_roots,
@@ -467,15 +476,7 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
     )
 
 
-def compute_root_triples(basis, cw):
-    """Recompute the per-root su(2) triples of an existing Cartan-Weyl split."""
-    return _root_triples(basis, cw.csa_indices, np.asarray(cw.raising_ops),
-                         np.asarray(cw.lowering_ops))
-
-
-def _root_triples(basis, csa_indices, raising, lowering):
-    norm = basis.normalization_N
-    csa_ops = np.asarray(basis.basis)[list(csa_indices)]
+def _root_triples(csa_ops, norm, raising, lowering):
     triples = []
     for l in range(raising.shape[0]):
         e_plus, e_minus = raising[l], lowering[l]
@@ -489,8 +490,9 @@ def _root_triples(basis, csa_indices, raising, lowering):
             raise ZeroRootBracket(f"[E+, E-] of root {l} is not in the CSA span")
         # eta * N/2 = Tr(Z [E+, E-]) = ||Z||_F^2 by the cyclic trace identity,
         # so eta > 0 whenever the bracket above is nonzero.
-        eta = (trace_pair(commutator(z, e_plus), e_minus) / (norm / 2.0)).real
-        resid = np.linalg.norm(commutator(z, e_plus) - eta * e_plus)
+        z_e = commutator(z, e_plus)
+        eta = (trace_pair(z_e, e_minus) / (norm / 2.0)).real
+        resid = np.linalg.norm(z_e - eta * e_plus)
         if resid > SU2_TOL * max(1.0, eta) * max(1.0, np.linalg.norm(e_plus)):
             raise RootPairNotEigenvector(
                 f"root {l}: [Z, E+] is not proportional to E+ (residual {resid:.2e})"
@@ -546,102 +548,59 @@ class ValidationReport:
 def validate_algebra(basis, cw=None, adjoint=None):
     """Run the full invariant suite and return a diagnostic report.
 
-    Checks Hermiticity, trace orthogonality, structure-constant reality and
-    antisymmetry, Killing-form nondegeneracy (failing fast there), and, when
-    a Cartan-Weyl split is supplied, the reconstruction identity, CSA
-    commutativity, su(2) triple relations, adjoint bracket homomorphism,
-    adjoint orthogonality, and defining-vs-adjoint conjugation consistency.
+    Checks Hermiticity, trace orthogonality, structure-constant antisymmetry,
+    closure and Killing-form nondegeneracy (failing fast there), and, when a
+    Cartan-Weyl split is supplied, CSA commutativity, the index count, the
+    reconstruction identity, su(2) triple relations, the adjoint bracket
+    homomorphism, adjoint orthogonality, and defining-vs-adjoint conjugation
+    consistency.  Closure and the Killing form are the basis's cached values;
+    the CSA commutator is the helper `build_cartan_weyl` raises from.
     """
     report = ValidationReport()
     mats = np.asarray(basis.basis)
-    norm = basis.normalization_N
     f = np.asarray(basis.structure_constants)
 
-    herm = max(np.abs(m - m.conj().T).max() for m in mats)
+    herm = np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))).max()
     report.add("basis hermiticity", herm, HERMITICITY_TOL * (1.0 + np.abs(mats).max()))
-
-    gram = np.einsum("mij,nji->mn", mats, mats).real
-    ortho = np.abs(gram - norm * np.eye(basis.dim_M)).max()
+    norm = basis.normalization_N
+    ortho = np.abs(trace_gram(mats, mats).real - norm * np.eye(basis.dim_M)).max()
     report.add("trace orthogonality Tr(O_m O_m') = N delta", ortho, ORTHOGONALITY_TOL * norm)
-
     antisym = np.abs(f + np.transpose(f, (1, 0, 2))).max()
     report.add("structure constants antisymmetric", antisym,
                STRUCTURE_IMAG_TOL * (1.0 + np.abs(f).max()))
-
-    flat = mats.reshape(basis.dim_M, -1)
-    closure = 0.0
-    scale = norm
-    for m in range(basis.dim_M):
-        brackets = (1j * (mats[m] @ mats - mats @ mats[m])).reshape(basis.dim_M, -1)
-        resid = np.linalg.norm(brackets - f[m] @ flat, axis=1)
-        scale = max(scale, float(np.linalg.norm(brackets, axis=1).max()))
-        closure = max(closure, float(resid.max()))
-    report.add("brackets close over the basis", closure / scale, CLOSURE_TOL)
-
-    killing = -np.einsum("mab,nab->mn", f, f)
-    svals = np.linalg.svd(killing, compute_uv=False)
-    cond_resid = 1.0 if svals.max() == 0.0 else svals.min() / svals.max()
-    kill_ok = svals.max() > 0.0 and svals.min() > KILLING_COND_TOL * svals.max()
-    report.entries.append(CheckResult(
-        "Killing form nondegenerate", kill_ok,
-        float(0.0 if kill_ok else cond_resid), KILLING_COND_TOL))
-    if not kill_ok:
+    report.add("brackets close over the basis", basis.closure[0], CLOSURE_TOL)
+    kill_ok = basis.killing_conditioning > KILLING_COND_TOL
+    report.entries.append(CheckResult("Killing form nondegenerate", kill_ok,
+                                      0.0 if kill_ok else basis.killing_conditioning,
+                                      KILLING_COND_TOL))
+    if not kill_ok or cw is None:
         return report  # fail fast: nothing downstream is meaningful
 
-    if cw is None:
-        return report
-
-    csa_ops = mats[list(cw.csa_indices)]
-    commute = 0.0
-    for r in range(cw.rank_R):
-        for s in range(r + 1, cw.rank_R):
-            commute = max(commute, float(np.abs(commutator(csa_ops[r], csa_ops[s])).max()))
-    report.add("CSA generators commute", commute,
-               CSA_COMMUTE_TOL * (1.0 + np.abs(csa_ops).max()) ** 2)
-
+    commute, tol, _ = _csa_commutator(mats[list(cw.csa_indices)])
+    report.add("CSA generators commute", commute, tol)
     report.add("L = (M - R)/2", abs(basis.dim_M - cw.rank_R - 2 * cw.num_roots_L), 0.0)
-
-    recon = 0.0
-    for l, (u, v) in enumerate(cw.pair_map):
-        e_p, e_m = cw.raising_ops[l], cw.lowering_ops[l]
-        recon = max(recon, float(np.abs(mats[u] - (e_p + e_m)).max()))
-        recon = max(recon, float(np.abs(mats[v] - 1j * (e_m - e_p)).max()))
+    u, v = cw.pair_indices
+    e_p, e_m = np.asarray(cw.raising_ops), np.asarray(cw.lowering_ops)
+    recon = max(np.abs(mats[u] - (e_p + e_m)).max(), np.abs(mats[v] - 1j * (e_m - e_p)).max())
     report.add("Cartan-Weyl reconstruction identity", recon,
                1e-12 * (1.0 + np.abs(mats).max()))
 
-    su2 = 0.0
-    for t in cw.root_triples:
-        s_plus = (t.sx + 1j * t.sy) / np.sqrt(2.0)
-        s_minus = (t.sx - 1j * t.sy) / np.sqrt(2.0)
-        su2 = max(su2, float(np.abs(commutator(s_plus, s_minus) - t.sz).max()))
-        su2 = max(su2, float(np.abs(commutator(t.sz, s_plus) - s_plus).max()))
-        su2 = max(su2, float(np.abs(commutator(t.sz, s_minus) + s_minus).max()))
+    s_z = np.array([t.sz for t in cw.root_triples])
+    s_plus = np.array([t.sx + 1j * t.sy for t in cw.root_triples]) / np.sqrt(2.0)
+    s_minus = np.array([t.sx - 1j * t.sy for t in cw.root_triples]) / np.sqrt(2.0)
+    su2 = max(np.abs(commutator(s_plus, s_minus) - s_z).max(),
+              np.abs(commutator(s_z, s_plus) - s_plus).max(),
+              np.abs(commutator(s_z, s_minus) + s_minus).max())
     report.add("su(2) triple relations", su2, SU2_TOL)
 
     if adjoint is None:
-        try:
-            _, adjoint = derive_structure(basis, cw)
-        except GcsynthError as exc:
-            report.entries.append(CheckResult(
-                f"adjoint construction ({type(exc).__name__}: {exc})",
-                False, float("inf"), 0.0))
-            return report
-    adj = np.asarray(adjoint.matrices)
-
-    hom = 0.0
-    for m in range(basis.dim_M):
-        for n in range(m + 1, basis.dim_M):
-            lhs = np.einsum("k,kij->ij", f[m, n], adj)
-            rhs = i_bracket(adj[m], adj[n])
-            denom = max(1.0, np.linalg.norm(adj[m]) * np.linalg.norm(adj[n]))
-            hom = max(hom, float(np.linalg.norm(lhs - rhs) / denom))
+        adjoint = _adjoint_from_constants(f, cw)
+    # The real matrix of ad(O_m) is i times its Hermitian image: -Im(image).
+    hom, _ = _bracket_residual(-np.asarray(adjoint.matrices).imag, f)
     report.add("adjoint bracket homomorphism", hom, ADJOINT_TOL)
-
-    agram = np.einsum("mij,nji->mn", adj, adj).real
-    aresid = np.abs(agram - adjoint.norm_adj * np.eye(basis.dim_M)).max()
+    aresid = np.abs(adjoint.gram - adjoint.norm_adj * np.eye(basis.dim_M)).max()
     report.add("adjoint orthogonality Tr = N_adj delta", aresid,
                ADJOINT_TOL * max(adjoint.norm_adj, 1.0))
-
     report.add("defining vs adjoint conjugation", _conjugation_residual(basis, cw, adjoint),
                ADJOINT_TOL)
     return report
@@ -803,19 +762,18 @@ def _weight_vectors(subspace, csa_ops):
     return out
 
 
-def assemble_algebra(basis, csa_indices, root_pairs, name="custom", validate=True):
-    """Build an Algebra from a validated basis plus Cartan-Weyl labeling."""
+def assemble_algebra(basis, csa_indices, root_pairs, name="custom"):
+    """Build an Algebra from a basis plus Cartan-Weyl labeling.
+
+    Raises ValidationFailed, carrying the report, when any invariant of
+    `validate_algebra` fails (e.g. for a hand-built basis with bad f).
+    """
     cw = build_cartan_weyl(basis, csa_indices, root_pairs)
-    # The basis carries structure constants from construction; no recompute.
-    adjoint = _adjoint_from_constants(np.asarray(basis.structure_constants),
-                                      basis.dim_M, cw)
-    algebra = Algebra(basis=basis, cartan_weyl=cw, adjoint=adjoint, name=name)
-    if validate:
-        report = validate_algebra(basis, cw, adjoint)
-        if not report.ok:
-            from .errors import ValidationFailed
-            raise ValidationFailed(
-                "algebra failed validation:\n" + "\n".join(str(e) for e in report.failures()),
-                report=report,
-            )
-    return algebra
+    adjoint = _adjoint_from_constants(np.asarray(basis.structure_constants), cw)
+    report = validate_algebra(basis, cw, adjoint)
+    if not report.ok:
+        raise ValidationFailed(
+            "algebra failed validation:\n" + "\n".join(str(e) for e in report.failures()),
+            report=report,
+        )
+    return Algebra(basis=basis, cartan_weyl=cw, adjoint=adjoint, name=name)

@@ -151,9 +151,9 @@ def load_algebra(path):
     ------
     ParseError
         Malformed file.
-    ValidationFailed and the algebra_core errors
-        Structural problems (non-Hermitian entries, mislabeled root pairs,
-        degenerate Killing form, ...) surface from assembly.
+    InvalidAlgebraSpec, ValidationFailed and the other algebra errors
+        Structural problems (bad CSA/root indices, non-Hermitian entries,
+        mislabeled root pairs, degenerate Killing form, ...) from assembly.
     """
     data = _load(path)
     if not isinstance(data, dict):

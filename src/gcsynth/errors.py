@@ -9,6 +9,10 @@ class GcsynthError(Exception):
 # Algebra construction and validation
 # ---------------------------------------------------------------------------
 
+class InvalidAlgebraSpec(GcsynthError):
+    """Basis shapes, normalization or CSA/root indices are malformed."""
+
+
 class NonHermitianInput(GcsynthError):
     """A matrix that must be Hermitian is not."""
 
@@ -130,7 +134,11 @@ class LeavesAlgebraSpan(GcsynthError):
 
 
 class NonFiniteGate(GcsynthError):
-    """A gate matrix holds NaN or infinite entries."""
+    """A gate matrix or group-op exponent holds NaN or infinite values."""
+
+
+class InvalidGate(GcsynthError):
+    """A gate matrix has the wrong size or is not unitary."""
 
 
 class NotAGcs(GcsynthError):

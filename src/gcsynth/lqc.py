@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import trace_gram
-from .errors import LeavesAlgebraSpan, NonFiniteGate, NotAGcs
+from .errors import InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from .moments import MomentVector
 from .pipeline import synthesize
 from .states import GroupOp, exact_moments
@@ -62,7 +62,7 @@ def adjoint_action_of(gate, algebra):
 
     Raises
     ------
-    RootIndexOutOfRange, NonFiniteGate, LeavesAlgebraSpan
+    RootIndexOutOfRange, InvalidGate, NonFiniteGate, LeavesAlgebraSpan
     """
     if isinstance(gate, GroupOp):
         return AdjointAction(
@@ -70,11 +70,11 @@ def adjoint_action_of(gate, algebra):
             descriptor=f"group_op(l={gate.root_index})")
     unitary = np.asarray(gate, dtype=complex)
     if unitary.shape != (algebra.rep_dim, algebra.rep_dim):
-        raise ValueError("unitary has the wrong dimension for this representation")
+        raise InvalidGate("unitary has the wrong dimension for this representation")
     if not np.isfinite(unitary).all():
         raise NonFiniteGate("gate matrix holds NaN or infinite entries")
     if not np.abs(unitary.conj().T @ unitary - np.eye(algebra.rep_dim)).max() <= 1e-10:
-        raise ValueError("gate matrix is not unitary")
+        raise InvalidGate("gate matrix is not unitary")
     mats = np.asarray(algebra.basis.basis)
     conjugated = unitary.conj().T @ mats @ unitary
     d_complex = trace_gram(conjugated, mats) / algebra.norm

@@ -51,6 +51,13 @@ def _require(data, keys, context):
         raise ParseError(f"{context}: missing keys {missing}")
 
 
+def _list(data, key, context):
+    """data[key] if it is a JSON list, else ParseError."""
+    if not isinstance(data[key], list):
+        raise ParseError(f"{context}: {key} must be a list")
+    return data[key]
+
+
 # ---------------------------------------------------------------------------
 # Algebra definition files
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def parse_algebra_dict(data, context="algebra file"):
     if norm is not None and (not isinstance(norm, (int, float)) or norm <= 0):
         raise ParseError(f"{context}: normalization must be positive or null")
     mats = [_matrix_from_json(m, context=f"{context}: basis[{k}]")
-            for k, m in enumerate(data["basis"])]
+            for k, m in enumerate(_list(data, "basis", context))]
     if any(m.shape != (rep_dim, rep_dim) for m in mats):
         raise ParseError(f"{context}: basis matrices must be rep_dim x rep_dim")
     csa = data["csa"]
@@ -160,10 +167,10 @@ def load_circuit(path):
     data = _load(path)
     _require(data, ["algebra", "ops"], str(path))
     ops = [_group_op_from_json(entry, f"{path}: ops[{k}]")
-           for k, entry in enumerate(data["ops"])]
+           for k, entry in enumerate(_list(data, "ops", str(path)))]
     tags = data.get("kind_tags", ["jacobi"] * len(ops))
-    if len(tags) != len(ops):
-        raise ParseError(f"{path}: kind_tags length must match ops")
+    if not isinstance(tags, list) or len(tags) != len(ops):
+        raise ParseError(f"{path}: kind_tags must be a list as long as ops")
     trace = data.get("trace", [])
     return ops, tags, trace, data["algebra"]
 
@@ -193,7 +200,7 @@ def load_lqc(path):
     data = _load(path)
     _require(data, ["algebra", "initial", "gates"], str(path))
     gates = []
-    for k, entry in enumerate(data["gates"]):
+    for k, entry in enumerate(_list(data, "gates", str(path))):
         _require(entry, ["type"], f"{path}: gates[{k}]")
         if entry["type"] == "group_op":
             gates.append(_group_op_from_json(entry, f"{path}: gates[{k}]"))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_root_index, expi_hermitian
-from .errors import NonHermitianObservable, ShotCountOverflow
+from .errors import NonFiniteGate, NonHermitianObservable, ShotCountOverflow
 from .moments import MomentVector
 
 
@@ -24,7 +24,7 @@ class GroupOp:
 
     def __post_init__(self):
         if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+            raise NonFiniteGate(f"group-op exponent alpha = {self.alpha} is not finite")
 
     def inverse(self):
         return GroupOp(self.root_index, -self.alpha)

@@ -3,26 +3,32 @@ import pytest
 
 from gcsynth import (
     AlgebraBasis,
+    assemble_algebra,
     build_cartan_weyl,
-    compute_root_triples,
-    derive_structure,
     orthonormalize_basis,
     validate_algebra,
 )
-from gcsynth.algebra import commutator, expi_hermitian, i_bracket
+from gcsynth.algebra import commutator, expi_hermitian
 from gcsynth.errors import (
     BasisNotClosed,
     CsaNotAbelian,
     GramNotDiagonal,
+    InvalidAlgebraSpec,
     KillingFormDegenerate,
     LinearlyDependentBasis,
     NonHermitianInput,
     RootIndexOutOfRange,
     RootPairNotEigenvector,
+    ValidationFailed,
 )
 from gcsynth.states import GroupOp, group_op_unitary
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, gell_mann
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_su3, gell_mann
+
+
+def i_bracket(a, b):
+    """The stored-bracket convention i(ab - ba)."""
+    return 1j * (a @ b - b @ a)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +74,7 @@ def test_dependent_basis_rejected():
 
 
 # ---------------------------------------------------------------------------
-# derive_structure
+# structure constants and the adjoint representation
 # ---------------------------------------------------------------------------
 
 def test_su2_structure_constants():
@@ -90,20 +96,21 @@ def test_abelian_input_rejected():
 def test_not_closed_rejected():
     # s_z and s_x alone bracket into s_y, which is outside the span.
     with pytest.raises(BasisNotClosed):
-        mats = np.array([SIGMA_Z, SIGMA_X])
-        from gcsynth.algebra import _structure_constants
-        _structure_constants(mats, 2.0)
+        orthonormalize_basis([SIGMA_Z, SIGMA_X])
 
 
-def test_so4_adjoint_homomorphism(so4):
-    f = np.asarray(so4.basis.structure_constants)
-    adj = np.asarray(so4.adjoint.matrices)
-    for m in range(6):
-        for n in range(6):
-            lhs = np.einsum("k,kij->ij", f[m, n], adj)
-            rhs = i_bracket(adj[m], adj[n])
-            denom = max(1.0, np.linalg.norm(adj[m]) * np.linalg.norm(adj[n]))
-            assert np.linalg.norm(lhs - rhs) <= 1e-9 * denom
+def test_so4_adjoint_homomorphism(so4, catalog_algebras, su3):
+    # Per-pair oracle for the batched check in validate_algebra: so(4) first,
+    # then the rest of the catalog and su(3).
+    for algebra in [so4] + catalog_algebras + [su3]:
+        f = np.asarray(algebra.basis.structure_constants)
+        adj = np.asarray(algebra.adjoint.matrices)
+        for m in range(algebra.dim):
+            for n in range(algebra.dim):
+                lhs = np.einsum("k,kij->ij", f[m, n], adj)
+                rhs = i_bracket(adj[m], adj[n])
+                denom = max(1.0, np.linalg.norm(adj[m]) * np.linalg.norm(adj[n]))
+                assert np.linalg.norm(lhs - rhs) <= 1e-9 * denom
 
 
 def test_adjoint_orthogonality(catalog_algebras):
@@ -158,7 +165,7 @@ def test_root_pair_not_eigenvector():
 
 
 # ---------------------------------------------------------------------------
-# compute_root_triples
+# root triples
 # ---------------------------------------------------------------------------
 
 def test_su2_triple_frozen_values(su2_half):
@@ -183,7 +190,8 @@ def test_so4_roots_supported_on_both_csa(so4):
 
 
 def test_recompute_matches_stored(so6):
-    triples = compute_root_triples(so6.basis, so6.cartan_weyl)
+    cw = so6.cartan_weyl
+    triples = build_cartan_weyl(so6.basis, cw.csa_indices, cw.pair_map).root_triples
     for fresh, stored in zip(triples, so6.cartan_weyl.root_triples):
         assert np.allclose(fresh.mu, stored.mu, atol=1e-12)
         assert fresh.eta == pytest.approx(stored.eta, abs=1e-12)
@@ -245,6 +253,55 @@ def test_validate_never_raises_on_unclosed_basis(su2_half):
     report = validate_algebra(broken, su2_half.cartan_weyl)
     assert not report.ok
     assert any("close" in e.name and not e.passed for e in report.entries)
+
+
+def test_perturbed_structure_constant_fails_assembly(su3):
+    # A hand-built su(3) basis whose f is off by 1e-6 in one entry: closure
+    # and the adjoint homomorphism must both fail, and assembly must refuse it.
+    f = np.array(su3.basis.structure_constants)
+    f[2, 5, 0] += 1e-6
+    broken = AlgebraBasis(dim_M=8, rep_dim=3, basis=su3.basis.basis,
+                          normalization_N=su3.norm, structure_constants=f)
+    cw = su3.cartan_weyl
+    with pytest.raises(ValidationFailed) as info:
+        assemble_algebra(broken, cw.csa_indices, cw.pair_map)
+    failed = {e.name for e in info.value.report.failures()}
+    assert {"brackets close over the basis", "adjoint bracket homomorphism"} <= failed
+
+
+def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
+    # Closure (defining rep) and the adjoint homomorphism: one call each,
+    # shared by construction and validate_algebra.
+    import gcsynth.algebra as algebra_module
+    calls = []
+    original = algebra_module._bracket_residual
+
+    def counting(gens, f):
+        calls.append(gens.dtype)
+        return original(gens, f)
+
+    monkeypatch.setattr(algebra_module, "_bracket_residual", counting)
+    build_su3()
+    assert calls == [np.dtype(complex), np.dtype(float)]
+
+
+@pytest.mark.parametrize("csa, pairs", [
+    ([7], [(1, 2)]), ([-3], [(1, 2)]), ([0], [(1, 1)]), ([], [(0, 1)]),
+], ids=["csa-7", "csa-negative", "pair-repeat", "csa-empty"])
+def test_bad_labels_are_typed(csa, pairs):
+    basis = orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y])
+    with pytest.raises(InvalidAlgebraSpec):
+        build_cartan_weyl(basis, csa, pairs)
+
+
+def test_bad_basis_shapes_are_typed():
+    with pytest.raises(InvalidAlgebraSpec):
+        orthonormalize_basis([SIGMA_Z, np.eye(3), SIGMA_Y])
+    with pytest.raises(InvalidAlgebraSpec):
+        orthonormalize_basis([[1.0, 2.0]])
+    for target in (0.0, -2.0, float("nan")):
+        with pytest.raises(InvalidAlgebraSpec):
+            orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y], target_N=target)
 
 
 # ---------------------------------------------------------------------------

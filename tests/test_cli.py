@@ -141,6 +141,8 @@ def test_synth_nan_moments_exits_1(tmp_path, su2_file, capsys):
 
 _GOOD_ALPHA = [0.3, 0.1]
 _NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_DIAG_1_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+_EYE_3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
 
 
 @pytest.mark.parametrize("command, content, error", [
@@ -150,8 +152,17 @@ _NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ("lqc", {"gates": [{"type": "group_op", "l": "x", "alpha": _GOOD_ALPHA}]}, "ParseError"),
     ("lqc", {"gates": [{"type": "group_op", "l": 0, "alpha": 3}]}, "ParseError"),
     ("lqc", {"gates": [{"type": "unitary", "matrix": _NAN_UNITARY}]}, "NonFiniteGate"),
+    ("verify", {"ops": 5}, "ParseError"),
+    ("lqc", {"gates": 5}, "ParseError"),
+    ("verify", {"ops": [], "kind_tags": 5}, "ParseError"),
+    ("verify", {"ops": [{"l": 0, "alpha": [float("nan"), 0.0]}]}, "NonFiniteGate"),
+    ("lqc", {"gates": [{"type": "group_op", "l": 0, "alpha": [0.0, float("inf")]}]},
+     "NonFiniteGate"),
+    ("lqc", {"gates": [{"type": "unitary", "matrix": _DIAG_1_2}]}, "InvalidGate"),
+    ("lqc", {"gates": [{"type": "unitary", "matrix": _EYE_3}]}, "InvalidGate"),
 ], ids=["verify-root-range", "lqc-root-range", "lqc-root-type", "lqc-alpha-shape",
-        "lqc-nan-unitary"])
+        "lqc-nan-unitary", "verify-ops-not-list", "lqc-gates-not-list", "verify-tags-not-list",
+        "verify-nan-alpha", "lqc-inf-alpha", "lqc-not-unitary", "lqc-wrong-size"])
 def test_bad_gate_files_exit_1(tmp_path, capsys, command, content, error):
     circuit_path = tmp_path / "bad.json"
     circuit_path.write_text(json.dumps(dict(content, algebra="su2:1", initial="hw")))
@@ -165,6 +176,26 @@ def test_bad_gate_files_exit_1(tmp_path, capsys, command, content, error):
     assert main(argv) == 1
     assert _one_json_error_line(capsys)["error"] == error
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"csa": [7]}, "InvalidAlgebraSpec"),
+    ({"csa": [-3]}, "InvalidAlgebraSpec"),
+    ({"root_pairs": [[1, 1]]}, "InvalidAlgebraSpec"),
+    ({"normalization": float("nan")}, "InvalidAlgebraSpec"),
+    ({"basis": 5}, "ParseError"),
+], ids=["csa-7", "csa-negative", "pair-repeat", "normalization-nan", "basis-not-list"])
+def test_bad_algebra_files_exit_1(tmp_path, su2_file, su2_half, capsys, change, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(su2_file.read_text()), **change)))
+    moments_path = tmp_path / "m.json"
+    save_moments(hidden_gcs(su2_half, seed=5, num_ops=1).exact_moments(), "su2:1", moments_path)
+    capsys.readouterr()
+    code = main(["synth", "--algebra", str(bad), "--moments", str(moments_path),
+                 "--epsilon", "1e-4", "--quiet", "--out", str(tmp_path / "c.json")])
+    assert code == 1
+    assert _one_json_error_line(capsys)["error"] == error
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):

@@ -15,7 +15,7 @@ from gcsynth import (
     propagate,
     verify,
 )
-from gcsynth.errors import LeavesAlgebraSpan, NonFiniteGate, NotAGcs
+from gcsynth.errors import InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from gcsynth.lqc import hw_moments
 from gcsynth.states import group_op_unitary
 
@@ -76,6 +76,15 @@ def test_non_finite_unitary_rejected(su2_half):
     u[0, 1] = np.nan
     with pytest.raises(NonFiniteGate):
         adjoint_action_of(u, su2_half)
+
+
+def test_bad_gates_are_typed(su2_half):
+    for gate in (np.diag([1.0, 2.0]), np.eye(3)):
+        with pytest.raises(InvalidGate):
+            adjoint_action_of(gate, su2_half)
+    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(NonFiniteGate):
+            GroupOp(0, alpha)
 
 
 def test_span_leaving_unitary_rejected(su2_one):

@@ -48,8 +48,7 @@ def test_reducible_direct_sum_not_unique(su2_half):
         return out
 
     basis = orthonormalize_basis([blocks(SIGMA_Z), blocks(SIGMA_X), blocks(SIGMA_Y)])
-    doubled = assemble_algebra(basis, csa_indices=[0], root_pairs=[(1, 2)],
-                               validate=False)
+    doubled = assemble_algebra(basis, csa_indices=[0], root_pairs=[(1, 2)])
     with pytest.raises(NotUnique):
         highest_weight_state(doubled)
 
