@@ -16,10 +16,16 @@ then for each root l a pair of Hermitian partners (O_u, O_v) with
 so the raising operator is recovered as E+ = (O_u + i O_v) / 2.
 
 `Algebra` is the one home of the quantities synthesis derives from the
-algebra alone: the stacked CSA generators, the highest-weight state and its
-weights, the spectral gap of the highest-weight Hamiltonian, and each
-root's pi-reflection exponent.  Each is computed on first use and cached on
-the instance, so it lives exactly as long as the algebra does.
+algebra alone: the stacked CSA generators, a CSA eigenbasis with its
+weights, the highest-weight state and its weights, the spectral gap of the
+highest-weight Hamiltonian, and each root's pi-reflection exponent.  Each is
+computed on first use and cached on the instance, so it lives exactly as
+long as the algebra does.
+
+A group operation exp{i(alpha E+ + alpha* E-)} is applied in closed form:
+its generator's spectrum is |alpha| times that of E+ + E-, cached per root
+by `CartanWeylData` and `AdjointRep`, so the exponential is a short
+polynomial in the generator (`_rotate_in_root`); no eigendecomposition.
 
 Each structural invariant has one function.  Closure and the adjoint
 bracket homomorphism are both `_bracket_residual`; closure and the Killing
@@ -47,6 +53,7 @@ from .errors import (
     NotUnique,
     RootIndexOutOfRange,
     RootPairNotEigenvector,
+    RootSpectrumIllConditioned,
     ValidationFailed,
     ZeroGap,
     ZeroRootBracket,
@@ -64,6 +71,10 @@ SU2_TOL = 1e-10
 ADJOINT_TOL = 1e-9
 KERNEL_TOL = 1e-10
 WEIGHT_TOL = 1e-8
+# Closed-form rotations: relative gap merging eigenvalues into one node, and
+# the most rounding growth allowed (about 1e-10 absolute in double precision).
+NODE_TOL = 1e-8
+MAX_NODE_AMPLIFICATION = 1e4
 
 
 def commutator(a, b):
@@ -89,9 +100,56 @@ def check_root_index(root_index, num_roots):
 
 
 def expi_hermitian(h):
-    """exp(i h) for Hermitian h, via eigendecomposition (exact at desk scale)."""
+    """exp(i h) for Hermitian h by eigendecomposition: the dense reference.
+
+    Group operations use `_rotate_in_root`; this serves the assembly
+    cross-check `_conjugation_residual`, demos and test oracles.
+    """
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _root_spectra(raising, lowering):
+    """Per root, (nodes, scale, inverse) for `_rotate_in_root`.
+
+    nodes are the distinct eigenvalues x_j of E+ + E-, shared by every
+    e^{i phi} E+ + e^{-i phi} E- (its conjugate by exp(i phi Sz)); inverse
+    inverts T[j, k] = T_k(x_j / scale), scale = max |x_j|.  Chebyshev rather
+    than monomial columns keep rounding growth small for many nodes.  Raises
+    RootSpectrumIllConditioned past MAX_NODE_AMPLIFICATION (spin j > 11 in
+    one su(2) irrep).
+    """
+    spectra = []
+    for l, evals in enumerate(np.linalg.eigvalsh(raising + lowering)):
+        scale = float(max(-evals[0], evals[-1]))
+        nodes = evals[np.concatenate(([True], np.diff(evals) > NODE_TOL * scale))]
+        inverse = np.linalg.inv(np.polynomial.chebyshev.chebvander(nodes / scale,
+                                                                   len(nodes) - 1))
+        if not np.abs(inverse).sum(axis=1).max() <= MAX_NODE_AMPLIFICATION:
+            raise RootSpectrumIllConditioned(
+                f"root {l}: {len(nodes)} distinct generator eigenvalues are too many "
+                "for a closed-form rotation in double precision")
+        spectra.append((_freeze(nodes), scale, _freeze(inverse)))
+    return tuple(spectra)
+
+
+def _rotate_in_root(raising, lowering, spectrum, alpha, x):
+    """exp{i(alpha E+ + alpha* E-)} @ x without an eigendecomposition.
+
+    For alpha = t e^{i phi} the generator is t N with N's eigenvalues the
+    cached nodes, so exp(i t N) = sum_k c_k T_k(N / s), c = inverse @ e^{i t x}
+    (interpolation on the spectrum; Higham, Functions of Matrices, 1.2),
+    applied by Clenshaw's recurrence: one product with N / s per degree.
+    """
+    nodes, scale, inverse = spectrum
+    t = abs(alpha)
+    phase = complex(alpha / t if t else 1.0) / scale
+    gen = phase * raising + phase.conjugate() * lowering  # N / s
+    coeffs = inverse @ np.exp(1j * t * nodes)
+    out, prev = coeffs[-1] * x, 0.0
+    for c in coeffs[-2:0:-1]:
+        out, prev = 2.0 * (gen @ out) - prev + c * x, out
+    return gen @ out - prev + coeffs[0] * x
 
 
 def _freeze(arr):
@@ -154,7 +212,10 @@ class AlgebraBasis:
 
     @cached_property
     def killing_conditioning(self):
-        """Smallest over largest singular value of the Killing form (0 if it vanishes)."""
+        """Smallest over largest singular value of the Killing form (0 if it
+        vanishes, NaN if it is not finite, failing every `> tol` test)."""
+        if not np.isfinite(self.killing_form).all():
+            return float("nan")
         svals = np.linalg.svd(self.killing_form, compute_uv=False)
         return float(svals.min() / svals.max()) if svals.max() > 0.0 else 0.0
 
@@ -224,6 +285,17 @@ class CartanWeylData:
         """Partner-pair basis indices as two arrays (u, v), each of length L."""
         return _freeze(np.array(self.pair_map, dtype=int).T)
 
+    @cached_property
+    def root_spectra(self):
+        """Closed-form rotation data of each root on the defining representation."""
+        return _root_spectra(self.raising_ops, self.lowering_ops)
+
+    def rotate(self, root_index, alpha, state):
+        """exp{i(alpha E+_l + alpha* E-_l)} @ state, O(d^2); RootIndexOutOfRange."""
+        check_root_index(root_index, self.num_roots_L)
+        return _rotate_in_root(self.raising_ops[root_index], self.lowering_ops[root_index],
+                               self.root_spectra[root_index], alpha, state)
+
 
 @dataclass(frozen=True, eq=False)
 class AdjointRep:
@@ -252,18 +324,30 @@ class AdjointRep:
     def norm_adj(self):
         return float(np.trace(self.gram) / len(self.matrices))
 
+    @cached_property
+    def root_spectra(self):
+        """Closed-form rotation data of each root on the adjoint representation."""
+        return _root_spectra(self.raising_images, self.lowering_images)
+
+    def rotate(self, root_index, alpha, coeffs):
+        """exp{i(alpha E+_l + alpha* E-_l)} @ coeffs, O(M^2); RootIndexOutOfRange.
+
+        The generator's image is i times a real antisymmetric matrix, so the
+        result is real.
+        """
+        check_root_index(root_index, len(self.raising_images))
+        return _rotate_in_root(self.raising_images[root_index],
+                               self.lowering_images[root_index],
+                               self.root_spectra[root_index], alpha, coeffs).real
+
     def conjugation_matrix(self, root_index, alpha):
         """Real orthogonal d with T^dag O_m T = sum_m' d[m, m'] O_m', in O(M^3).
 
-        T = exp{i(alpha E+_l + alpha* E-_l)} for l = root_index; a coefficient
-        vector c maps to d.T @ c.  The generator's image is i times a real
-        antisymmetric matrix, so its exponential is real.  Raises
-        RootIndexOutOfRange for an unknown root.
+        T = exp{i(alpha E+_l + alpha* E-_l)} for l = root_index: the rotation
+        applied to the identity.  A coefficient vector c maps to d.T @ c, the
+        rotation by -alpha (the generator's image is antisymmetric).
         """
-        check_root_index(root_index, len(self.raising_images))
-        gen = alpha * self.raising_images[root_index] \
-            + np.conj(alpha) * self.lowering_images[root_index]
-        return expi_hermitian(gen).real
+        return self.rotate(root_index, alpha, np.eye(len(self.matrices)))
 
 
 def orthonormalize_basis(raw_basis, target_N=None):
@@ -552,8 +636,8 @@ def validate_algebra(basis, cw=None, adjoint=None):
     closure and Killing-form nondegeneracy (failing fast there), and, when a
     Cartan-Weyl split is supplied, CSA commutativity, the index count, the
     reconstruction identity, su(2) triple relations, the adjoint bracket
-    homomorphism, adjoint orthogonality, and defining-vs-adjoint conjugation
-    consistency.  Closure and the Killing form are the basis's cached values;
+    homomorphism, adjoint orthogonality, and the closed-form rotations of
+    both representations against the dense exponential.  Closure and the Killing form are the basis's cached values;
     the CSA commutator is the helper `build_cartan_weyl` raises from.
     """
     report = ValidationReport()
@@ -607,18 +691,22 @@ def validate_algebra(basis, cw=None, adjoint=None):
 
 
 def _conjugation_residual(basis, cw, adjoint):
-    """Worst entry gap between defining-rep conjugation and `conjugation_matrix`.
+    """Worst entry gap between the dense path and the closed-form rotations.
 
-    A fixed probe exponent on the first three roots; it pins the sign
-    convention of the adjoint images once per algebra, not once per step.
+    A fixed probe exponent on the first three roots: the dense defining-rep
+    unitary against `CartanWeylData.rotate`, and its conjugation of the
+    basis against `AdjointRep.conjugation_matrix` (which pins the sign
+    convention of the adjoint images), once per algebra.
     """
     alpha = 0.37 - 0.21j
     mats = np.asarray(basis.basis)
+    eye = np.eye(basis.rep_dim)
     worst = 0.0
     for l in range(min(cw.num_roots_L, 3)):
         u_def = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
         d_def = trace_gram(u_def.conj().T @ mats @ u_def, mats).real / basis.normalization_N
-        worst = max(worst, float(np.abs(d_def - adjoint.conjugation_matrix(l, alpha)).max()))
+        worst = max(worst, float(np.abs(d_def - adjoint.conjugation_matrix(l, alpha)).max()),
+                    float(np.abs(u_def - cw.rotate(l, alpha, eye)).max()))
     return worst
 
 
@@ -726,6 +814,14 @@ class Algebra:
         return gap
 
     @cached_property
+    def weight_basis(self):
+        """(vectors, weights): vectors[:, i] is a unit eigenvector of every H_r
+        with eigenvalue weights[i, r], so sum_r gamma_r H_r is diagonal there."""
+        pairs = _weight_vectors(np.eye(self.rep_dim, dtype=complex), self.csa_ops)
+        return (_freeze(np.array([vec for vec, _ in pairs]).T),
+                _freeze([w for _, w in pairs]))
+
+    @cached_property
     def reflection_alphas(self):
         """Per root, the exponent alpha = pi / sqrt(2 eta) of a rotation mapping Sz -> -Sz.
 
@@ -756,7 +852,7 @@ def _weight_vectors(subspace, csa_ops):
             hv = h @ vec
             w = np.real(np.vdot(vec, hv))
             if np.linalg.norm(hv - w * vec) > WEIGHT_TOL * max(1.0, float(np.abs(h).max())):
-                raise NotUnique("annihilated subspace does not split into weight vectors")
+                raise NotUnique("subspace does not split into CSA weight vectors")
             weights[r] = w
         out.append((vec, weights))
     return out

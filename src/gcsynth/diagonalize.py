@@ -7,9 +7,11 @@ rotation that aligns the su(2) part with Sz.  The rotation axis lies in the
 Sx/Sy plane, perpendicular to (xi_x, xi_y), and the angle is the polar angle
 theta = arctan2(sqrt(xi_x^2 + xi_y^2), xi_z); the two-argument form keeps
 xi_z < 0 inputs on the (pi/2, pi) branch, where a principal-branch arctan
-would rotate toward the wrong pole.  Coefficients are updated by the
-rotation's real orthogonal M x M matrix in the adjoint representation
-(`AdjointRep.conjugation_matrix`), so one step costs O(M^3).
+would rotate toward the wrong pole.  The coefficient vector is rotated in
+the adjoint representation by `AdjointRep.rotate`, the closed form of the
+exponential on the root generator's known spectrum: a handful of M x M
+matrix-vector products, so one step costs O(M^2), with no M x M rotation
+matrix formed and no eigendecomposition.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +19,13 @@ import math
 
 import numpy as np
 
-from .errors import AlreadyDiagonal, MaxStepsExceeded, StepDidNotReducePivot, ZeroPivot
+from .errors import (
+    AlreadyDiagonal,
+    InvalidParameter,
+    MaxStepsExceeded,
+    StepDidNotReducePivot,
+    ZeroPivot,
+)
 from .moments import (
     CwDecomposition,
     decomposition_coefficients,
@@ -98,9 +106,10 @@ def plan_step(decomp, triple):
 def apply_step(decomp, plan, algebra):
     """Conjugate by the planned rotation in the adjoint representation.
 
-    The coefficient vector c over the orthogonal basis becomes R.T @ c, with
-    R the rotation's `AdjointRep.conjugation_matrix`; its sign convention is
-    checked once, when the algebra is assembled.
+    The coefficient vector c over the orthogonal basis becomes d.T @ c, with
+    d the rotation's `AdjointRep.conjugation_matrix`; d.T is the rotation by
+    -alpha, applied to c directly by `AdjointRep.rotate`.  The sign
+    convention is checked once, when the algebra is assembled.
 
     Returns
     -------
@@ -117,8 +126,8 @@ def apply_step(decomp, plan, algebra):
         # Identity conjugation: nothing moves and nothing to verify.
         return replace(decomp, step_index=step_index), plan
 
-    rot = algebra.adjoint.conjugation_matrix(plan.pivot, plan.alpha)
-    coeffs = rot.T @ decomposition_coefficients(decomp, algebra)
+    coeffs = algebra.adjoint.rotate(plan.pivot, -plan.alpha,
+                                    decomposition_coefficients(decomp, algebra))
     out = decomposition_from_coefficients(coeffs, algebra, step_index)
     # Absolute floor: near convergence sqrt(d) sinks below the conjugation
     # noise floor and a purely relative test would trip falsely.
@@ -159,8 +168,8 @@ def run(decomp, algebra, eps_d, max_steps=None):
         V_1..V_K' in sequence reproduces final_decomp.  trace[k] is d after
         k steps (trace[0] = d^0).
     """
-    if eps_d <= 0:
-        raise ValueError("eps_d must be positive")
+    if not eps_d > 0:
+        raise InvalidParameter(f"eps_d must be positive, got {eps_d}")
     d = offdiag_distance(decomp)
     bound = step_bound(d, eps_d, algebra.cartan_weyl.num_roots_L)
     if max_steps is None:

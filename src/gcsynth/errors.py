@@ -5,6 +5,10 @@ class GcsynthError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidParameter(GcsynthError, ValueError):
+    """A numeric argument is out of range (tolerance, shot or op count, iota != 0)."""
+
+
 # ---------------------------------------------------------------------------
 # Algebra construction and validation
 # ---------------------------------------------------------------------------
@@ -43,6 +47,10 @@ class RootPairNotEigenvector(GcsynthError):
 
 class ZeroRootBracket(GcsynthError):
     """[E+, E-] vanished for some root; the pair is invalid."""
+
+
+class RootSpectrumIllConditioned(GcsynthError):
+    """A root generator has too many distinct eigenvalues for its closed-form rotation."""
 
 
 class ValidationFailed(GcsynthError):

@@ -3,11 +3,12 @@
 Gates act on the moment vector through their adjoint action
 d[m, m'] = Tr(O_m' T^dag O_m T)/N, so a circuit of length L propagates the
 M expectation values in O(L M^2) after the actions are built.  A group
-operation's action is `AdjointRep.conjugation_matrix`, O(M^3); explicit
-unitaries are conjugated on the defining representation and accepted only
-when conjugation keeps the algebra span.  The final state of a valid
-trajectory stays a GCS, certified by its purity, and can be handed back to
-the synthesis pipeline.
+operation's action is `AdjointRep.conjugation_matrix`: the closed-form root
+rotation applied to the identity, O(M^3), with no eigendecomposition.
+Explicit unitaries are conjugated on the defining representation and
+accepted only when conjugation keeps the algebra span.  The final state of
+a valid trajectory stays a GCS, certified by its purity, and can be handed
+back to the synthesis pipeline.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import diagonalize, weyl
-from .errors import GapBudgetInfeasible
+from .errors import GapBudgetInfeasible, InvalidParameter
 from .moments import MomentVector, build_target, project_csa
 from .states import (
     HiddenGcs,
@@ -93,10 +93,10 @@ def hoeffding_shots(o_norm, eps_m, delta, num_observables):
 def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
                 shots_override=None):
     """Tolerance budget for a synthesis at state error epsilon, confidence 1 - delta."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidParameter(f"epsilon must be finite and positive, got {epsilon}")
     if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
+        raise InvalidParameter(f"delta must be in (0, 1), got {delta}")
     # The accessors, not the properties, so that traced runs charge the first
     # (uncached) computation of each to its own layer.
     _, weights = highest_weight_state(algebra)

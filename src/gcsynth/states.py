@@ -3,15 +3,16 @@
 Provides group-element application, exact expectations, seeded
 projective-measurement sampling, and the hidden black-box source used to
 exercise the synthesis pipeline.  The highest-weight state itself is
-derived and cached by `Algebra.highest_weight`.
+derived and cached by `Algebra.highest_weight`.  A group operation acts on
+a state through `CartanWeylData.rotate`, a few matrix-vector products,
+O(d^2): no unitary and no eigendecomposition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_root_index, expi_hermitian
-from .errors import NonFiniteGate, NonHermitianObservable, ShotCountOverflow
+from .errors import InvalidParameter, NonFiniteGate, NonHermitianObservable, ShotCountOverflow
 from .moments import MomentVector
 
 
@@ -40,18 +41,10 @@ class MeasurementRecord:
     shot_seed: int
 
 
-def group_op_unitary(op, algebra):
-    """Dense defining-representation unitary of a GroupOp; raises RootIndexOutOfRange."""
-    cw = algebra.cartan_weyl
-    check_root_index(op.root_index, cw.num_roots_L)
-    gen = op.alpha * cw.raising_ops[op.root_index] \
-        + np.conj(op.alpha) * cw.lowering_ops[op.root_index]
-    return expi_hermitian(gen)
-
-
 def apply_group_op(state, op, algebra):
     """Apply one group exponential to a state vector; norm is preserved."""
-    out = group_op_unitary(op, algebra) @ np.asarray(state, dtype=complex)
+    out = algebra.cartan_weyl.rotate(op.root_index, op.alpha,
+                                     np.asarray(state, dtype=complex))
     return out / np.linalg.norm(out)
 
 
@@ -110,7 +103,7 @@ def sample_measurements(state, observable, shots, seed, observable_index=0):
     MeasurementRecord
     """
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise InvalidParameter(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ShotCountOverflow(
             f"{shots} shots per observable exceed the sampler's int64 range"
@@ -167,7 +160,7 @@ class HiddenGcs:
 
     def __init__(self, algebra, seed, num_ops):
         if num_ops < 0:
-            raise ValueError("num_ops must be >= 0")
+            raise InvalidParameter(f"num_ops must be >= 0, got {num_ops}")
         self.algebra = algebra
         self.seed = int(seed)
         self.num_ops = int(num_ops)

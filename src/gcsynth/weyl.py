@@ -4,20 +4,21 @@ A reflection in root l is the group operation exp{i(alpha E+_l + alpha* E-_l)}
 with |alpha| = pi / sqrt(2 eta_l): a pi rotation about an equatorial axis of
 the root's su(2), which maps Sz_l -> -Sz_l and therefore sends a weight state
 to the state with the Weyl-reflected weight.  The exponents are derived once
-per algebra and cached as `Algebra.reflection_alphas`.  Reflections are chosen
-greedily among roots where the current weight sits below the equator
-(m_l < 0), taking the one that most increases the overlap with the
-highest weight; the secondary functional sum_l m_l strictly increases at
-every such reflection, which guarantees termination on any weight in the
-Weyl orbit of the highest weight.
+per algebra and cached as `Algebra.reflection_alphas`, and each candidate is
+applied to the state in closed form (`CartanWeylData.rotate`, O(d^2)).
+Reflections are chosen greedily among roots where the current weight sits
+below the equator (m_l < 0), taking the one that most increases the overlap
+with the highest weight; the secondary functional sum_l m_l strictly
+increases at every such reflection, which guarantees termination on any
+weight in the Weyl orbit of the highest weight.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTop, NoProgress, NotAWeightState
-from .states import GroupOp, group_op_unitary, state_fidelity
+from .errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
+from .states import GroupOp, state_fidelity
 
 DEGENERACY_REL_TOL = 1e-8
 WEIGHT_RESID_TOL = 1e-9
@@ -46,27 +47,31 @@ class WeightStateInfo:
 def top_weight_state(csa_decomp, algebra):
     """Eigenvector of largest eigenvalue of the CSA element sum_r gamma_r H_r.
 
+    The element is diagonal in `Algebra.weight_basis`, with eigenvalues
+    weights @ gamma: no eigendecomposition per call.
+
     Raises
     ------
+    InvalidParameter
+        The decomposition has a nonzero root coefficient (iota != 0).
     DegenerateTop
         When the gap to the second eigenvalue is below 1e-8 of the operator
         norm; the synthesis problem is ill-posed for such inputs.
     """
     if np.abs(csa_decomp.iota).max(initial=0.0) > 1e-10 * (1.0 + np.abs(csa_decomp.gamma).max(initial=0.0)):
-        raise ValueError("top_weight_state expects a CSA-projected decomposition (iota = 0)")
-    csa_ops = algebra.csa_ops
-    f_csa = np.einsum("r,rij->ij", csa_decomp.gamma, csa_ops)
-    evals, evecs = np.linalg.eigh(f_csa)
-    top, second = evals[-1], evals[-2]
-    norm = max(abs(evals[0]), abs(evals[-1]), 1e-300)
+        raise InvalidParameter("top_weight_state expects a CSA-projected decomposition (iota = 0)")
+    vectors, weight_table = algebra.weight_basis
+    evals = weight_table @ csa_decomp.gamma
+    order = np.argsort(evals)
+    top, second = evals[order[-1]], evals[order[-2]]
+    norm = max(abs(evals[order[0]]), abs(top), 1e-300)
     gap = float(top - second)
     if gap < DEGENERACY_REL_TOL * norm:
         raise DegenerateTop(
             f"top eigenvalue gap {gap:.3e} is below {DEGENERACY_REL_TOL:.0e} * ||F||"
         )
-    state = evecs[:, -1]
-    weights = _measure_weights(state, csa_ops)
-    return WeightStateInfo(state=state, weights=weights, eigenvalue=float(top), gap=gap)
+    return WeightStateInfo(state=vectors[:, order[-1]], weights=weight_table[order[-1]],
+                           eigenvalue=float(top), gap=gap)
 
 
 def _measure_weights(state, csa_ops, tol=WEIGHT_RESID_TOL):
@@ -122,7 +127,7 @@ def reflect_to_highest_weight(info, algebra):
         best = None
         for l in candidates:
             alpha = algebra.reflection_alphas[l]
-            new_state = group_op_unitary(GroupOp(l, alpha), algebra) @ state
+            new_state = cw.rotate(l, alpha, state)
             new_weights = _measure_weights(new_state, csa_ops)
             overlap_gain = float(np.dot(w_hw, new_weights - weights))
             height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))

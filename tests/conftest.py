@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gcsynth import assemble_algebra, make_so2n, make_su2, orthonormalize_basis
+from gcsynth.algebra import expi_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -19,6 +20,17 @@ def gell_mann():
     l7 = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
     l8 = np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / np.sqrt(3)
     return [l1, l2, l3, l4, l5, l6, l7, l8]
+
+
+def group_op_unitary(op, algebra):
+    """Dense oracle: exp{i(alpha E+ + alpha* E-)} on the defining rep by eigendecomposition.
+
+    Shares no code with the closed-form rotations it checks.
+    """
+    cw = algebra.cartan_weyl
+    gen = op.alpha * cw.raising_ops[op.root_index] \
+        + np.conj(op.alpha) * cw.lowering_ops[op.root_index]
+    return expi_hermitian(gen)
 
 
 def build_su3():
@@ -52,6 +64,11 @@ def so4():
 @pytest.fixture(scope="session")
 def so6():
     return make_so2n(3)
+
+
+@pytest.fixture(scope="session")
+def so8():
+    return make_so2n(4)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,9 @@ from gcsynth.algebra import assemble_algebra, commutator, expi_hermitian, orthon
 from gcsynth.diagonalize import plan_step, run as diag_run, select_pivot
 from gcsynth.lqc import hw_moments
 from gcsynth.moments import assemble_operator
-from gcsynth.states import apply_group_op, group_op_unitary
+from gcsynth.states import apply_group_op
+
+from conftest import group_op_unitary
 
 
 def _report(num, name, ok, detail):

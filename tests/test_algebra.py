@@ -4,6 +4,7 @@ import pytest
 from gcsynth import (
     AlgebraBasis,
     assemble_algebra,
+    make_su2,
     build_cartan_weyl,
     orthonormalize_basis,
     validate_algebra,
@@ -19,11 +20,12 @@ from gcsynth.errors import (
     NonHermitianInput,
     RootIndexOutOfRange,
     RootPairNotEigenvector,
+    RootSpectrumIllConditioned,
     ValidationFailed,
 )
-from gcsynth.states import GroupOp, group_op_unitary
+from gcsynth.states import GroupOp, apply_group_op
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_su3, gell_mann
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_su3, gell_mann, group_op_unitary
 
 
 def i_bracket(a, b):
@@ -255,6 +257,18 @@ def test_validate_never_raises_on_unclosed_basis(su2_half):
     assert any("close" in e.name and not e.passed for e in report.entries)
 
 
+def test_nan_structure_constant_fails_report(su2_half):
+    # A non-finite f must come back as failed checks, not a LinAlgError
+    # from the Killing-form SVD.
+    f = np.array(su2_half.basis.structure_constants)
+    f[0, 1, 2] = np.nan
+    broken = AlgebraBasis(dim_M=3, rep_dim=2, basis=su2_half.basis.basis,
+                          normalization_N=su2_half.norm, structure_constants=f)
+    for report in (validate_algebra(broken), validate_algebra(broken, su2_half.cartan_weyl)):
+        failed = {e.name for e in report.failures()}
+        assert {"brackets close over the basis", "Killing form nondegenerate"} <= failed
+
+
 def test_perturbed_structure_constant_fails_assembly(su3):
     # A hand-built su(3) basis whose f is off by 1e-6 in one entry: closure
     # and the adjoint homomorphism must both fail, and assembly must refuse it.
@@ -331,15 +345,49 @@ def test_conjugation_matrix_matches_defining_rep(catalog_algebras, su3):
             assert np.abs(d @ d.T - np.eye(algebra.dim)).max() < 1e-12
 
 
+@pytest.mark.parametrize("magnitude", [1e-8, 0.3, 2.0, 7.0])
+def test_closed_form_rotations_match_dense(catalog_algebras, so8, su3, magnitude):
+    # Both representations, every root, against the eigendecomposition path.
+    rng = np.random.default_rng(5)
+    for algebra in catalog_algebras + [so8, su3]:
+        cw, adj = algebra.cartan_weyl, algebra.adjoint
+        state = rng.standard_normal(algebra.rep_dim) + 1j * rng.standard_normal(algebra.rep_dim)
+        state /= np.linalg.norm(state)
+        coeffs = rng.standard_normal(algebra.dim)
+        coeffs /= np.linalg.norm(coeffs)
+        for l in range(cw.num_roots_L):
+            alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
+            dense = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
+            assert np.abs(cw.rotate(l, alpha, np.eye(algebra.rep_dim)) - dense).max() < 1e-12
+            assert np.abs(cw.rotate(l, alpha, state) - dense @ state).max() < 1e-12
+            dense_adj = expi_hermitian(alpha * adj.raising_images[l]
+                                       + np.conj(alpha) * adj.lowering_images[l])
+            d = adj.conjugation_matrix(l, alpha)
+            assert np.abs(d - dense_adj).max() < 1e-12
+            assert np.abs(d @ d.T - np.eye(algebra.dim)).max() < 1e-12
+            assert np.abs(adj.rotate(l, alpha, coeffs) - d @ coeffs).max() < 1e-12
+
+
+def test_wide_root_spectrum_is_typed():
+    # One su(2) irrep puts all 2j + 1 eigenvalues on its single root; past
+    # j = 11 the interpolating polynomial cannot hold double precision.
+    algebra = make_su2(22)
+    dense = expi_hermitian(2.0 * algebra.basis.basis[1])
+    assert np.abs(algebra.cartan_weyl.rotate(0, 2.0, np.eye(23)) - dense).max() < 1e-9
+    with pytest.raises(RootSpectrumIllConditioned):
+        make_su2(24)
+
+
 def test_out_of_range_root_index_is_typed(su2_half):
     with pytest.raises(RootIndexOutOfRange):
         su2_half.adjoint.conjugation_matrix(1, 0.3)
     with pytest.raises(RootIndexOutOfRange):
         su2_half.adjoint.conjugation_matrix(-1, 0.3)
+    state = su2_half.highest_weight[0]
     with pytest.raises(RootIndexOutOfRange):
-        group_op_unitary(GroupOp(5, 0.3), su2_half)
+        apply_group_op(state, GroupOp(5, 0.3), su2_half)
     with pytest.raises(RootIndexOutOfRange):
-        group_op_unitary(GroupOp(-1, 0.3), su2_half)
+        apply_group_op(state, GroupOp(-1, 0.3), su2_half)
 
 
 def test_conjugation_consistency_oracle(catalog_algebras):

@@ -203,3 +203,12 @@ def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):
                  "--quiet", "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert _one_json_error_line(capsys)["error"] == "ShotCountOverflow"
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
+def test_tomo_sim_bad_epsilon_exits_1(tmp_path, capsys, epsilon):
+    code = main(["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", epsilon,
+                 "--quiet", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert _one_json_error_line(capsys)["error"] == "InvalidParameter"
+    assert not (tmp_path / "r.json").exists()

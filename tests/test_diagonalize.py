@@ -14,9 +14,16 @@ from gcsynth import (
     step_bound,
 )
 from gcsynth.diagonalize import run
-from gcsynth.errors import AlreadyDiagonal, MaxStepsExceeded, StepDidNotReducePivot, ZeroPivot
+from gcsynth.errors import (
+    AlreadyDiagonal,
+    InvalidParameter,
+    MaxStepsExceeded,
+    StepDidNotReducePivot,
+    ZeroPivot,
+)
 from gcsynth.moments import CwDecomposition, assemble_operator, decomposition_from_operator
-from gcsynth.states import group_op_unitary
+
+from conftest import group_op_unitary
 
 
 def _decomp(gamma, iota):
@@ -259,3 +266,10 @@ def test_top_eigenvalue_invariant_across_steps(so4):
     result = run(decomp, so4, eps_d=1e-12)
     top1 = np.linalg.eigvalsh(assemble_operator(result.final_decomp, so4))[-1]
     assert top1 == pytest.approx(top0, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps_d", [np.nan, 0.0, -1e-6])
+def test_bad_eps_d_is_typed(so4, eps_d):
+    decomp = build_target(hidden_gcs(so4, seed=3, num_ops=3).exact_moments(), so4)
+    with pytest.raises(InvalidParameter):
+        run(decomp, so4, eps_d)

@@ -17,7 +17,8 @@ from gcsynth import (
 )
 from gcsynth.errors import InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from gcsynth.lqc import hw_moments
-from gcsynth.states import group_op_unitary
+
+from conftest import group_op_unitary
 
 
 def _random_group_ops(algebra, rng, count, scale=0.7):

@@ -17,9 +17,8 @@ from gcsynth.moments import (
     decomposition_coefficients,
     decomposition_from_operator,
 )
-from gcsynth.states import group_op_unitary
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, group_op_unitary
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from gcsynth import (
+    GroupOp,
     MomentVector,
+    adjoint_action_of,
+    apply_circuit,
+    exact_moments,
     hidden_gcs,
     highest_weight_state,
     hoeffding_shots,
@@ -18,8 +22,15 @@ from gcsynth import (
     verify,
 )
 from gcsynth.algebra import assemble_algebra
-from gcsynth.errors import GapBudgetInfeasible, NonFiniteMoments, ShotCountOverflow
+from gcsynth.errors import (
+    GapBudgetInfeasible,
+    InvalidParameter,
+    NonFiniteMoments,
+    ShotCountOverflow,
+)
 from gcsynth.states import phase_min_distance
+
+from conftest import group_op_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +169,6 @@ def test_conjugation_identity_through_circuit(so4):
     # target coefficients to within the step tolerance.
     from gcsynth.moments import (decomposition_from_operator,
                                  decomposition_coefficients)
-    from gcsynth.states import group_op_unitary
     budget = make_budget(1e-6, 0.05, so4)
     handle = hidden_gcs(so4, seed=11, num_ops=3)
     moments = handle.exact_moments()
@@ -242,3 +252,53 @@ def test_algebra_freed_after_use():
     del algebra, handle
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("epsilon, delta", [
+    (np.nan, 0.05), (np.inf, 0.05), (-np.inf, 0.05), (0.0, 0.05), (-0.1, 0.05),
+    (0.1, np.nan), (0.1, np.inf), (0.1, 0.0), (0.1, 1.0), (0.1, -0.5),
+])
+def test_bad_budget_tolerances_are_typed(su2_half, epsilon, delta):
+    with pytest.raises(InvalidParameter):
+        make_budget(epsilon, delta, su2_half)
+
+
+# ---------------------------------------------------------------------------
+# No eigendecomposition per operation
+# ---------------------------------------------------------------------------
+
+def test_no_eigendecomposition_per_op(so8, su3, monkeypatch):
+    # Once an algebra's cached data exists, exact synthesis (Jacobi steps and
+    # a Weyl walk), verification and a GroupOp gate action never call an
+    # eigensolver: every root rotation takes the closed form.
+    def exercise(algebra, seed):
+        budget = make_budget(1e-6, 0.05, algebra)
+        handle = hidden_gcs(algebra, seed=seed, num_ops=6)
+        report = synthesize(handle.exact_moments(), algebra, budget)
+        assert verify(report, handle.reference_state(), algebra).distance < 1e-5
+        # A weight state below |hw>: zero Jacobi steps, then reflections.
+        reflections = [GroupOp(l, algebra.reflection_alphas[l]) for l in (0, 1)]
+        weight_state = apply_circuit(algebra.highest_weight[0], reflections, algebra)
+        walk = synthesize(exact_moments(weight_state, algebra), algebra, budget)
+        assert walk.steps_weyl >= 1
+        assert verify(walk, weight_state, algebra).distance < 1e-5
+        adjoint_action_of(GroupOp(1, 0.4 - 0.3j), algebra)
+        return report.steps_jacobi
+
+    calls = []
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for algebra in (so8, su3):
+        exercise(algebra, seed=1)  # first use builds the cached data
+        with monkeypatch.context() as patch:
+            for name in ("eigh", "eig", "eigvalsh", "eigvals"):
+                patch.setattr(np.linalg, name, counted(name))
+            assert exercise(algebra, seed=2) >= 1
+        assert calls == [], f"{algebra.name}: {calls}"

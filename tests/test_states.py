@@ -12,7 +12,7 @@ from gcsynth import (
     orthonormalize_basis,
     sample_measurements,
 )
-from gcsynth.errors import NonHermitianObservable, NotUnique
+from gcsynth.errors import InvalidParameter, NonHermitianObservable, NotUnique
 from gcsynth.states import derive_seed, phase_min_distance, state_fidelity
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -220,3 +220,15 @@ def test_phase_min_distance():
     assert phase_min_distance(a, 1j * a) < 1e-12
     b = np.array([0.0, 1.0], dtype=complex)
     assert phase_min_distance(a, b) == pytest.approx(np.sqrt(2.0))
+
+
+def test_shot_count_below_one_is_typed(su2_half):
+    hw, _ = highest_weight_state(su2_half)
+    for shots in (0, -3):
+        with pytest.raises(InvalidParameter):
+            sample_measurements(hw, SIGMA_Z, shots, seed=1)
+
+
+def test_negative_hidden_op_count_is_typed(su2_half):
+    with pytest.raises(InvalidParameter):
+        hidden_gcs(su2_half, seed=1, num_ops=-1)

@@ -10,7 +10,7 @@ from gcsynth import (
     top_weight_state,
 )
 from gcsynth.algebra import expi_hermitian
-from gcsynth.errors import DegenerateTop, NoProgress, NotAWeightState
+from gcsynth.errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
 from gcsynth.moments import CwDecomposition
 from gcsynth.states import phase_min_distance, state_fidelity
 from gcsynth.weyl import WeightStateInfo, reflection_alpha
@@ -57,7 +57,7 @@ def test_degenerate_top_raises(so4):
 
 
 def test_top_requires_csa_projection(su2_half):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         top_weight_state(CwDecomposition(gamma=[1.0], iota=[0.5]), su2_half)
 
 
