@@ -34,6 +34,18 @@ each is computed once per assembly.  Construction raises a typed error from
 these values (`orthonormalize_basis`; `build_cartan_weyl` via
 `_csa_commutator`), `validate_algebra` records them and adds the adjoint
 checks, and `assemble_algebra` raises `ValidationFailed` if any fails.
+
+Row-sparse bases take a faster path to the same checks.  When no row of any
+basis element holds more than ROW_SPARSE_MAX_NNZ nonzeros (monomial bases:
+Pauli strings, Gell-Mann matrices, the Majorana quadratics of so(2n)), the
+structure constants, the closure residual and the adjoint homomorphism
+residual all come from `_RowSparse`, which keeps each generator as per-row
+(column, value) arrays: a bracket is an index gather in O(d), not a dense
+O(d^3) product, and each residual is an exact scatter of the bracket minus
+its expansion.  The choice is made from the basis alone; the adjoint images
+of such a basis have at most a few nonzeros per row and follow it.  The
+dense BLAS routines (`_structure_constants`, `_bracket_residual`) serve
+every other basis and are the kernel's test oracle.
 """
 
 from dataclasses import dataclass, field
@@ -75,6 +87,10 @@ WEIGHT_TOL = 1e-8
 # the most rounding growth allowed (about 1e-10 absolute in double precision).
 NODE_TOL = 1e-8
 MAX_NODE_AMPLIFICATION = 1e4
+# Assembly uses the row-sparse kernel when no row of any basis element holds
+# more nonzeros than this (1: monomial bases).  Spin-j su(2) beyond j = 1/2
+# has tridiagonal Jx and few rows, where dense BLAS is as fast.
+ROW_SPARSE_MAX_NNZ = 1
 
 
 def commutator(a, b):
@@ -196,13 +212,25 @@ class AlgebraBasis:
         return norms
 
     @cached_property
+    def row_sparse(self):
+        """True when assembly takes the row-sparse kernel (see `_is_row_sparse`)."""
+        return _is_row_sparse(self.basis)
+
+    @cached_property
     def closure(self):
         """(worst relative residual, (m, m')) of [O_m, O_m'] = sum_k f[m, m', k] O_k.
 
         Plain commutators of i O_m obey the stored-bracket relations, so this
-        is `_bracket_residual` on i O_m.
+        is the bracket residual of i O_m.
         """
-        return _bracket_residual(1j * self.basis, self.structure_constants)
+        return self.bracket_residual(1j * self.basis)
+
+    def bracket_residual(self, gens):
+        """`_bracket_residual` of gens against the stored f, by the row-sparse
+        kernel when the basis takes it (`row_sparse`)."""
+        if self.row_sparse:
+            return _RowSparse(gens).residual(self.structure_constants)
+        return _bracket_residual(gens, self.structure_constants)
 
     @cached_property
     def killing_form(self):
@@ -411,8 +439,12 @@ def orthonormalize_basis(raw_basis, target_N=None):
         norm = float(rep_dim)
     mats = mats * np.sqrt(norm / diag)[:, None, None]
 
+    if _is_row_sparse(mats):
+        f = _RowSparse(1j * mats).structure_constants(norm)
+    else:
+        f = _structure_constants(mats, norm)
     basis = AlgebraBasis(dim_M=dim_m, rep_dim=rep_dim, basis=mats, normalization_N=norm,
-                         structure_constants=_structure_constants(mats, norm))
+                         structure_constants=f)
     residual, (m, n) = basis.closure
     if not residual <= CLOSURE_TOL:
         raise BasisNotClosed(f"[O_{m}, O_{n}] leaves the basis span (residual {residual:.2e})")
@@ -439,9 +471,14 @@ def _structure_constants(mats, norm):
         row = (brackets.reshape(dim_m, rep_dim * rep_dim) @ flat_t.T) / norm
         worst_imag = max(worst_imag, float(np.abs(row.imag).max()))
         f[m] = row.real
+    _check_real(f, worst_imag)
+    return f
+
+
+def _check_real(f, worst_imag):
+    """BasisNotClosed if Tr([O_m, O_m'] O_k) / N had a large imaginary part."""
     if worst_imag > STRUCTURE_IMAG_TOL * (1.0 + np.abs(f).max()):
         raise BasisNotClosed("structure constants have a large imaginary part")
-    return f
 
 
 def _bracket_residual(gens, f):
@@ -462,8 +499,121 @@ def _bracket_residual(gens, f):
         brackets -= (rest @ gens[m]).reshape(len(rest), -1) + f[m, m + 1:] @ flat
         resid[m, m + 1:] = np.linalg.norm(brackets, axis=1) \
             / np.maximum(1.0, norms[m] * norms[m + 1:])
+    return _worst_pair(resid)
+
+
+def _worst_pair(resid):
+    """Largest entry (NaN first, as argmax does) and its index pair."""
     m, n = np.unravel_index(np.argmax(resid), resid.shape)
     return float(resid[m, n]), (int(m), int(n))
+
+
+def _is_row_sparse(mats):
+    """True when no row of any matrix in the stack holds more than
+    ROW_SPARSE_MAX_NNZ nonzeros; assembly then uses `_RowSparse`."""
+    return int(np.count_nonzero(mats, axis=2).max()) <= ROW_SPARSE_MAX_NNZ
+
+
+def _scatter(keys, values, shape):
+    """Exact sums of values by flat key into bins of `shape`, one real array per
+    part (real and imaginary for complex values)."""
+    size = int(np.prod(shape))
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    return [np.bincount(keys, part, size).reshape(shape) for part in parts]
+
+
+class _RowSparse:
+    """Stacked generators X_m (M, d, d) stored row by row as (column, value) arrays.
+
+    Row i of X_m holds vals[m, i, t] at column cols[m, i, t], t < width,
+    padded with zero values up to the densest row; (gen, row, col, val) lists
+    every nonzero entry, ordered by generator.  Products are index gathers,
+    (X_a X_b)[i] = sum over entries (i, j, v) of X_a of v X_b[j], so one
+    bracket costs O(d width^2) instead of O(d^3).  Each method works one row
+    m of brackets at a time: temporaries stay at O(M d width^2) entries plus
+    one row of bins.
+    """
+
+    def __init__(self, gens):
+        self.gen, self.row, self.col = np.nonzero(gens)
+        self.val = gens[self.gen, self.row, self.col]
+        self.start = np.searchsorted(self.gen, np.arange(len(gens) + 1))
+        flat_row = self.gen * gens.shape[1] + self.row
+        slot = np.arange(len(flat_row)) - np.searchsorted(flat_row, flat_row)
+        shape = gens.shape[:2] + (int(slot.max(initial=0)) + 1,)
+        self.cols = np.zeros(shape, dtype=int)
+        self.vals = np.zeros(shape, dtype=gens.dtype)
+        self.cols[self.gen, self.row, slot] = self.col
+        self.vals[self.gen, self.row, slot] = self.val
+
+    def _brackets(self, m, first):
+        """Entries (pair, row, col, value) of [X_m, X_n] for n = first..M-1, pair
+        n - first, as flat arrays; the two products are separate entries, to be
+        summed by whoever scatters them (zero values included)."""
+        mine = slice(self.start[m], self.start[m + 1])
+        theirs = slice(self.start[first], None)
+        # X_m X_n: entry (i, j, v) of X_m times row j of X_n, for every n.
+        col_mn = self.cols[first:, self.col[mine]]  # (K, E_m, width)
+        val_mn = self.vals[first:, self.col[mine]] * self.val[mine][:, None]
+        pair_mn = np.broadcast_to(np.arange(len(col_mn))[:, None, None], col_mn.shape)
+        row_mn = np.broadcast_to(self.row[mine][:, None], col_mn.shape)
+        # X_n X_m: entry (i, j, v) of X_n times row j of X_m.
+        col_nm = self.cols[m][self.col[theirs]]  # (E_n, width)
+        val_nm = -self.val[theirs][:, None] * self.vals[m][self.col[theirs]]
+        pair_nm = np.broadcast_to((self.gen[theirs] - first)[:, None], col_nm.shape)
+        row_nm = np.broadcast_to(self.row[theirs][:, None], col_nm.shape)
+        return tuple(np.concatenate([a.ravel(), b.ravel()]) for a, b in
+                     ((pair_mn, pair_nm), (row_mn, row_nm), (col_mn, col_nm), (val_mn, val_nm)))
+
+    def structure_constants(self, norm):
+        """`_structure_constants` for X_m = i O_m: f[m, n, k] = -Tr([X_m, X_n] X_k) / N.
+
+        Each trace reads X_k[c, i] for a bracket entry at (i, c) from a
+        position -> (k, value) lookup, so only generators nonzero there are
+        touched.
+        """
+        dim_m, dim = self.vals.shape[:2]
+        pos = self.row * dim + self.col
+        order = np.argsort(pos, kind="stable")
+        owner, weight = self.gen[order], self.val[order]
+        counts = np.bincount(pos, minlength=dim * dim)
+        starts = np.cumsum(counts) - counts
+        trace = np.zeros((2, dim_m, dim_m * dim_m))  # real and imaginary parts
+        for m in range(dim_m):
+            pair, row, col, val = self._brackets(m, 0)
+            look = col * dim + row  # Tr(B X_k) pairs B[i, c] with X_k[c, i]
+            # One term per (entry, generator nonzero at the looked-up position).
+            cnt = np.where(val != 0, counts[look], 0)
+            src = np.arange(cnt.sum()) + np.repeat(starts[look] - np.cumsum(cnt) + cnt, cnt)
+            parts = _scatter(np.repeat(pair * dim_m, cnt) + owner[src],
+                             np.repeat(val, cnt) * weight[src], dim_m * dim_m)
+            trace[:len(parts), m] = parts
+        f = -trace[0].reshape(dim_m, dim_m, dim_m) / norm
+        _check_real(f, float(np.abs(trace[1]).max()) / norm)
+        return f
+
+    def residual(self, f):
+        """`_bracket_residual` of these generators, same definition and result.
+
+        The residual [X_m, X_n] - sum_k f[m, n, k] X_k of each pair is
+        scattered into its d x d bins, one row m (pairs n > m) at a time; only
+        nonzero (or NaN) f[m, n, k] contribute to the sum.
+        """
+        dim_m, dim = self.vals.shape[:2]
+        norms = np.sqrt(np.bincount(self.gen, np.abs(self.val) ** 2, dim_m))
+        rows = np.arange(dim)[:, None]
+        resid = np.zeros((dim_m, dim_m))
+        for m in range(dim_m - 1):
+            pair, row, col, val = self._brackets(m, m + 1)
+            j, k = np.nonzero(f[m, m + 1:])
+            expansion = -f[m, m + 1 + j, k][:, None, None] * self.vals[k]
+            keys = np.concatenate([(pair * dim + row) * dim + col,
+                                   ((j[:, None, None] * dim + rows) * dim + self.cols[k]).ravel()])
+            bins = _scatter(keys, np.concatenate([val, expansion.ravel()]),
+                            (dim_m - m - 1, dim * dim))
+            sq = sum(np.einsum("pi,pi->p", part, part) for part in bins)
+            resid[m, m + 1:] = np.sqrt(sq) / np.maximum(1.0, norms[m] * norms[m + 1:])
+        return _worst_pair(resid)
 
 
 def _adjoint_from_constants(f, cw):
@@ -637,8 +787,10 @@ def validate_algebra(basis, cw=None, adjoint=None):
     Cartan-Weyl split is supplied, CSA commutativity, the index count, the
     reconstruction identity, su(2) triple relations, the adjoint bracket
     homomorphism, adjoint orthogonality, and the closed-form rotations of
-    both representations against the dense exponential.  Closure and the Killing form are the basis's cached values;
-    the CSA commutator is the helper `build_cartan_weyl` raises from.
+    both representations against the dense exponential.  Closure and the
+    Killing form are the basis's cached values; the CSA commutator is the
+    helper `build_cartan_weyl` raises from.  The homomorphism takes the
+    basis's path (`AlgebraBasis.bracket_residual`).
     """
     report = ValidationReport()
     mats = np.asarray(basis.basis)
@@ -680,7 +832,7 @@ def validate_algebra(basis, cw=None, adjoint=None):
     if adjoint is None:
         adjoint = _adjoint_from_constants(f, cw)
     # The real matrix of ad(O_m) is i times its Hermitian image: -Im(image).
-    hom, _ = _bracket_residual(-np.asarray(adjoint.matrices).imag, f)
+    hom, _ = basis.bracket_residual(-np.asarray(adjoint.matrices).imag)
     report.add("adjoint bracket homomorphism", hom, ADJOINT_TOL)
     aresid = np.abs(adjoint.gram - adjoint.norm_adj * np.eye(basis.dim_M)).max()
     report.add("adjoint orthogonality Tr = N_adj delta", aresid,

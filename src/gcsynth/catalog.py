@@ -13,11 +13,12 @@ Catalog entries:
 """
 
 from dataclasses import dataclass
+import operator
 
 import numpy as np
 
 from .algebra import assemble_algebra, orthonormalize_basis
-from .errors import ParseError
+from .errors import InvalidParameter, ParseError
 from .serialize import _load, parse_algebra_dict, save_algebra
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -38,18 +39,30 @@ def spin_matrices(two_j):
     return jz, (jp + jm) / 2.0, (jp - jm) / 2.0j
 
 
+def _integer_parameter(value, name, low, high=None):
+    """value as an int in low..high, else InvalidParameter."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if number < low or (high is not None and number > high):
+        bounds = f"in {low}..{high}" if high is not None else f">= {low}"
+        raise InvalidParameter(f"{name} must be {bounds}, got {number}")
+    return number
+
+
 def make_su2(two_j):
     """Spin-j irreducible su(2) instance; M = 3, R = 1, L = 1.
 
     The basis {2Jz, 2Jx, 2Jy} reduces to the Pauli matrices at two_j = 1 and
     keeps the root data (mu = (1,), eta = 2) identical across spins.
+    InvalidParameter unless two_j is an integer >= 1.
     """
-    if two_j < 1:
-        raise ValueError("two_j must be >= 1")
-    jz, jx, jy = spin_matrices(int(two_j))
+    two_j = _integer_parameter(two_j, "two_j", 1)
+    jz, jx, jy = spin_matrices(two_j)
     basis = orthonormalize_basis([2 * jz, 2 * jx, 2 * jy])
     return assemble_algebra(basis, csa_indices=[0], root_pairs=[(1, 2)],
-                            name=f"su2:{int(two_j)}")
+                            name=f"su2:{two_j}")
 
 
 def jordan_wigner_majoranas(n):
@@ -76,10 +89,10 @@ def make_so2n(n):
 
     M = n(2n - 1), R = n, L = n(n - 1).  Roots come in hopping and pairing
     flavors per mode pair j < k; all have eta = 4.  n = 1 gives the abelian
-    so(2) and is rejected by the semisimplicity check.
+    so(2) and is rejected by the semisimplicity check.  InvalidParameter
+    unless n is an integer in 1..6 (rep_dim = 2^n stays at desk scale).
     """
-    if not 1 <= n <= 6:
-        raise ValueError("n must be in 1..6 (rep_dim = 2^n stays at desk scale)")
+    n = _integer_parameter(n, "n", 1, 6)
     c = jordan_wigner_majoranas(n)
     csa = [-1j * c[2 * p] @ c[2 * p + 1] for p in range(n)]  # qubit Z_p
 
@@ -128,15 +141,21 @@ def catalog_entries():
 
 
 def resolve_algebra(spec):
-    """Build a catalog instance from a 'name:parameter' string, e.g. 'su2:1', 'so2n:3'."""
+    """Build a catalog instance from a 'name:parameter' string, e.g. 'su2:1', 'so2n:3'.
+
+    InvalidParameter for an unknown name or a missing or non-integer parameter.
+    """
     name, _, param = spec.partition(":")
     for entry in CATALOG:
         if entry.name == name:
-            if not param:
-                raise ValueError(f"catalog entry {name!r} needs a parameter ({entry.parameter})")
-            return entry.build(int(param))
-    raise ValueError(f"unknown catalog entry {name!r}; known: "
-                     + ", ".join(e.name for e in CATALOG))
+            try:
+                value = int(param)
+            except ValueError:
+                raise InvalidParameter(f"catalog entry {name!r} needs an integer parameter "
+                                       f"({entry.parameter}), got {param!r}") from None
+            return entry.build(value)
+    raise InvalidParameter(f"unknown catalog entry {name!r}; known: "
+                           + ", ".join(e.name for e in CATALOG))
 
 
 def reference_instances():

@@ -14,6 +14,7 @@ from . import catalog, lqc, pipeline, serialize
 from .errors import (
     DegenerateTop,
     GcsynthError,
+    InvalidParameter,
     MaxStepsExceeded,
     NoProgress,
     NotAGcs,
@@ -123,11 +124,11 @@ def _cmd_algebra(args):
         return 0
     if args.name == "su2":
         if args.two_j is None:
-            raise ValueError("--two-j is required for su2")
+            raise InvalidParameter("--two-j is required for su2")
         algebra = catalog.make_su2(args.two_j)
     else:
         if args.n is None:
-            raise ValueError("--n is required for so2n")
+            raise InvalidParameter("--n is required for so2n")
         algebra = catalog.make_so2n(args.n)
     path = _out_path(args.out, "algebra.json")
     catalog.export_algebra(algebra, path)

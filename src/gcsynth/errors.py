@@ -6,7 +6,8 @@ class GcsynthError(Exception):
 
 
 class InvalidParameter(GcsynthError, ValueError):
-    """A numeric argument is out of range (tolerance, shot or op count, iota != 0)."""
+    """An argument is out of range or of the wrong kind (tolerance, shot or op
+    count, iota != 0, catalog name or parameter, moment source)."""
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import trace_gram
-from .errors import InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
+from .errors import InvalidGate, LeavesAlgebraSpan, LengthMismatch, NonFiniteGate, NotAGcs
 from .moments import MomentVector
 from .pipeline import synthesize
 from .states import GroupOp, exact_moments
@@ -48,7 +48,7 @@ class LqcCircuit:
         object.__setattr__(self, "actions", tuple(self.actions))
         dims = {a.matrix.shape for a in self.actions}
         if dims and dims != {(len(self.initial), len(self.initial))}:
-            raise ValueError("all gate actions must share the algebra dimension")
+            raise LengthMismatch("all gate actions must share the algebra dimension")
 
 
 def adjoint_action_of(gate, algebra):

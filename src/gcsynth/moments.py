@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteMoments
+from .errors import InvalidParameter, LengthMismatch, NonFiniteMoments
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -33,7 +33,7 @@ class MomentVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.source not in ("exact", "sampled"):
-            raise ValueError("source must be 'exact' or 'sampled'")
+            raise InvalidParameter("source must be 'exact' or 'sampled'")
 
     @property
     def purity(self):

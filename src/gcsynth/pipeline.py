@@ -153,7 +153,7 @@ def synthesize(source, algebra, budget, seed=None, max_steps=None):
         if moments.source == "sampled" and moments.shots:
             shots = moments.shots
     else:
-        raise TypeError("source must be a MomentVector or a HiddenGcs handle")
+        raise InvalidParameter("source must be a MomentVector or a HiddenGcs handle")
 
     decomp = build_target(moments, algebra)
     result = diagonalize.run(decomp, algebra, budget.eps_D, max_steps=max_steps)

@@ -1,9 +1,14 @@
+import re
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import gcsynth.algebra as algebra_module
 from gcsynth import (
     AlgebraBasis,
     assemble_algebra,
+    make_so2n,
     make_su2,
     build_cartan_weyl,
     orthonormalize_basis,
@@ -13,6 +18,7 @@ from gcsynth.algebra import commutator, expi_hermitian
 from gcsynth.errors import (
     BasisNotClosed,
     CsaNotAbelian,
+    GcsynthError,
     GramNotDiagonal,
     InvalidAlgebraSpec,
     KillingFormDegenerate,
@@ -285,18 +291,151 @@ def test_perturbed_structure_constant_fails_assembly(su3):
 
 def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
     # Closure (defining rep) and the adjoint homomorphism: one call each,
-    # shared by construction and validate_algebra.
-    import gcsynth.algebra as algebra_module
-    calls = []
-    original = algebra_module._bracket_residual
+    # shared by construction and validate_algebra, on the path the basis
+    # selects: the row-sparse kernel for monomial su(3), dense BLAS for
+    # spin-1 su(2), whose Jx has two nonzeros in its middle row.
+    dense, sparse = [], []
+    dense_residual = algebra_module._bracket_residual
+    sparse_residual = algebra_module._RowSparse.residual
 
-    def counting(gens, f):
-        calls.append(gens.dtype)
-        return original(gens, f)
+    def counting_dense(gens, f):
+        dense.append(gens.dtype)
+        return dense_residual(gens, f)
 
-    monkeypatch.setattr(algebra_module, "_bracket_residual", counting)
+    def counting_sparse(self, f):
+        sparse.append(self.vals.dtype)
+        return sparse_residual(self, f)
+
+    monkeypatch.setattr(algebra_module, "_bracket_residual", counting_dense)
+    monkeypatch.setattr(algebra_module._RowSparse, "residual", counting_sparse)
     build_su3()
-    assert calls == [np.dtype(complex), np.dtype(float)]
+    assert (sparse, dense) == ([np.dtype(complex), np.dtype(float)], [])
+    sparse.clear()
+    make_su2(2)
+    assert (sparse, dense) == ([], [np.dtype(complex), np.dtype(float)])
+
+
+# ---------------------------------------------------------------------------
+# Row-sparse kernel against the dense BLAS oracle
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def monomial_algebras(su2_half, su3):
+    return [su2_half, su3] + [make_so2n(n) for n in range(2, 7)]
+
+
+def _adjoint_real(algebra):
+    return -np.asarray(algebra.adjoint.matrices).imag
+
+
+def test_row_sparse_matches_dense_oracle(monomial_algebras):
+    rng = np.random.default_rng(7)
+    for algebra in monomial_algebras:
+        mats, norm = np.asarray(algebra.basis.basis), algebra.norm
+        assert algebra.basis.row_sparse, algebra.name
+        f_sparse = algebra_module._RowSparse(1j * mats).structure_constants(norm)
+        f_dense = algebra_module._structure_constants(mats, norm)
+        assert np.abs(f_sparse - f_dense).max() <= 1e-15, algebra.name
+        # The residuals of the true f are round-off; a perturbed f, or unequal
+        # generator norms, give larger residuals whose worst pair both paths
+        # must name alike.
+        bumped = f_dense + np.where(rng.random(f_dense.shape) < 0.05,
+                                    1e-3 * rng.standard_normal(f_dense.shape), 0.0)
+        scale = rng.uniform(0.5, 2.0, algebra.dim)[:, None, None]
+        adjoint = _adjoint_real(algebra)
+        for gens, f in ((1j * mats, f_dense), (1j * mats, bumped),
+                        (adjoint, f_dense), (scale * adjoint, bumped)):
+            value, pair = algebra_module._RowSparse(gens).residual(f)
+            oracle, oracle_pair = algebra_module._bracket_residual(gens, f)
+            assert abs(value - oracle) <= 1e-15 * max(1.0, oracle), algebra.name
+            if f is bumped:
+                assert pair == oracle_pair, algebra.name
+
+
+def test_row_sparse_residual_reports_nan_as_worst(su3):
+    f = np.array(su3.basis.structure_constants)
+    f[3, 6, 1] = np.nan
+    value, pair = algebra_module._RowSparse(1j * np.asarray(su3.basis.basis)).residual(f)
+    assert np.isnan(value) and pair == (3, 6)
+
+
+def test_so2n_builds_make_no_dense_bracket_pass(monkeypatch):
+    dense = []
+    monkeypatch.setattr(algebra_module, "_structure_constants",
+                        lambda *args: dense.append(args) or None)
+    monkeypatch.setattr(algebra_module, "_bracket_residual",
+                        lambda *args: dense.append(args) or None)
+    for n in range(2, 7):
+        assert make_so2n(n).basis.row_sparse
+    assert dense == []
+
+
+_PAULI_BASES = {
+    "su2:1": lambda: [SIGMA_Z, SIGMA_X, SIGMA_Y],
+    "so2n:2": lambda: list(make_so2n(2).basis.basis),
+    "so2n:3": lambda: list(make_so2n(3).basis.basis),
+}
+
+
+def _assemble_basis(mats, dense):
+    """(structure constants, None) or (None, (error type, message))."""
+    with pytest.MonkeyPatch.context() as patch:
+        if dense:
+            patch.setattr(algebra_module, "ROW_SPARSE_MAX_NNZ", 0)
+        try:
+            basis = orthonormalize_basis(mats)
+        except GcsynthError as exc:
+            return None, (type(exc), str(exc))
+    assert basis.row_sparse != dense
+    return np.asarray(basis.structure_constants), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_PAULI_BASES)), data=st.data())
+def test_row_sparse_and_dense_paths_agree(name, data):
+    # Random subsets of a monomial basis, conjugated by a random signed
+    # permutation: the same f from both paths, or the same typed error.
+    elements = _PAULI_BASES[name]()
+    dim = len(elements[0])
+    chosen = data.draw(st.lists(st.integers(0, len(elements) - 1), min_size=2,
+                                max_size=len(elements), unique=True))
+    order = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim))
+    perm = np.eye(dim)[list(order)] * np.array(signs)[:, None]
+    mats = [perm @ elements[i] @ perm.T for i in sorted(chosen)]
+    f_dense, error_dense = _assemble_basis(mats, dense=True)
+    f_sparse, error_sparse = _assemble_basis(mats, dense=False)
+    if error_dense is None:
+        assert error_sparse is None
+        assert np.abs(f_sparse - f_dense).max() <= 1e-15
+        return
+    assert error_sparse is not None and error_sparse[0] is error_dense[0]
+    if error_dense[0] is not BasisNotClosed:
+        assert error_sparse[1] == error_dense[1]
+        return
+    # Both name the worst pair, with its residual to three digits.  Pairs
+    # related by a symmetry of the basis tie up to round-off, which either
+    # path may break either way; any pair tying the worst is the worst.
+    named = [re.fullmatch(r"\[O_(\d+), O_(\d+)\] leaves the basis span \((.*)\)", message)
+             for _, message in (error_dense, error_sparse)]
+    assert named[0].group(3) == named[1].group(3)
+    tied = _tied_worst_pairs(np.array(mats))
+    assert {tuple(int(g) for g in match.groups()[:2]) for match in named} <= tied
+
+
+def _tied_worst_pairs(mats):
+    """Pairs m < n whose closure residual is within 1e-12 of the worst, per pair
+    by the i_bracket oracle on the dense f (the inputs are already normalized)."""
+    norm = float(np.trace(mats[0] @ mats[0]).real)
+    f = algebra_module._structure_constants(mats, norm)
+    resid = {}
+    for m in range(len(mats)):
+        for n in range(m + 1, len(mats)):
+            expansion = np.einsum("k,kij->ij", f[m, n], mats)
+            resid[m, n] = np.linalg.norm(i_bracket(mats[m], mats[n]) - expansion) \
+                / max(1.0, np.linalg.norm(mats[m]) * np.linalg.norm(mats[n]))
+    worst = max(resid.values())
+    return {pair for pair, value in resid.items() if value >= worst - 1e-12}
 
 
 @pytest.mark.parametrize("csa, pairs", [

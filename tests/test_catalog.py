@@ -8,12 +8,18 @@ from gcsynth import (
     highest_weight_state,
     load_algebra,
     make_so2n,
+    make_su2,
     resolve_algebra,
     validate_algebra,
 )
 from gcsynth.algebra import commutator
 from gcsynth.catalog import export_algebra, jordan_wigner_majoranas, reference_instances
-from gcsynth.errors import KillingFormDegenerate, RootPairNotEigenvector, ValidationFailed
+from gcsynth.errors import (
+    GcsynthError,
+    KillingFormDegenerate,
+    RootPairNotEigenvector,
+    ValidationFailed,
+)
 from gcsynth.serialize import _matrix_to_json
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -90,6 +96,18 @@ def test_resolve_algebra_specs():
     assert resolve_algebra("so2n:2").name == "so2n:2"
     with pytest.raises(ValueError):
         resolve_algebra("sp4:1")
+
+
+@pytest.mark.parametrize("build, argument", [
+    (make_su2, 0), (make_su2, 1.5), (make_su2, "2"),
+    (make_so2n, 0), (make_so2n, 7), (make_so2n, 2.5),
+    (resolve_algebra, "sp4:1"), (resolve_algebra, "so2n"), (resolve_algebra, "so2n:x"),
+    (resolve_algebra, "su2:2.5"), (resolve_algebra, "so2n:9"),
+], ids=["su2-zero", "su2-float", "su2-str", "so2n-zero", "so2n-seven", "so2n-float",
+        "unknown-name", "missing-parameter", "non-integer", "non-integer-float", "so2n-nine"])
+def test_bad_catalog_parameters_are_typed(build, argument):
+    with pytest.raises(GcsynthError):
+        build(argument)
 
 
 def test_reference_instances_cover_acceptance_set():

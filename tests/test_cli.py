@@ -130,6 +130,13 @@ def _one_json_error_line(capsys):
     return json.loads(lines[0])
 
 
+def test_export_without_parameter_exits_1(tmp_path, capsys):
+    out = tmp_path / "so.json"
+    assert main(["algebra", "export", "--name", "so2n", "--out", str(out)]) == 1
+    assert _one_json_error_line(capsys)["error"] == "InvalidParameter"
+    assert not out.exists()
+
+
 def test_synth_nan_moments_exits_1(tmp_path, su2_file, capsys):
     moments_path = tmp_path / "m.json"
     save_moments(MomentVector([1.0, float("nan"), 0.0]), "su2:1", moments_path)

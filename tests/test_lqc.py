@@ -15,7 +15,7 @@ from gcsynth import (
     propagate,
     verify,
 )
-from gcsynth.errors import InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
+from gcsynth.errors import GcsynthError, InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from gcsynth.lqc import hw_moments
 
 from conftest import group_op_unitary
@@ -228,3 +228,9 @@ def test_certificate_failure_raises(so6):
     budget = make_budget(1e-4, 0.05, so6)
     with pytest.raises(NotAGcs):
         final_state_query(exact_moments(uniform, so6), so6, budget)
+
+
+def test_action_dimension_mismatch_is_typed(su2_half, so4):
+    action = adjoint_action_of(GroupOp(0, 0.3), so4)
+    with pytest.raises(GcsynthError):
+        LqcCircuit(actions=[action], initial=hw_moments(su2_half))

@@ -11,7 +11,7 @@ from gcsynth import (
     project_csa,
     purity,
 )
-from gcsynth.errors import LengthMismatch, NonFiniteMoments
+from gcsynth.errors import GcsynthError, LengthMismatch, NonFiniteMoments
 from gcsynth.moments import (
     assemble_operator,
     decomposition_coefficients,
@@ -169,3 +169,8 @@ def test_coefficient_roundtrip(so6):
     back = decomposition_from_operator(assemble_operator(decomp, so6), so6)
     assert np.abs(back.gamma - decomp.gamma).max() < 1e-12
     assert np.abs(back.iota - decomp.iota).max() < 1e-12
+
+
+def test_unknown_moment_source_is_typed():
+    with pytest.raises(GcsynthError):
+        MomentVector([1.0, 0.0, 0.0], source="guessed")

@@ -24,6 +24,7 @@ from gcsynth import (
 from gcsynth.algebra import assemble_algebra
 from gcsynth.errors import (
     GapBudgetInfeasible,
+    GcsynthError,
     InvalidParameter,
     NonFiniteMoments,
     ShotCountOverflow,
@@ -302,3 +303,9 @@ def test_no_eigendecomposition_per_op(so8, su3, monkeypatch):
                 patch.setattr(np.linalg, name, counted(name))
             assert exercise(algebra, seed=2) >= 1
         assert calls == [], f"{algebra.name}: {calls}"
+
+
+def test_bad_synthesis_source_is_typed(su2_half):
+    budget = make_budget(1e-4, 0.05, su2_half)
+    with pytest.raises(GcsynthError):
+        synthesize([1.0, 0.0, 0.0], su2_half, budget)
