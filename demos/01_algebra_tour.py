@@ -21,8 +21,9 @@ print("raising operator E+ (= sigma^+):")
 print(np.asarray(su2.cartan_weyl.raising_ops[0]))
 
 # Each root carries an su(2) triple: Z = [E+, E-] = sum_r mu_r H_r in the
-# CSA, and [Z, E+] = eta E+ with eta > 0.  For the doubled spin basis these
-# are the same for every spin j.
+# CSA, and [Z, E+] = eta E+ with eta = 2|mu|^2 > 0.  Both are read from the
+# structure constants, so they are algebra data: for the doubled spin basis
+# they are the same for every spin j.
 for two_j in (1, 2, 3):
     t = make_su2(two_j).cartan_weyl.root_triples[0]
     print(f"spin {two_j}/2: mu = {t.mu}, eta = {t.eta}  (rep-independent)")

@@ -4,16 +4,19 @@ An algebra is represented by an orthogonal basis of Hermitian matrices
 O_1..O_M on a faithful representation, with Tr(O_m O_m') = N delta_mm'.
 Structure constants are stored under the physicists' bracket
 [x, y] = i(xy - yx), which keeps them real over Hermitian elements.
-Root-triple and rotation computations use the plain commutator xy - yx,
-under which the su(2) relations [S+, S-] = Sz and [Sz, S+-] = +-S+- hold
-literally.
+Root data and rotations use the plain commutator xy - yx, under which the
+su(2) relations [S+, S-] = Sz and [Sz, S+-] = +-S+- hold literally.
 
 The basis is ordered Cartan-Weyl style: CSA generators H_1..H_R first,
 then for each root l a pair of Hermitian partners (O_u, O_v) with
 
     O_u = E+ + E-,      O_v = i(E- - E+),
 
-so the raising operator is recovered as E+ = (O_u + i O_v) / 2.
+so the raising operator is recovered as E+ = (O_u + i O_v) / 2.  The root
+data (CSA commutativity, the ad-eigenvector property of each E+, and the
+coefficients mu, eta of Z = [E+, E-] and [Z, E+] = eta E+) is algebra data:
+`_root_residuals` reads all of it from f by index gathers, so the defining
+representation serves only states and verification.
 
 `Algebra` is the one home of the quantities synthesis derives from the
 algebra alone: the stacked CSA generators, a CSA eigenbasis with its
@@ -32,7 +35,7 @@ bracket homomorphism are both `_bracket_residual`; closure and the Killing
 form are cached on `AlgebraBasis` (the adjoint Gram on `AdjointRep`), so
 each is computed once per assembly.  Construction raises a typed error from
 these values (`orthonormalize_basis`; `build_cartan_weyl` via
-`_csa_commutator`), `validate_algebra` records them and adds the adjoint
+`_root_residuals`), `validate_algebra` records them and adds the adjoint
 checks, and `assemble_algebra` raises `ValidationFailed` if any fails.
 
 Row-sparse bases take a faster path to the same checks.  When no row of any
@@ -91,16 +94,6 @@ MAX_NODE_AMPLIFICATION = 1e4
 # more nonzeros than this (1: monomial bases).  Spin-j su(2) beyond j = 1/2
 # has tridiagonal Jx and few rows, where dense BLAS is as fast.
 ROW_SPARSE_MAX_NNZ = 1
-
-
-def commutator(a, b):
-    """Plain matrix commutator ab - ba."""
-    return a @ b - b @ a
-
-
-def trace_pair(a, b):
-    """Tr(a b) without forming the product."""
-    return np.einsum("ij,ji->", a, b)
 
 
 def trace_gram(a, b):
@@ -255,24 +248,20 @@ class AlgebraBasis:
 
 @dataclass(frozen=True, eq=False)
 class RootTriple:
-    """The su(2) triple attached to one root.
+    """The su(2) data of one root: row `root_index` of `CartanWeylData`.
 
     Z = [E+, E-] = sum_r mu[r] H_r lies in the CSA, and [Z, E+] = eta E+ with
-    eta > 0.  The normalized operators Sz = Z/eta, S+- = E+-/sqrt(eta),
-    Sx = (S+ + S-)/sqrt(2), Sy = i(S- - S+)/sqrt(2) obey the standard
-    commutation relations in any representation.
+    eta = 2 |mu|^2 > 0.  The normalized operators Sz = Z/eta and
+    S+- = E+-/sqrt(eta) obey [S+, S-] = Sz and [Sz, S+-] = +-S+- in any
+    representation.
     """
 
     root_index: int
     mu: np.ndarray
     eta: float
-    sz: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu", "sz", "sx", "sy"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        object.__setattr__(self, "mu", _freeze(self.mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +270,9 @@ class CartanWeylData:
 
     `pair_map[l] = (u, v)` names the two basis indices housing E+ + E- and
     i(E- - E+) for root l; `raising_ops[l]` is E+_l on the defining
-    representation and `lowering_ops[l]` its adjoint.
+    representation and `lowering_ops[l]` its adjoint.  `mu_matrix[l, r]` are
+    the coefficients of Z_l = [E+_l, E-_l] over H_r and `etas[l]` the
+    eigenvalue of [Z_l, E+_l] = eta E+_l; `root_triples[l]` reads row l.
     """
 
     rank_R: int
@@ -290,23 +281,20 @@ class CartanWeylData:
     raising_ops: np.ndarray
     lowering_ops: np.ndarray
     pair_map: tuple
-    root_triples: tuple
+    mu_matrix: np.ndarray
+    etas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "raising_ops", _freeze(self.raising_ops))
-        object.__setattr__(self, "lowering_ops", _freeze(self.lowering_ops))
+        for name in ("raising_ops", "lowering_ops", "mu_matrix", "etas"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "csa_indices", tuple(self.csa_indices))
         object.__setattr__(self, "pair_map", tuple(tuple(p) for p in self.pair_map))
-        object.__setattr__(self, "root_triples", tuple(self.root_triples))
 
     @cached_property
-    def mu_matrix(self):
-        """Stacked root coefficients, shape (L, R): Z_l = sum_r mu[l, r] H_r."""
-        return _freeze([t.mu for t in self.root_triples])
-
-    @cached_property
-    def etas(self):
-        return _freeze([t.eta for t in self.root_triples])
+    def root_triples(self):
+        """Per root l, `RootTriple(l, mu_matrix[l], etas[l])`."""
+        return tuple(RootTriple(l, self.mu_matrix[l], float(self.etas[l]))
+                     for l in range(self.num_roots_L))
 
     @cached_property
     def pair_indices(self):
@@ -631,17 +619,50 @@ def _adjoint_from_constants(f, cw):
     return AdjointRep(matrices=adj, raising_images=raising, lowering_images=lowering)
 
 
-def _csa_commutator(csa_ops):
-    """Worst entry of [H_r, H_s] over the CSA generators, its tolerance, and (r, s)."""
-    comm = np.abs(csa_ops[:, None] @ csa_ops[None] - csa_ops[None] @ csa_ops[:, None])
-    worst = comm.max(axis=(2, 3))
-    r, s = np.unravel_index(np.argmax(worst), worst.shape)
-    tol = CSA_COMMUTE_TOL * (1.0 + np.abs(csa_ops).max()) ** 2
-    return float(worst[r, s]), tol, (int(r), int(s))
+def _root_residuals(f, csa, u, v):
+    """Cartan-Weyl invariants of a labeling, read from the structure constants.
+
+    Under the stored bracket the plain commutator of basis elements is
+    [O_m, O_n] = -i sum_k f[m, n, k] O_k, so with E+_l = (O_u + i O_v)/2
+    (root-space decomposition; Humphreys, Introduction to Lie Algebras, 8):
+      - the CSA is abelian iff f[r, s, :] = 0 for all r, s in csa;
+      - [H_r, E+_l] = lam[l, r] E+_l iff f[r, u, :] = -lam e_v and
+        f[r, v, :] = lam e_u, with lam[l, r] = f[r, v, u];
+      - Z_l = [E+_l, E-_l] = -f[u, v, :]/2, so Z_l lies in the CSA iff
+        f[u, v, k] = 0 for every non-CSA k, and then mu[l, r] = -f[u, v, r]/2.
+    Index gathers over csa and the pairs only: O(R L M) work, no product.
+
+    Returns (commute, (r, s)), (eigen, (l, r)), (span, l), z, lam: the worst
+    residual of each identity with where it occurs (NaN counts as worst),
+    Z's coefficients z (L, M) and lam (L, R).  commute and eigen are relative
+    to 1 + max |f|; span is the off-CSA part of Z_l relative to |Z_l|, and
+    infinite when Z_l vanishes.
+    """
+    csa = list(csa)
+    scale = 1.0 + np.abs(f).max()
+    commute = np.abs(f[np.ix_(csa, csa)]).max(axis=2) / scale
+    f_u, f_v = f[np.ix_(csa, u)], f[np.ix_(csa, v)]  # (R, L, M)
+    roots = np.arange(len(u))
+    lam = f_v[:, roots, u]
+    f_u[:, roots, v] += lam
+    f_v[:, roots, u] -= lam
+    eigen = np.maximum(np.abs(f_u).max(axis=2), np.abs(f_v).max(axis=2)).T / scale
+    z = -f[u, v] / 2.0
+    z_norm = np.linalg.norm(z, axis=1)
+    off = np.linalg.norm(np.delete(z, csa, axis=1), axis=1)
+    span = np.divide(off, z_norm, out=np.full(len(z), np.inf), where=z_norm > 0.0)
+    worst = int(np.argmax(span))
+    return (_worst_pair(commute), _worst_pair(eigen), (float(span[worst]), worst),
+            z, lam.T)
 
 
 def build_cartan_weyl(basis, csa_indices, root_pairs):
     """Assemble and validate the Cartan-Weyl split of an orthogonal basis.
+
+    The root data (CSA commutativity, root eigenvectors, mu and eta) is read
+    from the structure constants by `_root_residuals`; the defining
+    representation only supplies E+- for states.  eta = 2 |mu|^2 follows from
+    eta N/2 = Tr(Z [E+, E-]) = ||Z||_F^2 = N |mu|^2.
 
     Parameters
     ----------
@@ -655,7 +676,6 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
     Returns
     -------
     CartanWeylData
-        With per-root su(2) triples attached.
 
     Raises
     ------
@@ -665,7 +685,7 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
     pair_map = tuple((int(u), int(v)) for u, v in root_pairs)
     rank = len(csa_indices)
     num_roots = len(pair_map)
-    if rank == 0 or 2 * num_roots + rank != basis.dim_M:
+    if rank == 0 or num_roots == 0 or 2 * num_roots + rank != basis.dim_M:
         raise InvalidAlgebraSpec(
             f"index bookkeeping is off: M={basis.dim_M} but R={rank}, L={num_roots}"
         )
@@ -673,75 +693,30 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
     if sorted(used) != list(range(basis.dim_M)):
         raise InvalidAlgebraSpec("csa_indices and root_pairs must partition the basis indices")
 
-    mats = np.asarray(basis.basis)
-    csa_ops = mats[list(csa_indices)]
-    resid, tol, (r, s) = _csa_commutator(csa_ops)
-    if not resid <= tol:
-        raise CsaNotAbelian(f"H_{r} and H_{s} do not commute (residual {resid:.2e})")
-
     u, v = np.array(pair_map).T
+    (commute, (r, s)), (eigen, (l, k)), (span, m), z, _ = _root_residuals(
+        np.asarray(basis.structure_constants), csa_indices, u, v)
+    if not commute <= CSA_COMMUTE_TOL:
+        raise CsaNotAbelian(f"H_{r} and H_{s} do not commute (residual {commute:.2e})")
+    if not eigen <= EIGENVECTOR_TOL:
+        raise RootPairNotEigenvector(
+            f"root {l} is not an ad-eigenvector of H_{k} (residual {eigen:.2e})")
+    if not span <= EIGENVECTOR_TOL:
+        raise ZeroRootBracket(f"[E+, E-] of root {m} vanishes or leaves the CSA span")
+    mu = z[:, list(csa_indices)]
+
+    mats = np.asarray(basis.basis)
     raising = (mats[u] + 1j * mats[v]) / 2.0
-    lowering = np.conj(np.transpose(raising, (0, 2, 1)))
-
-    # Each E+ must be a simultaneous eigenvector of ad(H_r), all r at once.
-    norm = basis.normalization_N
-    h_scale = np.maximum(1.0, np.abs(csa_ops).max(axis=(1, 2)))
-    for l, e_plus in enumerate(raising):
-        comm = csa_ops @ e_plus - e_plus @ csa_ops  # (R, d, d)
-        lam = np.einsum("rij,ji->r", comm, lowering[l]) / (norm / 2.0)
-        resid = np.linalg.norm(comm - lam.real[:, None, None] * e_plus, axis=(1, 2))
-        ok = (np.abs(lam.imag) <= EIGENVECTOR_TOL * (1.0 + np.abs(lam.real))) \
-            & (resid <= EIGENVECTOR_TOL * max(1.0, np.linalg.norm(e_plus)) * h_scale)
-        if not ok.all():
-            r = int(np.argmin(ok))
-            raise RootPairNotEigenvector(
-                f"root {l} is not an ad-eigenvector of H_{r} (residual {resid[r]:.2e})"
-            )
-
-    triples = _root_triples(csa_ops, norm, raising, lowering)
     return CartanWeylData(
         rank_R=rank,
         num_roots_L=num_roots,
         csa_indices=csa_indices,
         raising_ops=raising,
-        lowering_ops=lowering,
+        lowering_ops=np.conj(np.transpose(raising, (0, 2, 1))),
         pair_map=pair_map,
-        root_triples=triples,
+        mu_matrix=mu,
+        etas=2.0 * np.einsum("lr,lr->l", mu, mu),
     )
-
-
-def _root_triples(csa_ops, norm, raising, lowering):
-    triples = []
-    for l in range(raising.shape[0]):
-        e_plus, e_minus = raising[l], lowering[l]
-        z = commutator(e_plus, e_minus)
-        z_norm = np.linalg.norm(z)
-        if z_norm <= 1e-12 * max(1.0, np.linalg.norm(e_plus) ** 2):
-            raise ZeroRootBracket(f"[E+, E-] vanished for root {l}")
-        mu = np.array([trace_pair(z, h).real for h in csa_ops]) / norm
-        z_csa = np.einsum("r,rij->ij", mu, csa_ops)
-        if np.linalg.norm(z - z_csa) > 1e-8 * z_norm:
-            raise ZeroRootBracket(f"[E+, E-] of root {l} is not in the CSA span")
-        # eta * N/2 = Tr(Z [E+, E-]) = ||Z||_F^2 by the cyclic trace identity,
-        # so eta > 0 whenever the bracket above is nonzero.
-        z_e = commutator(z, e_plus)
-        eta = (trace_pair(z_e, e_minus) / (norm / 2.0)).real
-        resid = np.linalg.norm(z_e - eta * e_plus)
-        if resid > SU2_TOL * max(1.0, eta) * max(1.0, np.linalg.norm(e_plus)):
-            raise RootPairNotEigenvector(
-                f"root {l}: [Z, E+] is not proportional to E+ (residual {resid:.2e})"
-            )
-        sqrt_eta = np.sqrt(eta)
-        s_plus, s_minus = e_plus / sqrt_eta, e_minus / sqrt_eta
-        triples.append(RootTriple(
-            root_index=l,
-            mu=mu,
-            eta=float(eta),
-            sz=z / eta,
-            sx=(s_plus + s_minus) / np.sqrt(2.0),
-            sy=1j * (s_minus - s_plus) / np.sqrt(2.0),
-        ))
-    return tuple(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +763,9 @@ def validate_algebra(basis, cw=None, adjoint=None):
     reconstruction identity, su(2) triple relations, the adjoint bracket
     homomorphism, adjoint orthogonality, and the closed-form rotations of
     both representations against the dense exponential.  Closure and the
-    Killing form are the basis's cached values; the CSA commutator is the
-    helper `build_cartan_weyl` raises from.  The homomorphism takes the
+    Killing form are the basis's cached values; CSA commutativity and the
+    su(2) relations of the stored mu and eta come from `_root_residuals`,
+    the helper `build_cartan_weyl` raises from.  The homomorphism takes the
     basis's path (`AlgebraBasis.bracket_residual`).
     """
     report = ValidationReport()
@@ -812,21 +788,22 @@ def validate_algebra(basis, cw=None, adjoint=None):
     if not kill_ok or cw is None:
         return report  # fail fast: nothing downstream is meaningful
 
-    commute, tol, _ = _csa_commutator(mats[list(cw.csa_indices)])
-    report.add("CSA generators commute", commute, tol)
-    report.add("L = (M - R)/2", abs(basis.dim_M - cw.rank_R - 2 * cw.num_roots_L), 0.0)
     u, v = cw.pair_indices
+    csa = list(cw.csa_indices)
+    (commute, _), (eigen, _), (span, _), z, lam = _root_residuals(f, csa, u, v)
+    report.add("CSA generators commute", commute, CSA_COMMUTE_TOL)
+    report.add("L = (M - R)/2", abs(basis.dim_M - cw.rank_R - 2 * cw.num_roots_L), 0.0)
     e_p, e_m = np.asarray(cw.raising_ops), np.asarray(cw.lowering_ops)
     recon = max(np.abs(mats[u] - (e_p + e_m)).max(), np.abs(mats[v] - 1j * (e_m - e_p)).max())
     report.add("Cartan-Weyl reconstruction identity", recon,
                1e-12 * (1.0 + np.abs(mats).max()))
 
-    s_z = np.array([t.sz for t in cw.root_triples])
-    s_plus = np.array([t.sx + 1j * t.sy for t in cw.root_triples]) / np.sqrt(2.0)
-    s_minus = np.array([t.sx - 1j * t.sy for t in cw.root_triples]) / np.sqrt(2.0)
-    su2 = max(np.abs(commutator(s_plus, s_minus) - s_z).max(),
-              np.abs(commutator(s_z, s_plus) - s_plus).max(),
-              np.abs(commutator(s_z, s_minus) + s_minus).max())
+    # With each E+ an ad(H_r) eigenvector and each Z in the CSA (eigen, span),
+    # [S+, S-] - Sz = (Z - sum_r mu_r H_r)/eta and [Sz, S+-] -+ S+- =
+    # +-(mu . lam/eta - 1) S+- for the stored mu and eta.
+    mu, etas = cw.mu_matrix, cw.etas
+    su2 = np.max([eigen, span, (np.abs(z[:, csa] - mu).max(axis=1) / etas).max(),
+                  np.abs(np.einsum("lr,lr->l", mu, lam) / etas - 1.0).max()])
     report.add("su(2) triple relations", su2, SU2_TOL)
 
     if adjoint is None:
@@ -981,7 +958,7 @@ class Algebra:
         the root's su(2), which maps Sz -> -Sz once the su(2) relations hold
         (checked at assembly); the real exponent is used.
         """
-        return tuple(np.pi / np.sqrt(2.0 * t.eta) for t in self.cartan_weyl.root_triples)
+        return tuple(np.pi / np.sqrt(2.0 * self.cartan_weyl.etas))
 
 
 def _weight_vectors(subspace, csa_ops):

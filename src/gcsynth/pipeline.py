@@ -85,9 +85,17 @@ def spectral_gap(algebra):
 
 
 def hoeffding_shots(o_norm, eps_m, delta, num_observables):
-    """Shots per observable: Q = ceil(2 ||O||^2 ln(2M/delta) / eps_M^2)."""
-    return int(math.ceil(2.0 * o_norm ** 2 * math.log(2.0 * num_observables / delta)
-                         / eps_m ** 2))
+    """Shots per observable: Q = ceil(2 ||O||^2 ln(2M/delta) / eps_M^2).
+
+    Raises InvalidParameter when Q is not finite, eps_M^2 underflowing included.
+    """
+    eps_sq = eps_m ** 2
+    shots = 2.0 * o_norm ** 2 * math.log(2.0 * num_observables / delta) / eps_sq \
+        if eps_sq > 0 else math.inf
+    if not math.isfinite(shots):
+        raise InvalidParameter(f"the shot count for eps_M = {eps_m:.3g}, delta = {delta:.3g} "
+                               "is not finite")
+    return int(math.ceil(shots))
 
 
 def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
@@ -105,6 +113,9 @@ def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
     num_roots = algebra.cartan_weyl.num_roots_L
     eps_d = c_d * epsilon ** 2 * gap ** 2 / (num_roots * o_norm ** 2)
     eps_m = c_m * epsilon * gap / (algebra.dim * o_norm)
+    d0_cap = float(np.dot(weights, weights))  # d^0 <= purity
+    if not (eps_d > 0 and d0_cap / eps_d < math.inf):
+        raise InvalidParameter(f"epsilon = {epsilon:.3g} makes eps_D = {eps_d:.3g} underflow")
     if eps_m >= o_norm:
         warnings.warn(
             f"eps_M = {eps_m:.3g} >= ||O|| = {o_norm:.3g}: the budget demands nothing",
@@ -112,7 +123,6 @@ def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
         )
     shots = hoeffding_shots(o_norm, eps_m, delta, algebra.dim) \
         if shots_override is None else int(shots_override)
-    d0_cap = float(np.dot(weights, weights))  # d^0 <= purity
     return ToleranceBudget(
         epsilon=float(epsilon),
         delta=float(delta),

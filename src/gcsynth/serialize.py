@@ -58,6 +58,27 @@ def _list(data, key, context):
     return data[key]
 
 
+def _is_number(value):
+    """True for a JSON number; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(data, key, context):
+    """data[key] as a float array if it is a JSON list of numbers, else ParseError."""
+    values = data[key]
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ParseError(f"{context}: {key} must be a list of numbers")
+    return np.array(values, dtype=float)
+
+
+def _count(data, key, context):
+    """data.get(key) if it is null or a non-negative integer, else ParseError."""
+    value = data.get(key)
+    if not (value is None or (_is_number(value) and isinstance(value, int) and value >= 0)):
+        raise ParseError(f"{context}: {key} must be a non-negative integer or null")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Algebra definition files
 # ---------------------------------------------------------------------------
@@ -122,13 +143,10 @@ def save_moments(moments, algebra_label, path):
 def load_moments(path):
     data = _load(path)
     _require(data, ["algebra", "moments"], str(path))
-    values = data["moments"]
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-        raise ParseError(f"{path}: moments must be a list of numbers")
-    shots = data.get("shots_per_observable")
-    source = "sampled" if shots else "exact"
-    moments = MomentVector(values=np.array(values, dtype=float), source=source,
-                           shots=shots, seed=data.get("seed"))
+    values = _numbers(data, "moments", path)
+    shots = _count(data, "shots_per_observable", path)
+    moments = MomentVector(values=values, source="sampled" if shots else "exact",
+                           shots=shots, seed=_count(data, "seed", path))
     require_finite(moments.values, f"{path}: moments")
     return moments, data["algebra"]
 
@@ -158,7 +176,7 @@ def _group_op_from_json(entry, context):
     root, alpha = entry["l"], entry["alpha"]
     if (not isinstance(root, int) or isinstance(root, bool)
             or not isinstance(alpha, list) or len(alpha) != 2
-            or not all(isinstance(a, (int, float)) for a in alpha)):
+            or not all(_is_number(a) for a in alpha)):
         raise ParseError(f"{context} must be {{'l': int, 'alpha': [re, im]}}")
     return GroupOp(root, complex(alpha[0], alpha[1]))
 
@@ -211,9 +229,7 @@ def load_lqc(path):
             raise ParseError(f"{path}: gates[{k}] has unknown type {entry['type']!r}")
     initial = data["initial"]
     if initial != "hw":
-        if not isinstance(initial, list):
-            raise ParseError(f"{path}: initial must be 'hw' or a list of moments")
-        initial = MomentVector(values=np.array(initial, dtype=float), source="exact")
+        initial = MomentVector(values=_numbers(data, "initial", path), source="exact")
         require_finite(initial.values, f"{path}: initial")
     return gates, initial, data["algebra"]
 

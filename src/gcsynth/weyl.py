@@ -85,11 +85,6 @@ def _measure_weights(state, csa_ops, tol=WEIGHT_RESID_TOL):
     return weights
 
 
-def reflection_alpha(algebra, root_index):
-    """Exponent alpha realizing the pi rotation for one root; see `Algebra.reflection_alphas`."""
-    return algebra.reflection_alphas[root_index]
-
-
 def reflect_to_highest_weight(info, algebra):
     """Weyl reflections connecting the highest-weight state to `info.state`.
 

@@ -22,6 +22,23 @@ def gell_mann():
     return [l1, l2, l3, l4, l5, l6, l7, l8]
 
 
+def commutator(a, b):
+    """Plain matrix commutator ab - ba."""
+    return a @ b - b @ a
+
+
+def root_su2(algebra, root_index):
+    """Dense (S+, S-, Sz) of one root on the defining rep, from its stored mu and eta.
+
+    S+- = E+-/sqrt(eta) and Sz = sum_r mu_r H_r / eta.
+    """
+    cw = algebra.cartan_weyl
+    triple = cw.root_triples[root_index]
+    s_plus = np.asarray(cw.raising_ops[root_index]) / np.sqrt(triple.eta)
+    s_z = np.einsum("r,rij->ij", triple.mu, algebra.csa_ops) / triple.eta
+    return s_plus, s_plus.conj().T, s_z
+
+
 def group_op_unitary(op, algebra):
     """Dense oracle: exp{i(alpha E+ + alpha* E-)} on the defining rep by eigendecomposition.
 

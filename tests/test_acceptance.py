@@ -30,13 +30,13 @@ from gcsynth import (
     synthesize,
     verify,
 )
-from gcsynth.algebra import assemble_algebra, commutator, expi_hermitian, orthonormalize_basis
+from gcsynth.algebra import assemble_algebra, expi_hermitian, orthonormalize_basis
 from gcsynth.diagonalize import plan_step, run as diag_run, select_pivot
 from gcsynth.lqc import hw_moments
 from gcsynth.moments import assemble_operator
 from gcsynth.states import apply_group_op
 
-from conftest import group_op_unitary
+from conftest import commutator, group_op_unitary, root_su2
 
 
 def _report(num, name, ok, detail):
@@ -224,13 +224,12 @@ def test_criterion_6_invariant_suites(catalog_algebras, su2_one, su2_threehalf, 
 
     # su(2) triple relations for every root of every catalog algebra, 1e-10.
     for algebra in catalog_algebras:
-        for t in algebra.cartan_weyl.root_triples:
-            s_plus = (t.sx + 1j * t.sy) / np.sqrt(2.0)
-            s_minus = (t.sx - 1j * t.sy) / np.sqrt(2.0)
+        for l in range(algebra.cartan_weyl.num_roots_L):
+            s_plus, s_minus, s_z = root_su2(algebra, l)
             resid = max(
-                float(np.abs(commutator(s_plus, s_minus) - t.sz).max()),
-                float(np.abs(commutator(t.sz, s_plus) - s_plus).max()),
-                float(np.abs(commutator(t.sz, s_minus) + s_minus).max()),
+                float(np.abs(commutator(s_plus, s_minus) - s_z).max()),
+                float(np.abs(commutator(s_z, s_plus) - s_plus).max()),
+                float(np.abs(commutator(s_z, s_minus) + s_minus).max()),
             )
             if resid > 1e-10:
                 failures.append(f"su(2) triple residual {resid:.1e} on {algebra.name}")

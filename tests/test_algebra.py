@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from gcsynth import (
     orthonormalize_basis,
     validate_algebra,
 )
-from gcsynth.algebra import commutator, expi_hermitian
+from gcsynth.algebra import expi_hermitian
 from gcsynth.errors import (
     BasisNotClosed,
     CsaNotAbelian,
@@ -31,7 +32,16 @@ from gcsynth.errors import (
 )
 from gcsynth.states import GroupOp, apply_group_op
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_su3, gell_mann, group_op_unitary
+from conftest import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    build_su3,
+    commutator,
+    gell_mann,
+    group_op_unitary,
+    root_su2,
+)
 
 
 def i_bracket(a, b):
@@ -181,7 +191,7 @@ def test_su2_triple_frozen_values(su2_half):
     # Oracle: Z = [s+, s-] = s_z, [Z, s+] = 2 s+ from 2x2 commutators.
     assert np.allclose(t.mu, [1.0], atol=1e-12)
     assert t.eta == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(t.sz, SIGMA_Z / 2.0, atol=1e-12)
+    assert np.allclose(root_su2(su2_half, 0)[2], SIGMA_Z / 2.0, atol=1e-12)
 
 
 def test_spin1_triple_matches_spin_half(su2_one):
@@ -208,12 +218,51 @@ def test_recompute_matches_stored(so6):
 def test_su2_relations_all_catalog_roots(catalog_algebras):
     for algebra in catalog_algebras:
         for t in algebra.cartan_weyl.root_triples:
-            s_plus = (t.sx + 1j * t.sy) / np.sqrt(2.0)
-            s_minus = (t.sx - 1j * t.sy) / np.sqrt(2.0)
-            assert np.abs(commutator(s_plus, s_minus) - t.sz).max() < 1e-10
-            assert np.abs(commutator(t.sz, s_plus) - s_plus).max() < 1e-10
-            assert np.abs(commutator(t.sz, s_minus) + s_minus).max() < 1e-10
+            s_plus, s_minus, s_z = root_su2(algebra, t.root_index)
+            assert np.abs(commutator(s_plus, s_minus) - s_z).max() < 1e-10
+            assert np.abs(commutator(s_z, s_plus) - s_plus).max() < 1e-10
+            assert np.abs(commutator(s_z, s_minus) + s_minus).max() < 1e-10
             assert t.eta > 0
+
+
+def _dense_root_data(algebra):
+    """Oracle on the defining rep: mu by trace projection of E+ E- - E- E+ onto
+    each H_r, and the eta solving [Z, E+] = eta E+ in least squares."""
+    cw = algebra.cartan_weyl
+    mus, etas = [], []
+    for e_plus, e_minus in zip(cw.raising_ops, cw.lowering_ops):
+        z = e_plus @ e_minus - e_minus @ e_plus
+        mus.append(np.einsum("ij,rji->r", z, algebra.csa_ops).real / algebra.norm)
+        etas.append(np.vdot(e_plus, z @ e_plus - e_plus @ z).real
+                    / np.vdot(e_plus, e_plus).real)
+    return np.array(mus), np.array(etas)
+
+
+def test_root_data_matches_dense_oracle(monomial_algebras, su2_one, su2_threehalf):
+    # su2:1-3, su(3) and so2n:2-6: mu and eta read from f against dense products.
+    for algebra in monomial_algebras + [su2_one, su2_threehalf]:
+        cw = algebra.cartan_weyl
+        mu, etas = _dense_root_data(algebra)
+        assert np.abs(cw.mu_matrix - mu).max() <= 1e-14, algebra.name
+        assert np.abs(cw.etas - etas).max() <= 1e-14, algebra.name
+        for l, t in enumerate(cw.root_triples):
+            assert t.root_index == l
+            assert np.array_equal(t.mu, cw.mu_matrix[l]) and t.eta == cw.etas[l]
+
+
+@pytest.mark.parametrize("field", ["etas", "mu_matrix"])
+def test_wrong_root_data_fails_su2_relations(su3, field):
+    # A hand-built split whose eta is off by 1e-6, or whose mu moves by 1e-6
+    # orthogonally to itself (mu . lam unchanged), fails only the su(2) check.
+    cw = su3.cartan_weyl
+    wrong = np.array(getattr(cw, field))
+    if field == "etas":
+        wrong[0] *= 1.0 + 1e-6
+    else:
+        wrong[0] += 1e-6 * np.array([-wrong[0, 1], wrong[0, 0]])
+    broken = dataclasses.replace(cw, **{field: wrong})
+    report = validate_algebra(su3.basis, broken, su3.adjoint)
+    assert {e.name for e in report.failures()} == {"su(2) triple relations"}
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +488,8 @@ def _tied_worst_pairs(mats):
 
 
 @pytest.mark.parametrize("csa, pairs", [
-    ([7], [(1, 2)]), ([-3], [(1, 2)]), ([0], [(1, 1)]), ([], [(0, 1)]),
-], ids=["csa-7", "csa-negative", "pair-repeat", "csa-empty"])
+    ([7], [(1, 2)]), ([-3], [(1, 2)]), ([0], [(1, 1)]), ([], [(0, 1)]), ([0, 1, 2], []),
+], ids=["csa-7", "csa-negative", "pair-repeat", "csa-empty", "roots-empty"])
 def test_bad_labels_are_typed(csa, pairs):
     basis = orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y])
     with pytest.raises(InvalidAlgebraSpec):

@@ -12,7 +12,6 @@ from gcsynth import (
     resolve_algebra,
     validate_algebra,
 )
-from gcsynth.algebra import commutator
 from gcsynth.catalog import export_algebra, jordan_wigner_majoranas, reference_instances
 from gcsynth.errors import (
     GcsynthError,
@@ -22,7 +21,7 @@ from gcsynth.errors import (
 )
 from gcsynth.serialize import _matrix_to_json
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, commutator
 
 
 def test_su2_two_j_one_is_pauli(su2_half):

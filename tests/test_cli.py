@@ -212,10 +212,46 @@ def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):
     assert _one_json_error_line(capsys)["error"] == "ShotCountOverflow"
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "1e-200", "1e-160"])
 def test_tomo_sim_bad_epsilon_exits_1(tmp_path, capsys, epsilon):
     code = main(["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", epsilon,
                  "--quiet", "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert _one_json_error_line(capsys)["error"] == "InvalidParameter"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_synth_tiny_epsilon_exits_1(tmp_path, su2_file, su2_half, capsys):
+    # eps_D underflows to 0 at epsilon = 1e-200: a typed error, not a ZeroDivisionError.
+    moments_path = tmp_path / "m.json"
+    save_moments(hidden_gcs(su2_half, seed=5, num_ops=1).exact_moments(), "su2:1", moments_path)
+    capsys.readouterr()
+    code = main(["synth", "--algebra", str(su2_file), "--moments", str(moments_path),
+                 "--epsilon", "1e-200", "--quiet", "--out", str(tmp_path / "c.json")])
+    assert code == 1
+    assert _one_json_error_line(capsys)["error"] == "InvalidParameter"
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("command, content", [
+    ("synth", {"moments": [1.0, 0.0, 0.0], "shots_per_observable": "x"}),
+    ("synth", {"moments": [1.0, 0.0, 0.0], "shots_per_observable": -5}),
+    ("synth", {"moments": [1.0, 0.0, 0.0], "seed": [1]}),
+    ("lqc", {"initial": [1, "a", 0], "gates": []}),
+    ("lqc", {"initial": [[1], 2, 3], "gates": []}),
+], ids=["synth-shots-str", "synth-shots-negative", "synth-seed-list", "lqc-initial-str",
+        "lqc-initial-nested"])
+def test_malformed_numeric_fields_exit_1(tmp_path, su2_file, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(dict(content, algebra="su2:1")))
+    out_path = tmp_path / "out.json"
+    if command == "synth":
+        argv = ["synth", "--algebra", str(su2_file), "--moments", str(path),
+                "--epsilon", "1e-4", "--quiet", "--out", str(out_path)]
+    else:
+        argv = ["lqc", "run", "--algebra", "su2:1", "--circuit", str(path),
+                "--out", str(out_path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert _one_json_error_line(capsys)["error"] == "ParseError"
+    assert not out_path.exists()

@@ -84,7 +84,8 @@ def test_malformed_ops_raise(tmp_path):
     path = tmp_path / "bad.json"
     bad_entries = [{"l": 0, "alpha": [0.0]}, {"l": "x", "alpha": [0.1, 0.0]},
                    {"l": True, "alpha": [0.1, 0.0]},
-                   {"l": 0, "alpha": 3}, {"l": 0, "alpha": ["a", 0.0]}, {"alpha": [0.1, 0.0]}]
+                   {"l": 0, "alpha": 3}, {"l": 0, "alpha": ["a", 0.0]}, {"alpha": [0.1, 0.0]},
+                   {"l": 0, "alpha": [True, 0.0]}]
     for entry in bad_entries:
         path.write_text(json.dumps({"algebra": "x", "ops": [entry]}))
         with pytest.raises(ParseError):
@@ -112,3 +113,35 @@ def test_non_finite_moments_rejected_on_load(tmp_path):
     lqc_path.write_text('{"algebra": "su2:1", "initial": [Infinity, 0.0, 0.0], "gates": []}')
     with pytest.raises(NonFiniteMoments):
         load_lqc(lqc_path)
+
+
+@pytest.mark.parametrize("initial", [[1, "a", 0], [[1], 2, 3], [True, 0.0, 0.0], {"x": 1}, 5])
+def test_malformed_lqc_initial_raises(tmp_path, initial):
+    path = tmp_path / "lqc.json"
+    path.write_text(json.dumps({"algebra": "su2:1", "initial": initial, "gates": []}))
+    with pytest.raises(ParseError):
+        load_lqc(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"moments": [1.0, True, 0.0]}, {"moments": [[1.0], 0.0, 0.0]},
+    {"shots_per_observable": "x"}, {"shots_per_observable": 1.5},
+    {"shots_per_observable": -5}, {"shots_per_observable": True},
+    {"seed": [1]}, {"seed": -1}, {"seed": 2.0},
+], ids=["moment-bool", "moment-nested", "shots-str", "shots-float", "shots-negative",
+        "shots-bool", "seed-list", "seed-negative", "seed-float"])
+def test_malformed_moment_fields_raise(tmp_path, change):
+    path = tmp_path / "m.json"
+    data = {"algebra": "su2:1", "moments": [1.0, 0.0, 0.0], "shots_per_observable": 10,
+            "seed": 3}
+    path.write_text(json.dumps(dict(data, **change)))
+    with pytest.raises(ParseError):
+        load_moments(path)
+
+
+def test_null_shots_and_seed_load_as_exact(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"algebra": "su2:1", "moments": [1.0, 0.0, 0.0],
+                                "shots_per_observable": None, "seed": None}))
+    moments, _ = load_moments(path)
+    assert (moments.source, moments.shots, moments.seed) == ("exact", None, None)

@@ -13,7 +13,9 @@ from gcsynth.algebra import expi_hermitian
 from gcsynth.errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
 from gcsynth.moments import CwDecomposition
 from gcsynth.states import phase_min_distance, state_fidelity
-from gcsynth.weyl import WeightStateInfo, reflection_alpha
+from gcsynth.weyl import WeightStateInfo
+
+from conftest import root_su2
 
 
 def _csa_decomp(gamma, num_roots):
@@ -154,7 +156,7 @@ def test_reflection_alpha_magnitude(catalog_algebras):
     # |alpha| must be the pi-rotation magnitude pi / sqrt(2 eta).
     for algebra in catalog_algebras:
         for t in algebra.cartan_weyl.root_triples:
-            alpha = reflection_alpha(algebra, t.root_index)
+            alpha = algebra.reflection_alphas[t.root_index]
             assert abs(alpha) == pytest.approx(np.pi / np.sqrt(2.0 * t.eta), rel=1e-12)
 
 
@@ -164,7 +166,6 @@ def test_cached_reflection_alphas_flip_sz(catalog_algebras, su3):
         cw = algebra.cartan_weyl
         assert len(algebra.reflection_alphas) == cw.num_roots_L
         for l, alpha in enumerate(algebra.reflection_alphas):
-            assert reflection_alpha(algebra, l) == alpha
             w = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
-            sz = cw.root_triples[l].sz
+            sz = root_su2(algebra, l)[2]
             assert np.abs(w.conj().T @ sz @ w + sz).max() < 1e-10
