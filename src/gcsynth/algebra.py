@@ -182,8 +182,7 @@ class AlgebraBasis:
     normalization_N : float
         Common trace norm of the basis elements.
     structure_constants : ndarray, shape (M, M, M)
-        Real tensor f with [O_m, O_m'] = sum_k f[m, m', k] O_k under the
-        bracket recorded in `bracket_convention`.
+        Real tensor f with i[O_m, O_m'] = sum_k f[m, m', k] O_k.
     """
 
     dim_M: int
@@ -191,7 +190,6 @@ class AlgebraBasis:
     basis: np.ndarray
     normalization_N: float
     structure_constants: np.ndarray
-    bracket_convention: str = "i-commutator"
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _freeze(self.basis))
@@ -976,15 +974,24 @@ def _weight_vectors(subspace, csa_ops):
     out = []
     for vec in vecs:
         vec = vec / np.linalg.norm(vec)
-        weights = np.empty(len(csa_ops))
-        for r, h in enumerate(csa_ops):
-            hv = h @ vec
-            w = np.real(np.vdot(vec, hv))
-            if np.linalg.norm(hv - w * vec) > WEIGHT_TOL * max(1.0, float(np.abs(h).max())):
-                raise NotUnique("subspace does not split into CSA weight vectors")
-            weights[r] = w
+        weights = vector_weights(vec, csa_ops)
+        if weights is None:
+            raise NotUnique("subspace does not split into CSA weight vectors")
         out.append((vec, weights))
     return out
+
+
+def vector_weights(vec, csa_ops):
+    """The weights <v|H_r|v> of a unit vector, or None unless it is an eigenvector
+    of every H_r to WEIGHT_TOL (a non-finite vector never is)."""
+    weights = np.empty(len(csa_ops))
+    for r, h in enumerate(csa_ops):
+        hv = h @ vec
+        w = np.real(np.vdot(vec, hv))
+        if not np.linalg.norm(hv - w * vec) <= WEIGHT_TOL * max(1.0, float(np.abs(h).max())):
+            return None
+        weights[r] = w
+    return weights
 
 
 def assemble_algebra(basis, csa_indices, root_pairs, name="custom"):

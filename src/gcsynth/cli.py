@@ -190,6 +190,9 @@ def _cmd_lqc_run(args):
     algebra = _resolve_algebra(args.algebra)
     gates, initial, label = serialize.load_lqc(args.circuit)
     _check_label(algebra.label(), label, args.circuit)
+    # A bad epsilon or delta fails before any output is written.
+    budget = pipeline.make_budget(args.epsilon, args.delta, algebra) \
+        if args.recover_circuit else None
     if initial == "hw":
         initial = lqc.hw_moments(algebra)
     actions = [lqc.adjoint_action_of(g, algebra) for g in gates]
@@ -202,7 +205,6 @@ def _cmd_lqc_run(args):
     serialize.save_moments(final, algebra.label(), path)
     print(path)
     if args.recover_circuit:
-        budget = pipeline.make_budget(args.epsilon, args.delta, algebra)
         report = lqc.final_state_query(final, algebra, budget)
         circuit_path = os.path.splitext(path)[0] + ".circuit.json"
         serialize.save_circuit(report.ops, report.kind_tags, report.trace,

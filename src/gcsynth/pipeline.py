@@ -87,9 +87,9 @@ def spectral_gap(algebra):
 def hoeffding_shots(o_norm, eps_m, delta, num_observables):
     """Shots per observable: Q = ceil(2 ||O||^2 ln(2M/delta) / eps_M^2).
 
-    Raises InvalidParameter when Q is not finite, eps_M^2 underflowing included.
+    Raises InvalidParameter when Q is not finite or eps_M^2 overflows.
     """
-    eps_sq = eps_m ** 2
+    eps_sq = _square(eps_m, "eps_M")
     shots = 2.0 * o_norm ** 2 * math.log(2.0 * num_observables / delta) / eps_sq \
         if eps_sq > 0 else math.inf
     if not math.isfinite(shots):
@@ -98,8 +98,14 @@ def hoeffding_shots(o_norm, eps_m, delta, num_observables):
     return int(math.ceil(shots))
 
 
-def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
-                shots_override=None):
+def _square(x, name):
+    try:
+        return x ** 2
+    except OverflowError:
+        raise InvalidParameter(f"{name} = {x:.3g} is too large: its square overflows") from None
+
+
+def make_budget(epsilon, delta, algebra, shots_override=None):
     """Tolerance budget for a synthesis at state error epsilon, confidence 1 - delta."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameter(f"epsilon must be finite and positive, got {epsilon}")
@@ -111,8 +117,8 @@ def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
     gap = spectral_gap(algebra)
     o_norm = algebra.max_observable_norm
     num_roots = algebra.cartan_weyl.num_roots_L
-    eps_d = c_d * epsilon ** 2 * gap ** 2 / (num_roots * o_norm ** 2)
-    eps_m = c_m * epsilon * gap / (algebra.dim * o_norm)
+    eps_d = DEFAULT_C_D * _square(epsilon, "epsilon") * gap ** 2 / (num_roots * o_norm ** 2)
+    eps_m = DEFAULT_C_M * epsilon * gap / (algebra.dim * o_norm)
     d0_cap = float(np.dot(weights, weights))  # d^0 <= purity
     if not (eps_d > 0 and d0_cap / eps_d < math.inf):
         raise InvalidParameter(f"epsilon = {epsilon:.3g} makes eps_D = {eps_d:.3g} underflow")
@@ -132,8 +138,6 @@ def make_budget(epsilon, delta, algebra, c_d=DEFAULT_C_D, c_m=DEFAULT_C_M,
         O_norm=o_norm,
         Q=shots,
         K_prime_bound=diagonalize.step_bound(d0_cap, eps_d, num_roots),
-        c_D=c_d,
-        c_M=c_m,
     )
 
 

@@ -5,6 +5,7 @@ circuit files are 0-based.  Writers emit sorted keys so equal inputs give
 byte-identical artifacts.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -158,9 +159,7 @@ def load_moments(path):
 def circuit_to_dict(ops, kind_tags, trace, algebra_label):
     return {
         "algebra": algebra_label,
-        "ops": [{"l": int(op.root_index),
-                 "alpha": [float(op.alpha.real), float(op.alpha.imag)]}
-                for op in ops],
+        "ops": [_group_op_to_json(op) for op in ops],
         "kind_tags": list(kind_tags),
         "trace": [float(d) for d in trace],
     }
@@ -168,6 +167,10 @@ def circuit_to_dict(ops, kind_tags, trace, algebra_label):
 
 def save_circuit(ops, kind_tags, trace, algebra_label, path):
     _dump(circuit_to_dict(ops, kind_tags, trace, algebra_label), path)
+
+
+def _group_op_to_json(op):
+    return {"l": int(op.root_index), "alpha": [float(op.alpha.real), float(op.alpha.imag)]}
 
 
 def _group_op_from_json(entry, context):
@@ -202,8 +205,7 @@ def lqc_to_dict(gates, initial, algebra_label):
     encoded = []
     for gate in gates:
         if isinstance(gate, GroupOp):
-            encoded.append({"type": "group_op", "l": int(gate.root_index),
-                            "alpha": [float(gate.alpha.real), float(gate.alpha.imag)]})
+            encoded.append(dict(_group_op_to_json(gate), type="group_op"))
         else:
             encoded.append({"type": "unitary", "matrix": _matrix_to_json(gate)})
     initial_enc = "hw" if isinstance(initial, str) else [float(v) for v in initial.values]
@@ -239,23 +241,11 @@ def load_lqc(path):
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report):
-    budget = report.budget
     return {
         "algebra": report.algebra_label,
         "circuit": circuit_to_dict(report.ops, report.kind_tags, report.trace,
                                    report.algebra_label),
-        "budget": {
-            "epsilon": budget.epsilon,
-            "delta": budget.delta,
-            "eps_D": budget.eps_D,
-            "eps_M": budget.eps_M,
-            "Delta": budget.Delta,
-            "O_norm": budget.O_norm,
-            "Q": budget.Q,
-            "K_prime_bound": budget.K_prime_bound,
-            "c_D": budget.c_D,
-            "c_M": budget.c_M,
-        },
+        "budget": dataclasses.asdict(report.budget),
         "achieved_d": report.achieved_d,
         "K": report.total_ops,
         "K_prime": report.steps_jacobi,

@@ -1,27 +1,26 @@
 """Weyl-reflection mapping from a weight state to the highest-weight state.
 
 A reflection in root l is the group operation exp{i(alpha E+_l + alpha* E-_l)}
-with |alpha| = pi / sqrt(2 eta_l): a pi rotation about an equatorial axis of
-the root's su(2), which maps Sz_l -> -Sz_l and therefore sends a weight state
-to the state with the Weyl-reflected weight.  The exponents are derived once
-per algebra and cached as `Algebra.reflection_alphas`, and each candidate is
-applied to the state in closed form (`CartanWeylData.rotate`, O(d^2)).
-Reflections are chosen greedily among roots where the current weight sits
-below the equator (m_l < 0), taking the one that most increases the overlap
-with the highest weight; the secondary functional sum_l m_l strictly
-increases at every such reflection, which guarantees termination on any
-weight in the Weyl orbit of the highest weight.
+with |alpha| = pi / sqrt(2 eta_l) (cached as `Algebra.reflection_alphas`): a pi
+rotation in the root's su(2), mapping Sz_l -> -Sz_l and so a weight state of
+weight w to one of weight s_l(w) = w - 4 m_l mu_l, m_l = mu_l . w / eta_l (the
+root vector is 2 mu_l; Humphreys, Introduction to Lie Algebras, 10.1).  The walk
+runs on weights alone, choosing greedily among roots with m_l < 0 the one that
+most increases the overlap with the highest weight; sum_l m_l strictly increases
+at every such reflection, so the walk ends on any weight in the orbit of the
+highest weight.  The state is rotated only once per chosen reflection, to check
+that the walk reached |hw>.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import vector_weights
 from .errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
 from .states import GroupOp, state_fidelity
 
 DEGENERACY_REL_TOL = 1e-8
-WEIGHT_RESID_TOL = 1e-9
 PROGRESS_TOL = 1e-10
 M_NEGATIVE_TOL = 1e-9
 
@@ -74,17 +73,6 @@ def top_weight_state(csa_decomp, algebra):
                            eigenvalue=float(top), gap=gap)
 
 
-def _measure_weights(state, csa_ops, tol=WEIGHT_RESID_TOL):
-    weights = np.empty(len(csa_ops))
-    for r, h in enumerate(csa_ops):
-        hv = h @ state
-        w = float(np.real(np.vdot(state, hv)))
-        if np.linalg.norm(hv - w * state) > tol * max(1.0, float(np.abs(h).max())):
-            raise NotAWeightState(f"state is not an eigenvector of H_{r}")
-        weights[r] = w
-    return weights
-
-
 def reflect_to_highest_weight(info, algebra):
     """Weyl reflections connecting the highest-weight state to `info.state`.
 
@@ -104,15 +92,16 @@ def reflect_to_highest_weight(info, algebra):
         not a GCS).
     """
     cw = algebra.cartan_weyl
-    csa_ops = algebra.csa_ops
     state = np.asarray(info.state, dtype=complex)
-    weights = _measure_weights(state, csa_ops, tol=1e-8)
+    weights = vector_weights(state, algebra.csa_ops)
+    if weights is None:
+        raise NotAWeightState("state is not a simultaneous eigenvector of the CSA")
 
     hw, w_hw = algebra.highest_weight
     mu = cw.mu_matrix
     etas = cw.etas
     w_scale = max(1.0, float(np.abs(w_hw).max()))
-    applied = []  # (root, alpha) moving the state toward |hw>
+    applied = []  # roots moving the state toward |hw>
 
     for _ in range(4 * cw.num_roots_L + 1):
         m_vals = mu @ weights / etas
@@ -121,25 +110,25 @@ def reflect_to_highest_weight(info, algebra):
             break
         best = None
         for l in candidates:
-            alpha = algebra.reflection_alphas[l]
-            new_state = cw.rotate(l, alpha, state)
-            new_weights = _measure_weights(new_state, csa_ops)
+            new_weights = weights - 4.0 * m_vals[l] * mu[l]
             overlap_gain = float(np.dot(w_hw, new_weights - weights))
             height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))
             key = (overlap_gain, height_gain, -int(l))
             if best is None or key > best[0]:
-                best = (key, int(l), alpha, new_state, new_weights)
-        (overlap_gain, height_gain, _), l, alpha, state, weights = best
+                best = (key, int(l), new_weights)
+        (overlap_gain, height_gain, _), l, weights = best
         if height_gain <= PROGRESS_TOL or overlap_gain < -PROGRESS_TOL * w_scale:
             raise NoProgress(
                 "no reflection increases the weight overlap; state is outside the GCS orbit"
             )
-        applied.append((l, alpha))
+        applied.append(l)
 
-    if state_fidelity(state, hw) < 1.0 - 1e-9:
+    for l in applied:
+        state = cw.rotate(l, algebra.reflection_alphas[l], state)
+    if not state_fidelity(state, hw) >= 1.0 - 1e-9:
         raise NoProgress(
             "reflections exhausted without reaching the highest-weight state; "
             "the input weight is outside the orbit"
         )
     # state = W_J ... W_1 |w0>, so |w0> = W_1^† ... W_J^† |hw> applied last-first.
-    return [GroupOp(l, -alpha) for l, alpha in reversed(applied)]
+    return [GroupOp(l, -algebra.reflection_alphas[l]) for l in reversed(applied)]

@@ -3,6 +3,9 @@ import pytest
 
 from gcsynth import assemble_algebra, make_so2n, make_su2, orthonormalize_basis
 from gcsynth.algebra import expi_hermitian
+from gcsynth.errors import NoProgress, NotAWeightState
+from gcsynth.states import GroupOp, state_fidelity
+from gcsynth.weyl import M_NEGATIVE_TOL, PROGRESS_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -48,6 +51,60 @@ def group_op_unitary(op, algebra):
     gen = op.alpha * cw.raising_ops[op.root_index] \
         + np.conj(op.alpha) * cw.lowering_ops[op.root_index]
     return expi_hermitian(gen)
+
+
+def _measure_weights(state, csa_ops, tol=1e-9):
+    weights = np.empty(len(csa_ops))
+    for r, h in enumerate(csa_ops):
+        hv = h @ state
+        w = float(np.real(np.vdot(state, hv)))
+        if np.linalg.norm(hv - w * state) > tol * max(1.0, float(np.abs(h).max())):
+            raise NotAWeightState(f"state is not an eigenvector of H_{r}")
+        weights[r] = w
+    return weights
+
+
+def reflect_by_states(info, algebra):
+    """Oracle Weyl walk on the defining representation.
+
+    Same greedy key, tolerances and step cap as `reflect_to_highest_weight`,
+    but every candidate reflection is applied to the state and the reflected
+    weights are measured from it rather than computed on the weight vector.
+    """
+    cw = algebra.cartan_weyl
+    csa_ops = algebra.csa_ops
+    state = np.asarray(info.state, dtype=complex)
+    weights = _measure_weights(state, csa_ops, tol=1e-8)
+
+    hw, w_hw = algebra.highest_weight
+    mu = cw.mu_matrix
+    etas = cw.etas
+    w_scale = max(1.0, float(np.abs(w_hw).max()))
+    applied = []
+
+    for _ in range(4 * cw.num_roots_L + 1):
+        m_vals = mu @ weights / etas
+        candidates = np.nonzero(m_vals < -M_NEGATIVE_TOL * w_scale)[0]
+        if candidates.size == 0:
+            break
+        best = None
+        for l in candidates:
+            alpha = algebra.reflection_alphas[l]
+            new_state = cw.rotate(l, alpha, state)
+            new_weights = _measure_weights(new_state, csa_ops)
+            overlap_gain = float(np.dot(w_hw, new_weights - weights))
+            height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))
+            key = (overlap_gain, height_gain, -int(l))
+            if best is None or key > best[0]:
+                best = (key, int(l), alpha, new_state, new_weights)
+        (overlap_gain, height_gain, _), l, alpha, state, weights = best
+        if height_gain <= PROGRESS_TOL or overlap_gain < -PROGRESS_TOL * w_scale:
+            raise NoProgress("no reflection increases the weight overlap")
+        applied.append((l, alpha))
+
+    if state_fidelity(state, hw) < 1.0 - 1e-9:
+        raise NoProgress("reflections exhausted without reaching the highest-weight state")
+    return [GroupOp(l, -alpha) for l, alpha in reversed(applied)]
 
 
 def build_su3():

@@ -106,6 +106,22 @@ def test_lqc_run_with_recovery(tmp_path, capsys):
     assert len(recovered["ops"]) >= 1
 
 
+def test_lqc_recovery_bad_epsilon_writes_nothing(tmp_path, capsys):
+    # The budget is checked before propagation: no moments file, nothing on stdout.
+    circuit_path = tmp_path / "lqc.json"
+    save_lqc([GroupOp(0, 0.4 + 0.2j)], "hw", "so2n:2", circuit_path)
+    out_path = tmp_path / "final.json"
+    capsys.readouterr()
+    assert main(["lqc", "run", "--circuit", str(circuit_path), "--algebra", "so2n:2",
+                 "--out", str(out_path), "--recover-circuit", "--epsilon", "0",
+                 "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidParameter"
+    assert not out_path.exists()
+
+
 def test_algebra_label_mismatch_exits_1(tmp_path, su2_file, capsys):
     moments_path = tmp_path / "m.json"
     save_moments(MomentVector([1.0, 0.0, 0.0]), "so2n:2", moments_path)
@@ -212,7 +228,8 @@ def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):
     assert _one_json_error_line(capsys)["error"] == "ShotCountOverflow"
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "1e-200", "1e-160"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "1e-200", "1e-160", "1e200",
+                                     "1.35e154"])
 def test_tomo_sim_bad_epsilon_exits_1(tmp_path, capsys, epsilon):
     code = main(["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", epsilon,
                  "--quiet", "--out", str(tmp_path / "r.json")])

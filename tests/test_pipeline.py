@@ -258,11 +258,17 @@ def test_algebra_freed_after_use():
 @pytest.mark.parametrize("epsilon, delta", [
     (np.nan, 0.05), (np.inf, 0.05), (-np.inf, 0.05), (0.0, 0.05), (-0.1, 0.05),
     (0.1, np.nan), (0.1, np.inf), (0.1, 0.0), (0.1, 1.0), (0.1, -0.5),
-    (1e-200, 0.05), (1e-160, 0.05), (0.1, 5e-324),
+    (1e-200, 0.05), (1e-160, 0.05), (0.1, 5e-324), (1e200, 0.05), (1.35e154, 0.05),
 ])
 def test_bad_budget_tolerances_are_typed(su2_half, epsilon, delta):
     with pytest.raises(InvalidParameter):
         make_budget(epsilon, delta, su2_half)
+
+
+def test_huge_eps_m_is_typed():
+    # eps_M ** 2 overflows a Python float: a typed error, not an OverflowError.
+    with pytest.raises(InvalidParameter):
+        hoeffding_shots(1.0, 1e200, 0.05, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,19 @@ import pytest
 from gcsynth import (
     apply_circuit,
     highest_weight_state,
+    make_so2n,
+    make_su2,
     reflect_to_highest_weight,
     top_weight_state,
 )
-from gcsynth.algebra import expi_hermitian
+from gcsynth import weyl
+from gcsynth.algebra import CartanWeylData, expi_hermitian, vector_weights
 from gcsynth.errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
 from gcsynth.moments import CwDecomposition
 from gcsynth.states import phase_min_distance, state_fidelity
 from gcsynth.weyl import WeightStateInfo
 
-from conftest import root_su2
+from conftest import reflect_by_states, root_su2
 
 
 def _csa_decomp(gamma, num_roots):
@@ -150,6 +153,88 @@ def test_not_a_weight_state_rejected(su2_half):
     info = WeightStateInfo(state=plus, weights=np.array([0.0]), eigenvalue=0.0, gap=1.0)
     with pytest.raises(NotAWeightState):
         reflect_to_highest_weight(info, su2_half)
+
+
+def test_nan_state_rejected(so4):
+    # NaN compares False both ways; it must not read as an eigenvector or as |hw>.
+    state = np.array(so4.highest_weight[0])
+    state[1] = np.nan
+    info = WeightStateInfo(state=state, weights=so4.highest_weight[1], eigenvalue=0.0, gap=1.0)
+    with pytest.raises(NotAWeightState):
+        reflect_to_highest_weight(info, so4)
+
+
+@pytest.fixture(scope="module")
+def walk_algebras(su2_half, su2_one, su2_threehalf, so4, so6, so8, su3):
+    return [su2_half, su2_one, su2_threehalf, make_su2(4), so4, so6, so8,
+            make_so2n(5), make_so2n(6), su3]
+
+
+def _weight_infos(algebra):
+    vectors, weight_table = algebra.weight_basis
+    return [WeightStateInfo(state=vectors[:, i], weights=weight_table[i], eigenvalue=0.0, gap=1.0)
+            for i in range(vectors.shape[1])]
+
+
+def _walk(walker, info, algebra):
+    try:
+        return [(op.root_index, op.alpha) for op in walker(info, algebra)]
+    except (NoProgress, NotAWeightState) as exc:
+        return type(exc)
+
+
+def test_weight_walk_matches_state_walk(walk_algebras):
+    # The weight-space walk emits exactly the reflections of the oracle that
+    # rotates the state and re-measures its weights for every candidate.
+    walks = 0
+    for algebra in walk_algebras:
+        for info in _weight_infos(algebra):
+            expected = _walk(reflect_by_states, info, algebra)
+            assert _walk(reflect_to_highest_weight, info, algebra) == expected
+            walks += isinstance(expected, list) and len(expected) > 0
+    assert walks > 50
+
+
+def test_reflection_acts_on_weights_in_closed_form(walk_algebras):
+    # W_l maps a weight vector of weight w to one of weight w - 4 (mu_l . w / eta_l) mu_l.
+    for algebra in walk_algebras:
+        cw = algebra.cartan_weyl
+        vectors, weight_table = algebra.weight_basis
+        for l, alpha in enumerate(algebra.reflection_alphas):
+            mu, eta = cw.mu_matrix[l], cw.etas[l]
+            for v, w in zip(vectors.T, weight_table):
+                reflected = vector_weights(cw.rotate(l, alpha, v), algebra.csa_ops)
+                assert reflected is not None
+                assert np.abs(reflected - (w - 4.0 * (mu @ w / eta) * mu)).max() < 1e-12
+
+
+def test_walk_rotates_once_per_emitted_reflection(so8, su3, monkeypatch):
+    # Candidates are scored on weights alone: a walk emitting J reflections
+    # measures the input once and rotates the state exactly J times.
+    calls = {"rotate": 0, "weights": 0}
+    rotate, measure = CartanWeylData.rotate, weyl.vector_weights
+
+    def counted_rotate(self, *args):
+        calls["rotate"] += 1
+        return rotate(self, *args)
+
+    def counted_weights(*args):
+        calls["weights"] += 1
+        return measure(*args)
+
+    monkeypatch.setattr(CartanWeylData, "rotate", counted_rotate)
+    monkeypatch.setattr(weyl, "vector_weights", counted_weights)
+    emitted = 0
+    for algebra in (so8, su3):
+        for info in _weight_infos(algebra):
+            calls.update(rotate=0, weights=0)
+            try:
+                ops = reflect_to_highest_weight(info, algebra)
+            except NoProgress:
+                continue
+            assert calls == {"rotate": len(ops), "weights": 1}
+            emitted += len(ops)
+    assert emitted > 0
 
 
 def test_reflection_alpha_magnitude(catalog_algebras):
