@@ -22,7 +22,6 @@ from gcsynth import (
     propagate,
     verify,
 )
-from gcsynth.algebra import expi_hermitian
 from gcsynth.lqc import hw_moments
 
 algebra = make_so2n(3)
@@ -33,8 +32,11 @@ rng = np.random.default_rng(11)
 gates = [GroupOp(int(rng.integers(6)),
                  complex(rng.normal(scale=0.5), rng.normal(scale=0.5)))
          for _ in range(11)]
-csa = algebra.csa_ops
-gates.insert(5, expi_hermitian(0.4 * csa[0] - 0.7 * csa[2]))
+# The CSA generators share an eigenbasis, so exp(i sum_r c_r H_r) is a phase
+# per weight vector: exp(i w . c) on the vector of weight w.
+vectors, weights = algebra.weight_basis
+phases = np.exp(1j * weights @ np.array([0.4, 0.0, -0.7]))
+gates.insert(5, (vectors * phases) @ vectors.conj().T)
 
 actions = [adjoint_action_of(g, algebra) for g in gates]
 circuit = LqcCircuit(actions=actions, initial=hw_moments(algebra))

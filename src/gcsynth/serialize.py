@@ -23,8 +23,10 @@ def _matrix_to_json(mat):
 def _matrix_from_json(data, context="matrix"):
     try:
         arr = np.asarray(data, dtype=float)
+        if not all(_is_number(x) for row in data for pair in row for x in pair):
+            raise TypeError("booleans and strings are not numbers")
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{context}: entries must be [re, im] pairs") from exc
+        raise ParseError(f"{context}: entries must be [re, im] pairs of numbers") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"{context}: expected a square matrix of [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
@@ -64,6 +66,11 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_index(value):
+    """True for a JSON integer (not a boolean)."""
+    return _is_number(value) and isinstance(value, int)
+
+
 def _numbers(data, key, context):
     """data[key] as a float array if it is a JSON list of numbers, else ParseError."""
     values = data[key]
@@ -75,7 +82,7 @@ def _numbers(data, key, context):
 def _count(data, key, context):
     """data.get(key) if it is null or a non-negative integer, else ParseError."""
     value = data.get(key)
-    if not (value is None or (_is_number(value) and isinstance(value, int) and value >= 0)):
+    if not (value is None or (_is_index(value) and value >= 0)):
         raise ParseError(f"{context}: {key} must be a non-negative integer or null")
     return value
 
@@ -103,24 +110,27 @@ def parse_algebra_dict(data, context="algebra file"):
     """Raw pieces from an algebra definition; validation happens on assembly."""
     _require(data, ["rep_dim", "normalization", "csa", "root_pairs", "basis"], context)
     rep_dim = data["rep_dim"]
-    if not isinstance(rep_dim, int) or rep_dim < 1:
+    if not (_is_index(rep_dim) and rep_dim >= 1):
         raise ParseError(f"{context}: rep_dim must be a positive integer")
     norm = data["normalization"]
-    if norm is not None and (not isinstance(norm, (int, float)) or norm <= 0):
-        raise ParseError(f"{context}: normalization must be positive or null")
+    if not (norm is None or (_is_number(norm) and 0 < norm < np.inf)):
+        raise ParseError(f"{context}: normalization must be positive and finite, or null")
     mats = [_matrix_from_json(m, context=f"{context}: basis[{k}]")
             for k, m in enumerate(_list(data, "basis", context))]
     if any(m.shape != (rep_dim, rep_dim) for m in mats):
         raise ParseError(f"{context}: basis matrices must be rep_dim x rep_dim")
-    csa = data["csa"]
-    pairs = data["root_pairs"]
-    if not isinstance(csa, list) or not all(isinstance(i, int) for i in csa):
+    if not all(np.isfinite(m).all() for m in mats):
+        raise ParseError(f"{context}: basis entries must be finite")
+    csa, pairs = data["csa"], data["root_pairs"]
+    if not isinstance(csa, list) or not all(_is_index(i) for i in csa):
         raise ParseError(f"{context}: csa must be a list of indices")
     if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(i, int) for i in p)
+            isinstance(p, list) and len(p) == 2 and all(_is_index(i) for i in p)
             for p in pairs):
         raise ParseError(f"{context}: root_pairs must be a list of index pairs")
     name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise ParseError(f"{context}: name must be a string")
     return mats, norm, csa, [tuple(p) for p in pairs], name
 
 

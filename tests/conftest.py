@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcsynth import assemble_algebra, make_so2n, make_su2, orthonormalize_basis
-from gcsynth.algebra import expi_hermitian
+from gcsynth.catalog import spin_matrices
 from gcsynth.errors import NoProgress, NotAWeightState
 from gcsynth.states import GroupOp, state_fidelity
 from gcsynth.weyl import M_NEGATIVE_TOL, PROGRESS_TOL
@@ -23,6 +23,41 @@ def gell_mann():
     l7 = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
     l8 = np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / np.sqrt(3)
     return [l1, l2, l3, l4, l5, l6, l7, l8]
+
+
+def expi_hermitian(h):
+    """exp(i h) for Hermitian h by eigendecomposition: the dense reference the
+    closed-form rotations are checked against."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def adjoint_gram(algebra):
+    """G[m, m'] = Tr(adj_m adj_m') of the adjoint images, summed entrywise."""
+    adj = np.asarray(algebra.adjoint.matrices)
+    return np.einsum("mij,nji->mn", adj, adj).real
+
+
+def adjoint_coefficients(x, algebra):
+    """Coefficients c with x = sum_m c_m adj_m, for x in the span of the adjoint
+    images: solved against their Gram, which is a multiple of delta only on a
+    simple algebra (on su(2) + su(2) it has one multiple per ideal)."""
+    adj = np.asarray(algebra.adjoint.matrices)
+    return np.linalg.solve(adjoint_gram(algebra), np.einsum("ij,mji->m", x, adj).real)
+
+
+def build_half_one():
+    """su(2) + su(2) on spin 1/2 x spin 1 (d = 6), not a catalog entry.
+
+    Basis Sz x I, Sx x I, Sy x I, I x Sz, I x Sx, I x Sy; CSA {0, 3}, roots
+    (1, 2) and (4, 5).  The two ideals have different Killing-to-trace
+    ratios, so the adjoint Gram is not a multiple of delta.
+    """
+    first = [np.kron(s, np.eye(3)) for s in spin_matrices(1)]
+    second = [np.kron(np.eye(2), s) for s in spin_matrices(2)]
+    basis = orthonormalize_basis(first + second)
+    return assemble_algebra(basis, csa_indices=[0, 3], root_pairs=[(1, 2), (4, 5)],
+                            name="su2+su2:half-one")
 
 
 def commutator(a, b):
@@ -148,6 +183,11 @@ def so8():
 @pytest.fixture(scope="session")
 def su3():
     return build_su3()
+
+
+@pytest.fixture(scope="session")
+def half_one():
+    return build_half_one()
 
 
 @pytest.fixture(scope="session")

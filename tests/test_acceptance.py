@@ -30,13 +30,19 @@ from gcsynth import (
     synthesize,
     verify,
 )
-from gcsynth.algebra import assemble_algebra, expi_hermitian, orthonormalize_basis
+from gcsynth.algebra import assemble_algebra, orthonormalize_basis
 from gcsynth.diagonalize import plan_step, run as diag_run, select_pivot
 from gcsynth.lqc import hw_moments
 from gcsynth.moments import assemble_operator
 from gcsynth.states import apply_group_op
 
-from conftest import commutator, group_op_unitary, root_su2
+from conftest import (
+    adjoint_coefficients,
+    commutator,
+    expi_hermitian,
+    group_op_unitary,
+    root_su2,
+)
 
 
 def _report(num, name, ok, detail):
@@ -148,8 +154,7 @@ def test_criterion_5_oracle_equivalences(catalog_algebras):
             ua = expi_hermitian(alpha * algebra.adjoint.raising_images[l]
                                 + np.conj(alpha) * algebra.adjoint.lowering_images[l])
             xa = np.einsum("m,mij->ij", coeffs, adj)
-            c_adj = np.einsum("ij,mji->m", ua.conj().T @ xa @ ua, adj).real \
-                / algebra.adjoint.norm_adj
+            c_adj = adjoint_coefficients(ua.conj().T @ xa @ ua, algebra)
             worst["conjugation"] = max(worst["conjugation"],
                                        float(np.abs(c_def - c_adj).max()))
 

@@ -15,7 +15,6 @@ from gcsynth import (
     orthonormalize_basis,
     validate_algebra,
 )
-from gcsynth.algebra import expi_hermitian
 from gcsynth.errors import (
     BasisNotClosed,
     CsaNotAbelian,
@@ -36,8 +35,11 @@ from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    adjoint_coefficients,
+    adjoint_gram,
     build_su3,
     commutator,
+    expi_hermitian,
     gell_mann,
     group_op_unitary,
     root_su2,
@@ -117,10 +119,12 @@ def test_not_closed_rejected():
         orthonormalize_basis([SIGMA_Z, SIGMA_X])
 
 
-def test_so4_adjoint_homomorphism(so4, catalog_algebras, su3):
-    # Per-pair oracle for the batched check in validate_algebra: so(4) first,
-    # then the rest of the catalog and su(3).
-    for algebra in [so4] + catalog_algebras + [su3]:
+def test_so4_adjoint_homomorphism(so4, catalog_algebras, su3, half_one):
+    # The adjoint images obey the stored bracket, pair by pair: so(4) first,
+    # then the rest of the catalog, su(3) and su(2) + su(2) on spin 1/2 x 1.
+    # Assembly does not check this (closure implies it); a sign error in
+    # `_adjoint_from_constants` fails here.
+    for algebra in [so4] + catalog_algebras + [su3, half_one]:
         f = np.asarray(algebra.basis.structure_constants)
         adj = np.asarray(algebra.adjoint.matrices)
         for m in range(algebra.dim):
@@ -132,12 +136,23 @@ def test_so4_adjoint_homomorphism(so4, catalog_algebras, su3):
 
 
 def test_adjoint_orthogonality(catalog_algebras):
+    # Simple algebras: the adjoint Gram is a multiple of delta.
     for algebra in catalog_algebras:
-        adj = np.asarray(algebra.adjoint.matrices)
-        gram = np.einsum("mij,nji->mn", adj, adj).real
-        n_adj = algebra.adjoint.norm_adj
+        gram = adjoint_gram(algebra)
+        n_adj = np.trace(gram) / algebra.dim
         assert n_adj > 0
         assert np.abs(gram - n_adj * np.eye(algebra.dim)).max() <= 1e-9 * n_adj
+
+
+def test_adjoint_gram_is_minus_killing_form(catalog_algebras, su3, half_one):
+    # Tr(adj_m adj_m') = -K[m, m'] on every algebra; on su(2) + su(2) in
+    # spin 1/2 x spin 1 it is one multiple of delta per ideal, not one overall.
+    for algebra in catalog_algebras + [su3, half_one]:
+        kill = np.asarray(algebra.basis.killing_form)
+        assert np.abs(adjoint_gram(algebra) + kill).max() <= 1e-12 * np.abs(kill).max()
+    ideals = np.diag(adjoint_gram(half_one)).reshape(2, 3)
+    assert np.allclose(ideals, ideals[:, :1], rtol=1e-12)
+    assert ideals[0, 0] / ideals[1, 0] == pytest.approx(4.0 / 1.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +276,7 @@ def test_wrong_root_data_fails_su2_relations(su3, field):
     else:
         wrong[0] += 1e-6 * np.array([-wrong[0, 1], wrong[0, 0]])
     broken = dataclasses.replace(cw, **{field: wrong})
-    report = validate_algebra(su3.basis, broken, su3.adjoint)
+    report = validate_algebra(su3.basis, broken)
     assert {e.name for e in report.failures()} == {"su(2) triple relations"}
 
 
@@ -270,7 +285,7 @@ def test_wrong_root_data_fails_su2_relations(su3, field):
 # ---------------------------------------------------------------------------
 
 def test_valid_su2_report_clean(su2_half):
-    report = validate_algebra(su2_half.basis, su2_half.cartan_weyl, su2_half.adjoint)
+    report = validate_algebra(su2_half.basis, su2_half.cartan_weyl)
     assert report.ok, str(report)
 
 
@@ -295,15 +310,30 @@ def test_abelian_pair_fails_killing():
     assert any("Killing" in e.name and not e.passed for e in report.entries)
 
 
-def test_validation_reports_all_catalog(catalog_algebras):
-    for algebra in catalog_algebras:
-        report = validate_algebra(algebra.basis, algebra.cartan_weyl, algebra.adjoint)
+def test_validation_reports_all_catalog(catalog_algebras, half_one):
+    for algebra in catalog_algebras + [half_one]:
+        report = validate_algebra(algebra.basis, algebra.cartan_weyl)
         assert report.ok, f"{algebra.name}:\n{report}"
+
+
+def test_validation_makes_no_eigendecomposition(so6, monkeypatch):
+    # The suite reads f and the basis only: no dense exponential, no
+    # adjoint Gram, no homomorphism pass.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args))
+    report = validate_algebra(so6.basis, so6.cartan_weyl)
+    assert report.ok and calls == []
+    assert [e.name for e in report.entries] == [
+        "basis hermiticity", "trace orthogonality Tr(O_m O_m') = N delta",
+        "structure constants antisymmetric", "brackets close over the basis",
+        "Killing form nondegenerate", "CSA generators commute", "L = (M - R)/2",
+        "Cartan-Weyl reconstruction identity", "su(2) triple relations"]
 
 
 def test_validate_never_raises_on_unclosed_basis(su2_half):
     # A basis whose brackets leave its span must come back as a failed
-    # report, not an exception, even when the adjoint has to be rebuilt.
+    # report, not an exception, even with a Cartan-Weyl split supplied.
     mats = np.array([SIGMA_Z, SIGMA_X])  # [s_z, s_x] ~ s_y, outside the span
     broken = AlgebraBasis(dim_M=2, rep_dim=2, basis=mats, normalization_N=2.0,
                           structure_constants=np.zeros((2, 2, 2)))
@@ -326,7 +356,7 @@ def test_nan_structure_constant_fails_report(su2_half):
 
 def test_perturbed_structure_constant_fails_assembly(su3):
     # A hand-built su(3) basis whose f is off by 1e-6 in one entry: closure
-    # and the adjoint homomorphism must both fail, and assembly must refuse it.
+    # must fail, and assembly must refuse it.
     f = np.array(su3.basis.structure_constants)
     f[2, 5, 0] += 1e-6
     broken = AlgebraBasis(dim_M=8, rep_dim=3, basis=su3.basis.basis,
@@ -335,14 +365,14 @@ def test_perturbed_structure_constant_fails_assembly(su3):
     with pytest.raises(ValidationFailed) as info:
         assemble_algebra(broken, cw.csa_indices, cw.pair_map)
     failed = {e.name for e in info.value.report.failures()}
-    assert {"brackets close over the basis", "adjoint bracket homomorphism"} <= failed
+    assert "brackets close over the basis" in failed
 
 
 def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
-    # Closure (defining rep) and the adjoint homomorphism: one call each,
-    # shared by construction and validate_algebra, on the path the basis
-    # selects: the row-sparse kernel for monomial su(3), dense BLAS for
-    # spin-1 su(2), whose Jx has two nonzeros in its middle row.
+    # Closure on the defining rep: one call, shared by construction and
+    # validate_algebra, on the path the basis selects: the row-sparse kernel
+    # for monomial su(3), dense BLAS for spin-1 su(2), whose Jx has two
+    # nonzeros in its middle row.
     dense, sparse = [], []
     dense_residual = algebra_module._bracket_residual
     sparse_residual = algebra_module._RowSparse.residual
@@ -358,10 +388,10 @@ def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
     monkeypatch.setattr(algebra_module, "_bracket_residual", counting_dense)
     monkeypatch.setattr(algebra_module._RowSparse, "residual", counting_sparse)
     build_su3()
-    assert (sparse, dense) == ([np.dtype(complex), np.dtype(float)], [])
+    assert (sparse, dense) == ([np.dtype(complex)], [])
     sparse.clear()
     make_su2(2)
-    assert (sparse, dense) == ([], [np.dtype(complex), np.dtype(float)])
+    assert (sparse, dense) == ([], [np.dtype(complex)])
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +548,10 @@ def test_orthogonality_all_pairs(catalog_algebras):
         assert np.abs(gram - target).max() < 1e-10 * algebra.norm
 
 
-def test_conjugation_matrix_matches_defining_rep(catalog_algebras, su3):
+def test_conjugation_matrix_matches_defining_rep(catalog_algebras, su3, half_one):
     # Oracle: d[m, n] = Tr(U^dag O_m U O_n)/N with U the dense group unitary.
     rng = np.random.default_rng(11)
-    for algebra in catalog_algebras + [su3]:
+    for algebra in catalog_algebras + [su3, half_one]:
         mats = np.asarray(algebra.basis.basis)
         for l in range(algebra.cartan_weyl.num_roots_L):
             alpha = complex(rng.normal(), rng.normal())
@@ -578,10 +608,11 @@ def test_out_of_range_root_index_is_typed(su2_half):
         apply_group_op(state, GroupOp(-1, 0.3), su2_half)
 
 
-def test_conjugation_consistency_oracle(catalog_algebras):
-    # Coefficients of exp-conjugation agree between defining and adjoint reps.
+def test_conjugation_consistency_oracle(catalog_algebras, half_one):
+    # Coefficients of exp-conjugation agree between defining and adjoint reps:
+    # exp(ad X) = Ad(exp X), which assembly does not check.
     rng = np.random.default_rng(7)
-    for algebra in catalog_algebras:
+    for algebra in catalog_algebras + [half_one]:
         mats = np.asarray(algebra.basis.basis)
         adj = np.asarray(algebra.adjoint.matrices)
         cw = algebra.cartan_weyl
@@ -596,6 +627,5 @@ def test_conjugation_consistency_oracle(catalog_algebras):
             ua = expi_hermitian(alpha * algebra.adjoint.raising_images[l]
                                 + np.conj(alpha) * algebra.adjoint.lowering_images[l])
             xa = np.einsum("m,mij->ij", coeffs, adj)
-            c_adj = np.einsum("ij,mji->m", ua.conj().T @ xa @ ua, adj).real \
-                / algebra.adjoint.norm_adj
+            c_adj = adjoint_coefficients(ua.conj().T @ xa @ ua, algebra)
             assert np.abs(c_def - c_adj).max() < 1e-9

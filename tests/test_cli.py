@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gcsynth
 from gcsynth.cli import main
-from gcsynth.serialize import load_circuit, save_circuit, save_lqc, save_moments
+from gcsynth.serialize import _matrix_to_json, load_circuit, save_circuit, save_lqc, save_moments
 from gcsynth import GroupOp, MomentVector, hidden_gcs
+
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 @pytest.fixture()
@@ -201,13 +207,29 @@ def test_bad_gate_files_exit_1(tmp_path, capsys, command, content, error):
     assert not out_path.exists()
 
 
+_INF_BASIS = [_matrix_to_json(m) for m in (SIGMA_Z, SIGMA_X, SIGMA_Y)]
+_INF_BASIS[1][0][1][0] = float("inf")
+# Loader cases: booleans are not indices or numbers, and the normalization,
+# the basis entries and the name must be finite numbers and a string.
+_PARSE_CASES = {
+    "csa-bool": {"csa": [False]},
+    "pair-bool": {"root_pairs": [[True, 2]]},
+    "normalization-bool": {"normalization": True},
+    "name-list": {"name": [1]},
+    "normalization-inf": {"normalization": float("inf")},
+    "basis-inf": {"basis": _INF_BASIS},
+}
+
+
 @pytest.mark.parametrize("change, error", [
     ({"csa": [7]}, "InvalidAlgebraSpec"),
     ({"csa": [-3]}, "InvalidAlgebraSpec"),
     ({"root_pairs": [[1, 1]]}, "InvalidAlgebraSpec"),
-    ({"normalization": float("nan")}, "InvalidAlgebraSpec"),
+    ({"normalization": float("nan")}, "ParseError"),
     ({"basis": 5}, "ParseError"),
-], ids=["csa-7", "csa-negative", "pair-repeat", "normalization-nan", "basis-not-list"])
+] + [(change, "ParseError") for change in _PARSE_CASES.values()],
+    ids=["csa-7", "csa-negative", "pair-repeat", "normalization-nan", "basis-not-list"]
+    + list(_PARSE_CASES))
 def test_bad_algebra_files_exit_1(tmp_path, su2_file, su2_half, capsys, change, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(json.loads(su2_file.read_text()), **change)))
@@ -219,6 +241,26 @@ def test_bad_algebra_files_exit_1(tmp_path, su2_file, su2_half, capsys, change, 
     assert code == 1
     assert _one_json_error_line(capsys)["error"] == error
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("change", list(_PARSE_CASES.values()), ids=list(_PARSE_CASES))
+def test_bad_algebra_file_under_warnings_as_errors(tmp_path, su2_file, change):
+    # A fresh interpreter with -W error: a numpy warning on the way to the
+    # error line would become a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(su2_file.read_text()), **change)))
+    paths = [os.path.dirname(os.path.dirname(gcsynth.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = "import sys; from gcsynth.cli import main; sys.exit(main())"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, "tomo-sim", "--algebra", str(bad),
+         "--seed", "1", "--hidden-ops", "2", "--epsilon", "0.1", "--quiet",
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode in (1, 2)
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):

@@ -18,7 +18,7 @@ from gcsynth import (
 from gcsynth.errors import GcsynthError, InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
 from gcsynth.lqc import hw_moments
 
-from conftest import group_op_unitary
+from conftest import expi_hermitian, group_op_unitary
 
 
 def _random_group_ops(algebra, rng, count, scale=0.7):
@@ -67,7 +67,6 @@ def test_csa_phase_unitary_accepted(so6):
     # in the span; it must be accepted with an orthogonal action.
     csa = so6.csa_ops
     gen = 0.3 * csa[0] + 0.9 * csa[1] - 0.4 * csa[2]
-    from gcsynth.algebra import expi_hermitian
     action = adjoint_action_of(expi_hermitian(gen), so6)
     assert np.abs(action.matrix @ action.matrix.T - np.eye(so6.dim)).max() < 1e-9
 

@@ -199,6 +199,36 @@ def test_sampled_so6_and_su3(so6, su3):
             assert check.distance <= 0.1
 
 
+def test_semisimple_half_one_assembles(half_one):
+    # su(2) + su(2) on spin 1/2 x spin 1: the two ideals' Killing-to-trace
+    # ratios differ, which an adjoint-orthogonality check at assembly refused.
+    cw = half_one.cartan_weyl
+    assert (half_one.dim, half_one.rep_dim, cw.rank_R, cw.num_roots_L) == (6, 6, 2, 2)
+    # Scaled to Tr(O^2) = 6, H_0 = 2 Sz x I and H_1 = sqrt(1.5) I x Sz, so
+    # |1/2, 1> has weights (2 * 1/2, sqrt(1.5) * 1).
+    assert np.allclose(half_one.highest_weight[1], [1.0, np.sqrt(1.5)])
+
+
+def test_semisimple_half_one_exact_roundtrip(half_one):
+    # Acceptance 1's bar: distance <= 1e-5 at epsilon = 1e-6, here on 8-op states.
+    budget = make_budget(1e-6, 0.05, half_one)
+    for seed in range(30):
+        handle = hidden_gcs(half_one, seed=seed, num_ops=8)
+        report = synthesize(handle.exact_moments(), half_one, budget)
+        assert verify(report, handle.reference_state(), half_one).distance <= 1e-5
+
+
+def test_semisimple_half_one_sampled_confidence(half_one):
+    # Acceptance 3's bar: at least 184 of 200 sampled trials within epsilon.
+    budget = make_budget(0.1, 0.05, half_one)
+    hits = 0
+    for seed in range(200):
+        handle = hidden_gcs(half_one, seed=seed, num_ops=3)
+        report = synthesize(handle, half_one, budget, seed=50_000 + seed)
+        hits += verify(report, handle.reference_state(), half_one).distance <= 0.1
+    assert hits >= 184
+
+
 def test_exact_synthesis_with_varied_depth(catalog_algebras):
     # Preparation depths 0..10, including the trivial hidden state.
     for algebra in catalog_algebras:

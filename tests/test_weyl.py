@@ -12,13 +12,13 @@ from gcsynth import (
     top_weight_state,
 )
 from gcsynth import weyl
-from gcsynth.algebra import CartanWeylData, expi_hermitian, vector_weights
+from gcsynth.algebra import CartanWeylData, vector_weights
 from gcsynth.errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
 from gcsynth.moments import CwDecomposition
 from gcsynth.states import phase_min_distance, state_fidelity
 from gcsynth.weyl import WeightStateInfo
 
-from conftest import reflect_by_states, root_su2
+from conftest import expi_hermitian, reflect_by_states, root_su2
 
 
 def _csa_decomp(gamma, num_roots):
