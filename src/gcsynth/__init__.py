@@ -44,12 +44,11 @@ from .lqc import (
     propagate,
 )
 from .moments import (
-    CwDecomposition,
     MomentVector,
     build_target,
     offdiag_distance,
-    project_csa,
     purity,
+    root_coefficients,
 )
 from .pipeline import (
     SynthesisReport,

@@ -303,22 +303,19 @@ class CartanWeylData:
 
 @dataclass(frozen=True, eq=False)
 class AdjointRep:
-    """Hermitian form of the adjoint representation.
+    """Images of the root operators E+-_l in the adjoint representation.
 
-    matrices[m] is the M x M Hermitian image of O_m, the plain commutator
-    [O_m, .] on basis coefficients; it preserves the stored-bracket structure
-    constants exactly.  Tr(matrices[m] matrices[m']) is minus the Killing
-    form: a multiple of delta on a simple algebra, but on a sum of simple
-    ideals one multiple per ideal (su(2) + su(2) on spin 1/2 x spin 1).
-    raising_images[l] and lowering_images[l] are the images of E+-_l.
+    The image of O_m is the M x M Hermitian matrix -i bar(O_m), the plain
+    commutator [O_m, .] on basis coefficients, with bar(O_m)[k, m'] =
+    f[m, m', k]; only the root images are kept.  raising_images[l] and
+    lowering_images[l] are the images of E+_l and E-_l.
     """
 
-    matrices: np.ndarray
     raising_images: np.ndarray
     lowering_images: np.ndarray
 
     def __post_init__(self):
-        for name in ("matrices", "raising_images", "lowering_images"):
+        for name in ("raising_images", "lowering_images"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @cached_property
@@ -344,7 +341,7 @@ class AdjointRep:
         applied to the identity.  A coefficient vector c maps to d.T @ c, the
         rotation by -alpha (the generator's image is antisymmetric).
         """
-        return self.rotate(root_index, alpha, np.eye(len(self.matrices)))
+        return self.rotate(root_index, alpha, np.eye(self.raising_images.shape[1]))
 
 
 def orthonormalize_basis(raw_basis, target_N=None):
@@ -373,6 +370,8 @@ def orthonormalize_basis(raw_basis, target_N=None):
         raise InvalidAlgebraSpec(f"basis entries are not numeric matrices ({exc})") from exc
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise InvalidAlgebraSpec("basis must be a sequence of square matrices of equal size")
+    if not np.isfinite(mats).all():
+        raise InvalidAlgebraSpec("basis entries must be finite")
     dim_m, rep_dim = mats.shape[0], mats.shape[1]
 
     herm = np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))).max(axis=(1, 2))
@@ -400,8 +399,8 @@ def orthonormalize_basis(raw_basis, target_N=None):
 
     if target_N is not None:
         norm = float(target_N)
-        if not norm > 0:
-            raise InvalidAlgebraSpec(f"target_N must be positive, got {target_N}")
+        if not 0 < norm < np.inf:
+            raise InvalidAlgebraSpec(f"target_N must be finite and positive, got {target_N}")
     elif np.allclose(diag, diag[0], rtol=ORTHOGONALITY_TOL, atol=0.0):
         norm = float(diag.mean())
     else:
@@ -584,18 +583,16 @@ class _RowSparse:
 
 
 def _adjoint_from_constants(f, cw):
-    """Hermitian adjoint representation with the images of E+-_l attached.
+    """Adjoint images of E+-_l, from the images -i bar(O_m) of each pair (u, v).
 
-    matrices[m] = -i bar(O_m), where bar(O_m)[k, m'] = f[m, m', k] is the real
-    matrix of ad(O_m); it obeys the stored-bracket relations because f obeys
-    the Jacobi identity once closure holds.
+    bar(O_m)[k, m'] = f[m, m', k] is the real matrix of ad(O_m); the images
+    obey the stored-bracket relations because f obeys the Jacobi identity
+    once closure holds.
     """
-    adj = np.transpose(f, (0, 2, 1)).astype(complex)
-    adj *= -1j
-    u, v = cw.pair_indices
-    raising = (adj[u] + 1j * adj[v]) / 2.0
+    adj_u, adj_v = (np.transpose(f[idx], (0, 2, 1)) * -1j for idx in cw.pair_indices)
+    raising = (adj_u + 1j * adj_v) / 2.0
     lowering = np.conj(np.transpose(raising, (0, 2, 1)))
-    return AdjointRep(matrices=adj, raising_images=raising, lowering_images=lowering)
+    return AdjointRep(raising_images=raising, lowering_images=lowering)
 
 
 def _root_residuals(f, csa, u, v):

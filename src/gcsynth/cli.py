@@ -175,14 +175,12 @@ def _cmd_verify(args):
     ops, _, _, label = serialize.load_circuit(args.circuit)
     _check_label(algebra.label(), label, args.circuit)
     handle = hidden_gcs(algebra, args.seed, args.hidden_ops)
-    fidelity, distance = handle.verify_circuit(ops)
-    result = {"fidelity": fidelity, "distance": distance,
+    check = pipeline.verify(ops, handle.reference_state(), algebra)
+    result = {"fidelity": check.fidelity, "distance": check.distance,
               "algebra": algebra.label(), "seed": args.seed}
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        serialize._dump(result, args.out)
     return 0
 
 

@@ -95,7 +95,7 @@ class NonFiniteMoments(GcsynthError):
 
 
 class AlreadyDiagonal(GcsynthError):
-    """Pivot selection requested on a decomposition with no off-diagonal part."""
+    """Pivot selection requested on a coefficient vector with no off-diagonal part."""
 
 
 class ZeroPivot(GcsynthError):

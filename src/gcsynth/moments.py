@@ -1,18 +1,18 @@
-"""Moment vectors and the Cartan-Weyl coefficient form of the target Hamiltonian.
+"""Moment vectors, which are also the coefficient vectors of the target Hamiltonian.
 
-The target Hamiltonian assembled from moments is F = sum_m <O_m> O_m; its
-Cartan-Weyl coefficients are gamma_r on the CSA and iota_l on the roots,
-with iota_l = <O_u> - i <O_v> for the root's partner pair (u, v), so that
-F = sum_r gamma_r H_r + sum_l (iota_l E+_l + iota_l* E-_l).
+The target Hamiltonian assembled from moments is F = sum_m <O_m> O_m, so over
+the orthogonal basis its coefficient vector c is the moment vector itself,
+and each group conjugation of F rotates c in the adjoint representation.
+The Cartan-Weyl form is read off c through `algebra.cartan_weyl`: gamma_r is
+c on the CSA indices and iota_l = c[u] - i c[v] on root l's partner pair
+(u, v), so that F = sum_r gamma_r H_r + sum_l (iota_l E+_l + iota_l* E-_l).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, LengthMismatch, NonFiniteMoments
-
-RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,30 +54,8 @@ def purity(moments):
     return moments.purity
 
 
-@dataclass(frozen=True)
-class CwDecomposition:
-    """Cartan-Weyl coefficients (gamma_r, iota_l) of a Hamiltonian in the algebra."""
-
-    gamma: np.ndarray
-    iota: np.ndarray
-    step_index: int = 0
-
-    def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        i = np.array(self.iota, dtype=complex)
-        g.setflags(write=False)
-        i.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "iota", i)
-
-    @property
-    def coefficient_norm_sq(self):
-        """Tr(F^2)/N in coefficient form; conserved under group conjugation."""
-        return float(np.dot(self.gamma, self.gamma) + np.abs(self.iota).dot(np.abs(self.iota)))
-
-
 def build_target(moments, algebra):
-    """Cartan-Weyl coefficients of F = sum_m <O_m> O_m.
+    """Coefficient vector c of F = sum_m <O_m> O_m over the orthogonal basis.
 
     Sampled estimates are clipped into [-||O_m||, ||O_m||] here (and only
     here); the raw moment vector stays auditable.
@@ -91,48 +69,16 @@ def build_target(moments, algebra):
     if moments.source == "sampled":
         bounds = algebra.observable_norms
         values = np.clip(values, -bounds, bounds)
-    return decomposition_from_coefficients(values, algebra)
+    return values
 
 
-def offdiag_distance(decomp):
+def root_coefficients(coeffs, algebra):
+    """iota_l = c[u] - i c[v] for each root l with partner pair (u, v)."""
+    u, v = algebra.cartan_weyl.pair_indices
+    return coeffs[u] - 1j * coeffs[v]
+
+
+def offdiag_distance(coeffs, algebra):
     """Squared distance to the CSA: d = sum_l |iota_l|^2."""
-    return float(np.abs(decomp.iota).dot(np.abs(decomp.iota)))
-
-
-def project_csa(decomp):
-    """Diagonal part: keep gamma, zero every root coefficient."""
-    return replace(decomp, iota=np.zeros_like(decomp.iota))
-
-
-def assemble_operator(decomp, algebra):
-    """Dense defining-representation matrix of a CwDecomposition."""
-    out = np.einsum("r,rij->ij", decomp.gamma, algebra.csa_ops).astype(complex)
-    part = np.einsum("l,lij->ij", decomp.iota, np.asarray(algebra.cartan_weyl.raising_ops))
-    return out + part + part.conj().T
-
-
-def decomposition_coefficients(decomp, algebra):
-    """Length-M coefficient vector of a CwDecomposition over the orthogonal basis."""
-    cw = algebra.cartan_weyl
-    u, v = cw.pair_indices
-    out = np.zeros(algebra.dim)
-    out[list(cw.csa_indices)] = decomp.gamma
-    out[u] = decomp.iota.real
-    out[v] = -decomp.iota.imag
-    return out
-
-
-def decomposition_from_coefficients(coeffs, algebra, step_index=0):
-    """CwDecomposition of sum_m coeffs[m] O_m; inverse of `decomposition_coefficients`."""
-    cw = algebra.cartan_weyl
-    u, v = cw.pair_indices
-    return CwDecomposition(gamma=coeffs[list(cw.csa_indices)],
-                           iota=coeffs[u] - 1j * coeffs[v], step_index=step_index)
-
-
-def decomposition_from_operator(matrix, algebra):
-    """Project a defining-representation matrix onto Cartan-Weyl coefficients."""
-    mats = np.asarray(algebra.basis.basis)
-    coeffs = np.einsum("ij,mji->m", np.asarray(matrix, dtype=complex), mats) \
-        / algebra.norm
-    return decomposition_from_coefficients(coeffs.real, algebra)
+    iota = np.abs(root_coefficients(coeffs, algebra))
+    return float(iota.dot(iota))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diagonalize, weyl
 from .errors import GapBudgetInfeasible, InvalidParameter
-from .moments import MomentVector, build_target, project_csa
+from .moments import MomentVector, build_target
 from .states import (
     HiddenGcs,
     apply_circuit,
@@ -169,9 +169,9 @@ def synthesize(source, algebra, budget, seed=None, max_steps=None):
     else:
         raise InvalidParameter("source must be a MomentVector or a HiddenGcs handle")
 
-    decomp = build_target(moments, algebra)
-    result = diagonalize.run(decomp, algebra, budget.eps_D, max_steps=max_steps)
-    info = weyl.top_weight_state(project_csa(result.final_decomp), algebra)
+    coeffs = build_target(moments, algebra)
+    result = diagonalize.run(coeffs, algebra, budget.eps_D, max_steps=max_steps)
+    info = weyl.top_weight_state(result.final_coeffs, algebra)
     weyl_ops = weyl.reflect_to_highest_weight(info, algebra)
 
     # |psi> ~ V_1 ... V_K' |w0>; application order is reflections first,

@@ -34,8 +34,7 @@ def _matrix_from_json(data, context="matrix"):
 
 def _dump(obj, path):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load(path):

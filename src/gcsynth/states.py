@@ -155,7 +155,7 @@ class HiddenGcs:
     Draws `num_ops` random group operations (alpha from a standard complex
     Gaussian), applies them to the highest-weight state, and hides the
     result.  The synthesis pipeline may only request measurement samples;
-    the exact-moment and verification oracles exist for test harnesses.
+    the exact-moment and reference-state oracles exist for test harnesses.
     """
 
     def __init__(self, algebra, seed, num_ops):
@@ -192,11 +192,6 @@ class HiddenGcs:
     def preparation_ops(self):
         """The random ops that built the hidden state.  Test harness only."""
         return self._ops
-
-    def verify_circuit(self, ops):
-        """Fidelity and phase-minimized distance of `ops` applied to |hw>."""
-        cand = apply_circuit(self.algebra.highest_weight[0], ops, self.algebra)
-        return state_fidelity(self._state, cand), phase_min_distance(self._state, cand)
 
 
 def hidden_gcs(algebra, seed, num_ops):

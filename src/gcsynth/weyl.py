@@ -1,6 +1,7 @@
 """Weyl-reflection mapping from a weight state to the highest-weight state.
 
-A reflection in root l is the group operation exp{i(alpha E+_l + alpha* E-_l)}
+The weight state is `top_weight_state` of the diagonalized coefficient
+vector c, read from its CSA entries alone.  A reflection in root l is the group operation exp{i(alpha E+_l + alpha* E-_l)}
 with |alpha| = pi / sqrt(2 eta_l) (cached as `Algebra.reflection_alphas`): a pi
 rotation in the root's su(2), mapping Sz_l -> -Sz_l and so a weight state of
 weight w to one of weight s_l(w) = w - 4 m_l mu_l, m_l = mu_l . w / eta_l (the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import vector_weights
-from .errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
+from .errors import DegenerateTop, NoProgress, NotAWeightState
 from .states import GroupOp, state_fidelity
 
 DEGENERACY_REL_TOL = 1e-8
@@ -43,24 +44,21 @@ class WeightStateInfo:
         object.__setattr__(self, "weights", w)
 
 
-def top_weight_state(csa_decomp, algebra):
-    """Eigenvector of largest eigenvalue of the CSA element sum_r gamma_r H_r.
+def top_weight_state(coeffs, algebra):
+    """Eigenvector of largest eigenvalue of the CSA part sum_r gamma_r H_r of c.
 
-    The element is diagonal in `Algebra.weight_basis`, with eigenvalues
+    gamma is c on the CSA indices; the root entries of c are not read.  The
+    element is diagonal in `Algebra.weight_basis`, with eigenvalues
     weights @ gamma: no eigendecomposition per call.
 
     Raises
     ------
-    InvalidParameter
-        The decomposition has a nonzero root coefficient (iota != 0).
     DegenerateTop
         When the gap to the second eigenvalue is below 1e-8 of the operator
         norm; the synthesis problem is ill-posed for such inputs.
     """
-    if np.abs(csa_decomp.iota).max(initial=0.0) > 1e-10 * (1.0 + np.abs(csa_decomp.gamma).max(initial=0.0)):
-        raise InvalidParameter("top_weight_state expects a CSA-projected decomposition (iota = 0)")
     vectors, weight_table = algebra.weight_basis
-    evals = weight_table @ csa_decomp.gamma
+    evals = weight_table @ coeffs[list(algebra.cartan_weyl.csa_indices)]
     order = np.argsort(evals)
     top, second = evals[order[-1]], evals[order[-2]]
     norm = max(abs(evals[order[0]]), abs(top), 1e-300)

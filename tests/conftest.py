@@ -32,9 +32,17 @@ def expi_hermitian(h):
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def adjoint_matrices(algebra):
+    """Adjoint images -i bar(O_m) of every basis element, bar(O_m)[k, m'] = f[m, m', k]."""
+    return np.transpose(np.asarray(algebra.basis.structure_constants), (0, 2, 1)) * -1j
+
+
 def adjoint_gram(algebra):
-    """G[m, m'] = Tr(adj_m adj_m') of the adjoint images, summed entrywise."""
-    adj = np.asarray(algebra.adjoint.matrices)
+    """G[m, m'] = Tr(adj_m adj_m') of the adjoint images, summed entrywise.
+
+    It is minus the Killing form: a multiple of delta on a simple algebra, one
+    multiple per ideal on a sum of simple ideals."""
+    adj = adjoint_matrices(algebra)
     return np.einsum("mij,nji->mn", adj, adj).real
 
 
@@ -42,8 +50,45 @@ def adjoint_coefficients(x, algebra):
     """Coefficients c with x = sum_m c_m adj_m, for x in the span of the adjoint
     images: solved against their Gram, which is a multiple of delta only on a
     simple algebra (on su(2) + su(2) it has one multiple per ideal)."""
-    adj = np.asarray(algebra.adjoint.matrices)
+    adj = adjoint_matrices(algebra)
     return np.linalg.solve(adjoint_gram(algebra), np.einsum("ij,mji->m", x, adj).real)
+
+
+def cw_coefficients(algebra, gamma, iota):
+    """Coefficient vector c with gamma on the CSA entries and c[u] - i c[v] = iota_l."""
+    cw = algebra.cartan_weyl
+    u, v = cw.pair_indices
+    iota = np.atleast_1d(np.asarray(iota, dtype=complex))
+    out = np.zeros(algebra.dim)
+    out[list(cw.csa_indices)] = gamma
+    out[u], out[v] = iota.real, -iota.imag
+    return out
+
+
+def csa_part(coeffs, algebra):
+    """c with every root entry zeroed: the CSA projection of its operator."""
+    csa = list(algebra.cartan_weyl.csa_indices)
+    out = np.zeros(algebra.dim)
+    out[csa] = coeffs[csa]
+    return out
+
+
+def assemble_operator(coeffs, algebra):
+    """Dense defining-representation matrix of c, built from its Cartan-Weyl
+    form sum_r gamma_r H_r + sum_l (iota_l E+_l + iota_l* E-_l)."""
+    cw = algebra.cartan_weyl
+    u, v = cw.pair_indices
+    gamma, iota = coeffs[list(cw.csa_indices)], coeffs[u] - 1j * coeffs[v]
+    out = np.einsum("r,rij->ij", gamma, algebra.csa_ops).astype(complex)
+    part = np.einsum("l,lij->ij", iota, np.asarray(cw.raising_ops))
+    return out + part + part.conj().T
+
+
+def decomposition_from_operator(matrix, algebra):
+    """Coefficient vector c_m = Tr(matrix O_m) / N of a defining-representation matrix."""
+    mats = np.asarray(algebra.basis.basis)
+    coeffs = np.einsum("ij,mji->m", np.asarray(matrix, dtype=complex), mats) / algebra.norm
+    return coeffs.real
 
 
 def build_half_one():

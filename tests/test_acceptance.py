@@ -33,11 +33,12 @@ from gcsynth import (
 from gcsynth.algebra import assemble_algebra, orthonormalize_basis
 from gcsynth.diagonalize import plan_step, run as diag_run, select_pivot
 from gcsynth.lqc import hw_moments
-from gcsynth.moments import assemble_operator
 from gcsynth.states import apply_group_op
 
 from conftest import (
     adjoint_coefficients,
+    adjoint_matrices,
+    assemble_operator,
     commutator,
     expi_hermitian,
     group_op_unitary,
@@ -136,7 +137,7 @@ def test_criterion_5_oracle_equivalences(catalog_algebras):
     worst = {"conjugation": 0.0, "diag": 0.0, "fhw": 0.0, "lqc": 0.0}
     for algebra in catalog_algebras:
         mats = np.asarray(algebra.basis.basis)
-        adj = np.asarray(algebra.adjoint.matrices)
+        adj = adjoint_matrices(algebra)
         cw = algebra.cartan_weyl
         csa_ops = algebra.csa_ops
         hw, w_hw = highest_weight_state(algebra)
@@ -162,14 +163,14 @@ def test_criterion_5_oracle_equivalences(catalog_algebras):
             moments = handle.exact_moments()
 
             # (b) diagonalizer output vs defining-rep conjugation, 1e-8.
-            decomp = build_target(moments, algebra)
-            result = diag_run(decomp, algebra, budget.eps_D)
-            f = assemble_operator(decomp, algebra)
+            coeffs = build_target(moments, algebra)
+            result = diag_run(coeffs, algebra, budget.eps_D)
+            f = assemble_operator(coeffs, algebra)
             for op in result.ops:
                 v = group_op_unitary(op, algebra)
                 f = v.conj().T @ f @ v
             worst["diag"] = max(worst["diag"], float(np.abs(
-                f - assemble_operator(result.final_decomp, algebra)).max()))
+                f - assemble_operator(result.final_coeffs, algebra)).max()))
 
             # (c) conjugation identity F_hw = U^dag F_psi U, 1e-9.
             unitary = np.eye(algebra.rep_dim, dtype=complex)
@@ -263,11 +264,11 @@ def test_criterion_7_complexity_smoke():
         samples = []
         for _ in range(60):
             values = rng.standard_normal(algebra.dim)
-            decomp = build_target(MomentVector(values), algebra)
-            pivot = select_pivot(decomp)
-            plan = plan_step(decomp, algebra.cartan_weyl.root_triples[pivot])
+            coeffs = build_target(MomentVector(values), algebra)
+            pivot = select_pivot(coeffs, algebra)
+            plan = plan_step(coeffs, pivot, algebra)
             t0 = time.perf_counter()
-            apply_step(decomp, plan, algebra)
+            apply_step(coeffs, plan, algebra)
             samples.append(time.perf_counter() - t0)
         sizes.append(algebra.dim)
         times.append(float(np.median(samples)))

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -37,6 +38,7 @@ from conftest import (
     SIGMA_Z,
     adjoint_coefficients,
     adjoint_gram,
+    adjoint_matrices,
     build_su3,
     commutator,
     expi_hermitian,
@@ -126,7 +128,7 @@ def test_so4_adjoint_homomorphism(so4, catalog_algebras, su3, half_one):
     # `_adjoint_from_constants` fails here.
     for algebra in [so4] + catalog_algebras + [su3, half_one]:
         f = np.asarray(algebra.basis.structure_constants)
-        adj = np.asarray(algebra.adjoint.matrices)
+        adj = adjoint_matrices(algebra)
         for m in range(algebra.dim):
             for n in range(algebra.dim):
                 lhs = np.einsum("k,kij->ij", f[m, n], adj)
@@ -404,7 +406,7 @@ def monomial_algebras(su2_half, su3):
 
 
 def _adjoint_real(algebra):
-    return -np.asarray(algebra.adjoint.matrices).imag
+    return -adjoint_matrices(algebra).imag
 
 
 def test_row_sparse_matches_dense_oracle(monomial_algebras):
@@ -536,6 +538,21 @@ def test_bad_basis_shapes_are_typed():
             orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y], target_N=target)
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_non_finite_basis_and_target_are_typed_without_warnings(entry):
+    # An infinite target_N used to warn in the rescaling and then fail as
+    # BasisNotClosed "residual nan"; a non-finite entry warned in the
+    # Hermiticity check before NonHermitianInput.
+    bad = SIGMA_X.copy()
+    bad[0, 1] = bad[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidAlgebraSpec, match="target_N"):
+            orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y], target_N=abs(entry))
+        with pytest.raises(InvalidAlgebraSpec, match="finite"):
+            orthonormalize_basis([SIGMA_Z, bad, SIGMA_Y])
+
+
 # ---------------------------------------------------------------------------
 # Module invariants
 # ---------------------------------------------------------------------------
@@ -614,7 +631,7 @@ def test_conjugation_consistency_oracle(catalog_algebras, half_one):
     rng = np.random.default_rng(7)
     for algebra in catalog_algebras + [half_one]:
         mats = np.asarray(algebra.basis.basis)
-        adj = np.asarray(algebra.adjoint.matrices)
+        adj = adjoint_matrices(algebra)
         cw = algebra.cartan_weyl
         for _ in range(5):
             coeffs = rng.standard_normal(algebra.dim)

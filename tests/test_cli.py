@@ -66,10 +66,14 @@ def test_verify_against_hidden(tmp_path, su2_file, su2_half, capsys):
     handle = hidden_gcs(su2_half, seed=9, num_ops=2)
     circuit_path = tmp_path / "c.json"
     save_circuit(list(handle.preparation_ops), ["jacobi"] * 2, [], "su2:1", circuit_path)
+    out_path = tmp_path / "verify.json"
     assert main(["verify", "--algebra", str(su2_file), "--circuit", str(circuit_path),
-                 "--against", "hidden", "--seed", "9", "--hidden-ops", "2"]) == 0
-    result = json.loads(capsys.readouterr().out)
+                 "--against", "hidden", "--seed", "9", "--hidden-ops", "2",
+                 "--out", str(out_path)]) == 0
+    stdout = capsys.readouterr().out
+    result = json.loads(stdout)
     assert result["fidelity"] > 1.0 - 1e-9
+    assert out_path.read_text() == stdout
 
 
 def test_verify_corrupt_circuit_exits_1(tmp_path, su2_file, capsys):

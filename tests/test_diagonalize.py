@@ -10,6 +10,7 @@ from gcsynth import (
     hidden_gcs,
     offdiag_distance,
     plan_step,
+    root_coefficients,
     select_pivot,
     step_bound,
 )
@@ -18,44 +19,46 @@ from gcsynth.errors import (
     AlreadyDiagonal,
     InvalidParameter,
     MaxStepsExceeded,
+    RootIndexOutOfRange,
     StepDidNotReducePivot,
     ZeroPivot,
 )
-from gcsynth.moments import CwDecomposition, assemble_operator, decomposition_from_operator
+from gcsynth.states import GroupOp
 
-from conftest import group_op_unitary
-
-
-def _decomp(gamma, iota):
-    return CwDecomposition(gamma=np.atleast_1d(gamma), iota=np.atleast_1d(iota))
+from conftest import (
+    assemble_operator,
+    cw_coefficients,
+    decomposition_from_operator,
+    group_op_unitary,
+)
 
 
 # ---------------------------------------------------------------------------
 # select_pivot
 # ---------------------------------------------------------------------------
 
-def test_pivot_largest_magnitude():
-    assert select_pivot(_decomp([0.0, 0.0], [0.1, 0.9j])) == 1
+def test_pivot_largest_magnitude(so4):
+    assert select_pivot(cw_coefficients(so4, [0.0, 0.0], [0.1, 0.9j]), so4) == 1
 
 
-def test_pivot_tie_breaks_to_smallest_index():
-    assert select_pivot(_decomp([0.0, 0.0], [0.5, 0.5])) == 0
+def test_pivot_tie_breaks_to_smallest_index(so4):
+    assert select_pivot(cw_coefficients(so4, [0.0, 0.0], [0.5, 0.5]), so4) == 0
 
 
-def test_pivot_on_diagonal_raises():
+def test_pivot_on_diagonal_raises(su2_half):
     with pytest.raises(AlreadyDiagonal):
-        select_pivot(_decomp([1.0], [0.0]))
+        select_pivot(cw_coefficients(su2_half, [1.0], [0.0]), su2_half)
 
 
 def test_pivot_strictly_reduced_after_step(su3):
     rng = np.random.default_rng(6)
     for _ in range(10):
-        decomp = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
-        pivot = select_pivot(decomp)
-        before = abs(decomp.iota[pivot])
-        plan = plan_step(decomp, su3.cartan_weyl.root_triples[pivot])
-        after, _ = apply_step(decomp, plan, su3)
-        assert abs(after.iota[pivot]) < before * 1e-9
+        coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
+        pivot = select_pivot(coeffs, su3)
+        before = abs(root_coefficients(coeffs, su3)[pivot])
+        plan = plan_step(coeffs, pivot, su3)
+        after, _ = apply_step(coeffs, plan, su3)
+        assert abs(root_coefficients(after, su3)[pivot]) < before * 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +67,7 @@ def test_pivot_strictly_reduced_after_step(su3):
 
 def test_plan_frozen_su2_sigma_x(su2_half):
     # gamma = 0, iota = 1 (F = s_x), eta = 2: the worked single-root case.
-    plan = plan_step(_decomp([0.0], [1.0]), su2_half.cartan_weyl.root_triples[0])
+    plan = plan_step(cw_coefficients(su2_half, [0.0], [1.0]), 0, su2_half)
     assert plan.xi_x == pytest.approx(2.0)
     assert plan.xi_y == pytest.approx(0.0)
     assert plan.xi_z == pytest.approx(0.0)
@@ -79,18 +82,18 @@ def test_plan_frozen_su2_sigma_x(su2_half):
 
 def test_plan_cross_check_2x2_conjugation(su2_half):
     # Oracle: conjugating s_x by exp{i(alpha s+ + alpha* s-)} lands on the CSA.
-    plan = plan_step(_decomp([0.0], [1.0]), su2_half.cartan_weyl.root_triples[0])
-    from gcsynth.states import GroupOp
+    coeffs = cw_coefficients(su2_half, [0.0], [1.0])
+    plan = plan_step(coeffs, 0, su2_half)
     u = group_op_unitary(GroupOp(0, plan.alpha), su2_half)
-    f_x = assemble_operator(_decomp([0.0], [1.0]), su2_half)
+    f_x = assemble_operator(coeffs, su2_half)
     conj = u.conj().T @ f_x @ u
     out = decomposition_from_operator(conj, su2_half)
-    assert abs(out.iota[0]) < 1e-12
-    assert abs(out.gamma[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(root_coefficients(out, su2_half)[0]) < 1e-12
+    assert abs(out[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_plan_imaginary_iota_gives_real_alpha(su2_half):
-    plan = plan_step(_decomp([0.0], [0.8j]), su2_half.cartan_weyl.root_triples[0])
+    plan = plan_step(cw_coefficients(su2_half, [0.0], [0.8j]), 0, su2_half)
     assert plan.xi_x == pytest.approx(0.0)
     assert plan.xi_y != 0.0
     assert plan.alpha.imag == pytest.approx(0.0, abs=1e-15)
@@ -99,23 +102,28 @@ def test_plan_imaginary_iota_gives_real_alpha(su2_half):
 def test_plan_negative_xi_z_upper_branch(su2_half):
     # gamma = -1, iota = 0.01: theta must land near pi, and one step still
     # annihilates the pivot.
-    decomp = _decomp([-1.0], [0.01])
-    plan = plan_step(decomp, su2_half.cartan_weyl.root_triples[0])
+    coeffs = cw_coefficients(su2_half, [-1.0], [0.01])
+    plan = plan_step(coeffs, 0, su2_half)
     assert plan.theta > np.pi / 2.0
     assert plan.theta == pytest.approx(np.pi, abs=0.05)
-    after, _ = apply_step(decomp, plan, su2_half)
-    assert abs(after.iota[0]) < 1e-12
+    after, _ = apply_step(coeffs, plan, su2_half)
+    assert abs(root_coefficients(after, su2_half)[0]) < 1e-12
     # The 2x2 oracle agrees.
-    from gcsynth.states import GroupOp
     u = group_op_unitary(GroupOp(0, plan.alpha), su2_half)
-    conj = u.conj().T @ assemble_operator(decomp, su2_half) @ u
+    conj = u.conj().T @ assemble_operator(coeffs, su2_half) @ u
     out = decomposition_from_operator(conj, su2_half)
-    assert abs(out.iota[0]) < 1e-12
+    assert abs(root_coefficients(out, su2_half)[0]) < 1e-12
 
 
 def test_plan_zero_pivot_raises(su2_half):
     with pytest.raises(ZeroPivot):
-        plan_step(_decomp([1.0], [0.0]), su2_half.cartan_weyl.root_triples[0])
+        plan_step(cw_coefficients(su2_half, [1.0], [0.0]), 0, su2_half)
+
+
+@pytest.mark.parametrize("pivot", [-1, 2])
+def test_plan_pivot_out_of_range_is_typed(so4, pivot):
+    with pytest.raises(RootIndexOutOfRange):
+        plan_step(cw_coefficients(so4, [0.0, 0.0], [0.5, 0.5]), pivot, so4)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +131,23 @@ def test_plan_zero_pivot_raises(su2_half):
 # ---------------------------------------------------------------------------
 
 def test_apply_step_su2_sigma_x(su2_half):
-    decomp = _decomp([0.0], [1.0])
-    plan = plan_step(decomp, su2_half.cartan_weyl.root_triples[0])
-    after, used = apply_step(decomp, plan, su2_half)
-    assert abs(after.iota[0]) < 1e-12
-    assert abs(abs(after.gamma[0]) - 1.0) < 1e-12
-    assert offdiag_distance(after) < 1e-24
+    coeffs = cw_coefficients(su2_half, [0.0], [1.0])
+    plan = plan_step(coeffs, 0, su2_half)
+    after, used = apply_step(coeffs, plan, su2_half)
+    assert abs(root_coefficients(after, su2_half)[0]) < 1e-12
+    assert abs(abs(after[0]) - 1.0) < 1e-12
+    assert offdiag_distance(after, su2_half) < 1e-24
     assert used.alpha == plan.alpha
 
 
 def test_apply_step_conserves_coefficient_norm(su3):
     rng = np.random.default_rng(21)
     for _ in range(10):
-        decomp = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
-        pivot = select_pivot(decomp)
-        plan = plan_step(decomp, su3.cartan_weyl.root_triples[pivot])
-        after, _ = apply_step(decomp, plan, su3)
-        assert after.coefficient_norm_sq == pytest.approx(
-            decomp.coefficient_norm_sq, abs=1e-10)
+        coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
+        pivot = select_pivot(coeffs, su3)
+        plan = plan_step(coeffs, pivot, su3)
+        after, _ = apply_step(coeffs, plan, su3)
+        assert np.dot(after, after) == pytest.approx(np.dot(coeffs, coeffs), abs=1e-10)
 
 
 def test_sign_flipped_plan_raises(su3):
@@ -148,24 +155,23 @@ def test_sign_flipped_plan_raises(su3):
     # 2 theta, so the pivot survives unless theta = pi/2; no retry rescues it.
     rng = np.random.default_rng(8)
     for _ in range(5):
-        decomp = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
-        pivot = select_pivot(decomp)
-        plan = plan_step(decomp, su3.cartan_weyl.root_triples[pivot])
+        coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
+        pivot = select_pivot(coeffs, su3)
+        plan = plan_step(coeffs, pivot, su3)
         assert abs(plan.theta - np.pi / 2.0) > 1e-3
         flipped = replace(plan, theta=-plan.theta, pi_x=-plan.pi_x, pi_y=-plan.pi_y,
                           alpha=-plan.alpha)
         with pytest.raises(StepDidNotReducePivot):
-            apply_step(decomp, flipped, su3)
+            apply_step(coeffs, flipped, su3)
 
 
 def test_apply_zero_alpha_plan_is_identity(su2_half):
-    decomp = _decomp([1.0], [0.5])
-    plan = plan_step(decomp, su2_half.cartan_weyl.root_triples[0])
+    coeffs = cw_coefficients(su2_half, [1.0], [0.5])
+    plan = plan_step(coeffs, 0, su2_half)
     zero_plan = type(plan)(pivot=0, xi_x=0.0, xi_y=0.0, xi_z=0.0, theta=0.0,
                            pi_x=0.0, pi_y=0.0, alpha=0.0)
-    after, _ = apply_step(decomp, zero_plan, su2_half)
-    assert np.allclose(after.gamma, decomp.gamma)
-    assert np.allclose(after.iota, decomp.iota)
+    after, _ = apply_step(coeffs, zero_plan, su2_half)
+    assert np.allclose(after, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +181,14 @@ def test_apply_zero_alpha_plan_is_identity(su2_half):
 def test_single_root_single_step(su2_half):
     rng = np.random.default_rng(2)
     for _ in range(10):
-        decomp = build_target(MomentVector(rng.standard_normal(3)), su2_half)
-        result = run(decomp, su2_half, eps_d=1e-12)
+        coeffs = build_target(MomentVector(rng.standard_normal(3)), su2_half)
+        result = run(coeffs, su2_half, eps_d=1e-12)
         assert result.steps_taken <= 1
         assert result.achieved_d <= 1e-12
 
 
 def test_already_diagonal_zero_ops(su2_half):
-    result = run(_decomp([1.0], [0.0]), su2_half, eps_d=1e-10)
+    result = run(cw_coefficients(su2_half, [1.0], [0.0]), su2_half, eps_d=1e-10)
     assert result.steps_taken == 0
     assert result.ops == ()
     assert result.trace == (0.0,)
@@ -198,10 +204,10 @@ def test_so6_within_bound_plus_slack(so6):
     num_roots = so6.cartan_weyl.num_roots_L
     for k in range(10):
         handle = hidden_gcs(so6, seed=500 + k, num_ops=4)
-        decomp = build_target(handle.exact_moments(), so6)
-        d0 = offdiag_distance(decomp)
+        coeffs = build_target(handle.exact_moments(), so6)
+        d0 = offdiag_distance(coeffs, so6)
         eps_d = 1e-8
-        result = run(decomp, so6, eps_d=eps_d)
+        result = run(coeffs, so6, eps_d=eps_d)
         assert result.steps_taken <= step_bound(d0, eps_d, num_roots) + num_roots
 
 
@@ -212,11 +218,10 @@ def test_so6_random_hamiltonians_meet_bound(so6):
     num_roots = so6.cartan_weyl.num_roots_L
     assert step_bound(1.0, 0.01, num_roots) == 30
     for _ in range(20):
-        decomp = build_target(MomentVector(rng.standard_normal(so6.dim)), so6)
-        scale = np.sqrt(offdiag_distance(decomp))
-        decomp = CwDecomposition(gamma=decomp.gamma / scale, iota=decomp.iota / scale)
-        assert offdiag_distance(decomp) == pytest.approx(1.0)
-        result = run(decomp, so6, eps_d=0.01)
+        coeffs = build_target(MomentVector(rng.standard_normal(so6.dim)), so6)
+        coeffs = coeffs / np.sqrt(offdiag_distance(coeffs, so6))
+        assert offdiag_distance(coeffs, so6) == pytest.approx(1.0)
+        result = run(coeffs, so6, eps_d=0.01)
         assert result.steps_taken <= 30 + num_roots
 
 
@@ -225,18 +230,18 @@ def test_trace_monotone_nonincreasing(catalog_algebras):
     rng = np.random.default_rng(900)
     for algebra in catalog_algebras:
         for _ in range(20):
-            decomp = build_target(MomentVector(rng.standard_normal(algebra.dim)),
+            coeffs = build_target(MomentVector(rng.standard_normal(algebra.dim)),
                                   algebra)
-            result = run(decomp, algebra, eps_d=1e-9)
+            result = run(coeffs, algebra, eps_d=1e-9)
             trace = np.array(result.trace)
             assert (np.diff(trace) <= 1e-12 * max(1.0, trace[0])).all()
 
 
 def test_max_steps_exceeded_carries_trace(so6):
     handle = hidden_gcs(so6, seed=4, num_ops=4)
-    decomp = build_target(handle.exact_moments(), so6)
+    coeffs = build_target(handle.exact_moments(), so6)
     with pytest.raises(MaxStepsExceeded) as err:
-        run(decomp, so6, eps_d=1e-12, max_steps=1)
+        run(coeffs, so6, eps_d=1e-12, max_steps=1)
     assert len(err.value.trace) == 2
 
 
@@ -249,27 +254,29 @@ def test_emitted_ops_reproduce_final_operator(catalog_algebras):
     # bookkeeping to 1e-8.
     for k, algebra in enumerate(catalog_algebras):
         handle = hidden_gcs(algebra, seed=300 + k, num_ops=3)
-        decomp = build_target(handle.exact_moments(), algebra)
-        result = run(decomp, algebra, eps_d=1e-10)
-        f = assemble_operator(decomp, algebra)
+        coeffs = build_target(handle.exact_moments(), algebra)
+        result = run(coeffs, algebra, eps_d=1e-10)
+        f = assemble_operator(coeffs, algebra)
         for op in result.ops:
             u = group_op_unitary(op, algebra)
             f = u.conj().T @ f @ u
-        target = assemble_operator(result.final_decomp, algebra)
+        target = assemble_operator(result.final_coeffs, algebra)
         assert np.abs(f - target).max() < 1e-8
+        assert np.abs(decomposition_from_operator(f, algebra)
+                      - result.final_coeffs).max() < 1e-8
 
 
 def test_top_eigenvalue_invariant_across_steps(so4):
     handle = hidden_gcs(so4, seed=8, num_ops=3)
-    decomp = build_target(handle.exact_moments(), so4)
-    top0 = np.linalg.eigvalsh(assemble_operator(decomp, so4))[-1]
-    result = run(decomp, so4, eps_d=1e-12)
-    top1 = np.linalg.eigvalsh(assemble_operator(result.final_decomp, so4))[-1]
+    coeffs = build_target(handle.exact_moments(), so4)
+    top0 = np.linalg.eigvalsh(assemble_operator(coeffs, so4))[-1]
+    result = run(coeffs, so4, eps_d=1e-12)
+    top1 = np.linalg.eigvalsh(assemble_operator(result.final_coeffs, so4))[-1]
     assert top1 == pytest.approx(top0, abs=1e-9)
 
 
 @pytest.mark.parametrize("eps_d", [np.nan, 0.0, -1e-6])
 def test_bad_eps_d_is_typed(so4, eps_d):
-    decomp = build_target(hidden_gcs(so4, seed=3, num_ops=3).exact_moments(), so4)
+    coeffs = build_target(hidden_gcs(so4, seed=3, num_ops=3).exact_moments(), so4)
     with pytest.raises(InvalidParameter):
-        run(decomp, so4, eps_d)
+        run(coeffs, so4, eps_d)

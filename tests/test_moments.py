@@ -8,17 +8,18 @@ from gcsynth import (
     hidden_gcs,
     highest_weight_state,
     offdiag_distance,
-    project_csa,
     purity,
+    root_coefficients,
 )
 from gcsynth.errors import GcsynthError, LengthMismatch, NonFiniteMoments
-from gcsynth.moments import (
-    assemble_operator,
-    decomposition_coefficients,
-    decomposition_from_operator,
-)
 
-from conftest import SIGMA_X, group_op_unitary
+from conftest import (
+    SIGMA_X,
+    assemble_operator,
+    csa_part,
+    decomposition_from_operator,
+    group_op_unitary,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -26,17 +27,17 @@ from conftest import SIGMA_X, group_op_unitary
 # ---------------------------------------------------------------------------
 
 def test_build_target_sigma_z(su2_half):
-    decomp = build_target(MomentVector([1.0, 0.0, 0.0]), su2_half)
-    assert np.allclose(decomp.gamma, [1.0])
-    assert np.allclose(decomp.iota, [0.0])
+    coeffs = build_target(MomentVector([1.0, 0.0, 0.0]), su2_half)
+    assert np.allclose(coeffs[[0]], [1.0])
+    assert np.allclose(root_coefficients(coeffs, su2_half), [0.0])
 
 
 def test_build_target_sigma_x(su2_half):
-    decomp = build_target(MomentVector([0.0, 1.0, 0.0]), su2_half)
-    assert np.allclose(decomp.gamma, [0.0])
-    assert np.allclose(decomp.iota, [1.0])
+    coeffs = build_target(MomentVector([0.0, 1.0, 0.0]), su2_half)
+    assert np.allclose(coeffs[[0]], [0.0])
+    assert np.allclose(root_coefficients(coeffs, su2_half), [1.0])
     # F = s_x = E+ + E-.
-    assert np.abs(assemble_operator(decomp, su2_half) - SIGMA_X).max() < 1e-14
+    assert np.abs(assemble_operator(coeffs, su2_half) - SIGMA_X).max() < 1e-14
 
 
 def test_build_target_random_so4_reconstruction(so4):
@@ -44,9 +45,9 @@ def test_build_target_random_so4_reconstruction(so4):
     for _ in range(10):
         values = rng.standard_normal(so4.dim)
         moments = MomentVector(values)
-        decomp = build_target(moments, so4)
+        coeffs = build_target(moments, so4)
         direct = np.einsum("m,mij->ij", values, so4.basis.basis)
-        assert np.abs(assemble_operator(decomp, so4) - direct).max() < 1e-10
+        assert np.abs(assemble_operator(coeffs, so4) - direct).max() < 1e-10
 
 
 def test_build_target_length_mismatch(su2_half):
@@ -66,8 +67,8 @@ def test_sampled_moments_clipped_only_on_assembly(su2_half):
     # Raw values stay auditable; assembly clips into [-||O||, ||O||].
     noisy = MomentVector([1.03, 0.0, 0.0], source="sampled", shots=10, seed=0)
     assert noisy.values[0] == pytest.approx(1.03)
-    decomp = build_target(noisy, su2_half)
-    assert decomp.gamma[0] == pytest.approx(1.0)
+    coeffs = build_target(noisy, su2_half)
+    assert coeffs[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,31 +87,36 @@ def test_purity_invariant_on_gcs(su2_half):
 
 
 # ---------------------------------------------------------------------------
-# offdiag_distance / project_csa
+# offdiag_distance / root_coefficients
 # ---------------------------------------------------------------------------
 
 def test_distance_examples(su2_half):
-    assert offdiag_distance(build_target(MomentVector([1.0, 0.0, 0.0]), su2_half)) == 0.0
-    d = offdiag_distance(build_target(MomentVector([0.0, 1.0, 0.0]), su2_half))
+    assert offdiag_distance(build_target(MomentVector([1.0, 0.0, 0.0]), su2_half),
+                            su2_half) == 0.0
+    d = offdiag_distance(build_target(MomentVector([0.0, 1.0, 0.0]), su2_half), su2_half)
     assert d == pytest.approx(1.0)
 
 
 def test_distance_ignores_csa_changes(so4):
     rng = np.random.default_rng(8)
     values = rng.standard_normal(so4.dim)
-    decomp = build_target(MomentVector(values), so4)
+    coeffs = build_target(MomentVector(values), so4)
     shifted = values.copy()
     shifted[list(so4.cartan_weyl.csa_indices)] += rng.standard_normal(2)
-    decomp2 = build_target(MomentVector(shifted), so4)
-    assert offdiag_distance(decomp) == pytest.approx(offdiag_distance(decomp2))
+    coeffs2 = build_target(MomentVector(shifted), so4)
+    assert offdiag_distance(coeffs, so4) == pytest.approx(offdiag_distance(coeffs2, so4))
 
 
-def test_project_csa(su2_half, so6):
-    diag = build_target(MomentVector([0.7, 0.0, 0.0]), su2_half)
-    assert np.array_equal(project_csa(diag).gamma, diag.gamma)
-    offd = build_target(MomentVector([0.0, 1.0, 0.0]), su2_half)
-    proj = project_csa(offd)
-    assert np.abs(assemble_operator(proj, su2_half)).max() == 0.0
+def test_root_coefficients(su2_half, so6):
+    # iota_l = c[u] - i c[v]: <O_v> enters with a minus sign, the CSA not at all.
+    assert root_coefficients(np.array([0.7, 0.0, 0.0]), su2_half)[0] == 0.0
+    assert root_coefficients(np.array([0.0, 0.3, 0.4]), su2_half)[0] == 0.3 - 0.4j
+    u, v = so6.cartan_weyl.pair_indices
+    values = np.random.default_rng(3).standard_normal(so6.dim)
+    iota = root_coefficients(values, so6)
+    assert np.array_equal(iota.real, values[u]) and np.array_equal(iota.imag, -values[v])
+    assert np.array_equal(root_coefficients(csa_part(values, so6), so6),
+                          np.zeros(so6.cartan_weyl.num_roots_L))
 
 
 def test_projection_norm_bound(so6):
@@ -119,11 +125,11 @@ def test_projection_norm_bound(so6):
     o_norm = so6.max_observable_norm
     num_roots = so6.cartan_weyl.num_roots_L
     for _ in range(10):
-        decomp = build_target(MomentVector(rng.standard_normal(so6.dim)), so6)
-        perp = assemble_operator(decomp, so6) - assemble_operator(project_csa(decomp), so6)
+        coeffs = build_target(MomentVector(rng.standard_normal(so6.dim)), so6)
+        perp = assemble_operator(coeffs, so6) - assemble_operator(csa_part(coeffs, so6), so6)
         op_norm = np.abs(np.linalg.eigvalsh(perp)).max()
-        abs_sum = np.abs(decomp.iota).sum()
-        d = offdiag_distance(decomp)
+        abs_sum = np.abs(root_coefficients(coeffs, so6)).sum()
+        d = offdiag_distance(coeffs, so6)
         assert op_norm <= 2.0 * o_norm * abs_sum + 1e-12
         assert abs_sum <= np.sqrt(d * num_roots) + 1e-12
 
@@ -156,19 +162,17 @@ def test_hidden_unitary_conjugates_f_hw_to_f_psi(catalog_algebras):
         for op in handle.preparation_ops:
             unitary = group_op_unitary(op, algebra) @ unitary
         conj = unitary @ f_hw @ unitary.conj().T
-        coeffs = decomposition_coefficients(decomposition_from_operator(conj, algebra),
-                                            algebra)
+        coeffs = decomposition_from_operator(conj, algebra)
         assert np.abs(coeffs - handle.exact_moments().values).max() < 1e-9
 
 
 def test_coefficient_roundtrip(so6):
     rng = np.random.default_rng(40)
     values = rng.standard_normal(so6.dim)
-    decomp = build_target(MomentVector(values), so6)
-    assert np.abs(decomposition_coefficients(decomp, so6) - values).max() < 1e-12
-    back = decomposition_from_operator(assemble_operator(decomp, so6), so6)
-    assert np.abs(back.gamma - decomp.gamma).max() < 1e-12
-    assert np.abs(back.iota - decomp.iota).max() < 1e-12
+    coeffs = build_target(MomentVector(values), so6)
+    assert np.array_equal(coeffs, values)
+    back = decomposition_from_operator(assemble_operator(coeffs, so6), so6)
+    assert np.abs(back - coeffs).max() < 1e-12
 
 
 def test_unknown_moment_source_is_typed():

@@ -31,7 +31,7 @@ from gcsynth.errors import (
 )
 from gcsynth.states import phase_min_distance
 
-from conftest import group_op_unitary
+from conftest import decomposition_from_operator, group_op_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,6 @@ def test_exact_so6_tight_epsilon(so6):
 def test_conjugation_identity_through_circuit(so4):
     # Conjugating F_hw by the emitted circuit reproduces the (clipped)
     # target coefficients to within the step tolerance.
-    from gcsynth.moments import (decomposition_from_operator,
-                                 decomposition_coefficients)
     budget = make_budget(1e-6, 0.05, so4)
     handle = hidden_gcs(so4, seed=11, num_ops=3)
     moments = handle.exact_moments()
@@ -181,7 +179,7 @@ def test_conjugation_identity_through_circuit(so4):
     for op in report.ops:
         unitary = group_op_unitary(op, so4) @ unitary
     conj = unitary @ f_hw @ unitary.conj().T
-    coeffs = decomposition_coefficients(decomposition_from_operator(conj, so4), so4)
+    coeffs = decomposition_from_operator(conj, so4)
     tol = 10.0 * np.sqrt(budget.eps_D * so4.cartan_weyl.num_roots_L) + 1e-8
     assert np.abs(coeffs - moments.values).max() < tol
 

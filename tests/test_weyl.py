@@ -13,17 +13,15 @@ from gcsynth import (
 )
 from gcsynth import weyl
 from gcsynth.algebra import CartanWeylData, vector_weights
-from gcsynth.errors import DegenerateTop, InvalidParameter, NoProgress, NotAWeightState
-from gcsynth.moments import CwDecomposition
+from gcsynth.errors import DegenerateTop, NoProgress, NotAWeightState
 from gcsynth.states import phase_min_distance, state_fidelity
 from gcsynth.weyl import WeightStateInfo
 
-from conftest import expi_hermitian, reflect_by_states, root_su2
+from conftest import csa_part, cw_coefficients, expi_hermitian, reflect_by_states, root_su2
 
 
-def _csa_decomp(gamma, num_roots):
-    return CwDecomposition(gamma=np.atleast_1d(gamma),
-                           iota=np.zeros(num_roots, dtype=complex))
+def _csa_coeffs(algebra, gamma):
+    return cw_coefficients(algebra, gamma, np.zeros(algebra.cartan_weyl.num_roots_L))
 
 
 # ---------------------------------------------------------------------------
@@ -31,13 +29,13 @@ def _csa_decomp(gamma, num_roots):
 # ---------------------------------------------------------------------------
 
 def test_top_su2_positive_gamma(su2_half):
-    info = top_weight_state(_csa_decomp([1.0], 1), su2_half)
+    info = top_weight_state(_csa_coeffs(su2_half, [1.0]), su2_half)
     assert state_fidelity(info.state, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
     assert info.eigenvalue == pytest.approx(1.0)
 
 
 def test_top_su2_negative_gamma(su2_half):
-    info = top_weight_state(_csa_decomp([-1.0], 1), su2_half)
+    info = top_weight_state(_csa_coeffs(su2_half, [-1.0]), su2_half)
     assert state_fidelity(info.state, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -50,7 +48,7 @@ def test_top_so4_matches_brute_force(so4):
         evals, evecs = np.linalg.eigh(f)
         if evals[-1] - evals[-2] < 1e-3:
             continue
-        info = top_weight_state(_csa_decomp(gamma, 2), so4)
+        info = top_weight_state(_csa_coeffs(so4, gamma), so4)
         assert info.eigenvalue == pytest.approx(evals[-1], abs=1e-12)
         assert state_fidelity(info.state, evecs[:, -1]) == pytest.approx(1.0, abs=1e-12)
 
@@ -58,12 +56,20 @@ def test_top_so4_matches_brute_force(so4):
 def test_degenerate_top_raises(so4):
     # gamma = (1, 0): Z_1 alone has a two-fold top eigenvalue on the 4-dim rep.
     with pytest.raises(DegenerateTop):
-        top_weight_state(_csa_decomp([1.0, 0.0], 2), so4)
+        top_weight_state(_csa_coeffs(so4, [1.0, 0.0]), so4)
 
 
-def test_top_requires_csa_projection(su2_half):
-    with pytest.raises(InvalidParameter):
-        top_weight_state(CwDecomposition(gamma=[1.0], iota=[0.5]), su2_half)
+def test_top_ignores_root_entries(catalog_algebras, su3):
+    # Only the CSA entries of c are read: zeroing the root entries changes nothing.
+    rng = np.random.default_rng(17)
+    for algebra in catalog_algebras + [su3]:
+        for _ in range(5):
+            coeffs = rng.standard_normal(algebra.dim)
+            info = top_weight_state(coeffs, algebra)
+            projected = top_weight_state(csa_part(coeffs, algebra), algebra)
+            assert np.array_equal(info.state, projected.state)
+            assert np.array_equal(info.weights, projected.weights)
+            assert info.eigenvalue == projected.eigenvalue and info.gap == projected.gap
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +77,12 @@ def test_top_requires_csa_projection(su2_half):
 # ---------------------------------------------------------------------------
 
 def test_already_highest_weight_empty(su2_half):
-    info = top_weight_state(_csa_decomp([1.0], 1), su2_half)
+    info = top_weight_state(_csa_coeffs(su2_half, [1.0]), su2_half)
     assert reflect_to_highest_weight(info, su2_half) == []
 
 
 def test_su2_lowest_weight_single_reflection(su2_half):
-    info = top_weight_state(_csa_decomp([-1.0], 1), su2_half)
+    info = top_weight_state(_csa_coeffs(su2_half, [-1.0]), su2_half)
     ops = reflect_to_highest_weight(info, su2_half)
     assert len(ops) == 1
     hw, _ = highest_weight_state(su2_half)
