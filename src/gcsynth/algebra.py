@@ -21,9 +21,9 @@ representation serves only states and verification.
 `Algebra` is the one home of the quantities synthesis derives from the
 algebra alone: the stacked CSA generators, a CSA eigenbasis with its
 weights, the highest-weight state and its weights, the spectral gap of the
-highest-weight Hamiltonian, and each root's pi-reflection exponent.  Each is
-computed on first use and cached on the instance, so it lives exactly as
-long as the algebra does.
+highest-weight Hamiltonian (read off that eigenbasis), and each root's
+pi-reflection exponent.  Each is computed on first use and cached on the
+instance, so it lives exactly as long as the algebra does.
 
 A group operation exp{i(alpha E+ + alpha* E-)} is applied in closed form:
 its generator's spectrum is |alpha| times that of E+ + E-, cached per root
@@ -41,7 +41,9 @@ linearly independent O_k, f obeys the Jacobi identity (matrix commutators
 do), so the adjoint images are a bracket homomorphism; exp(ad X) =
 Ad(exp X) (Hall, Lie Groups, Lie Algebras, and Representations, 3.3); and
 each closed-form rotation is exact interpolation on its generator's whole
-spectrum, with rounding growth bounded by MAX_NODE_AMPLIFICATION.
+spectrum, with rounding growth bounded by MAX_NODE_AMPLIFICATION.  Traces
+of products of Hermitian matrices are real, so the Gram matrix and f keep
+their real parts with no test of the imaginary ones.
 
 Row-sparse bases take a faster path to the same checks.  When no row of any
 basis element holds more than ROW_SPARSE_MAX_NNZ nonzeros (monomial bases:
@@ -81,7 +83,7 @@ from .errors import (
 # Structural tolerances (double precision, rep_dim <= 64).
 HERMITICITY_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
-STRUCTURE_IMAG_TOL = 1e-10
+ANTISYMMETRY_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 KILLING_COND_TOL = 1e-8
 CSA_COMMUTE_TOL = 1e-12
@@ -103,6 +105,16 @@ def trace_gram(a, b):
     """G[m, n] = Tr(a[m] b[n]) for stacks of square matrices, as one BLAS product."""
     size = a.shape[-1] * a.shape[-1]  # Tr(x y) = vec(x) . vec(y^T)
     return a.reshape(len(a), size) @ np.transpose(b, (0, 2, 1)).reshape(len(b), size).T
+
+
+def is_hermitian(mats):
+    """Per matrix of a stack, or for one matrix: whether its Hermiticity
+    residual max|A - A^dag| is within HERMITICITY_TOL (1 + max|entry|).  A NaN
+    or infinite entry makes the residual NaN, which no tolerance admits."""
+    mats = np.asarray(mats)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        resid = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))).max(axis=(-2, -1))
+    return resid <= HERMITICITY_TOL * (1.0 + np.abs(mats).max(axis=(-2, -1)))
 
 
 def check_root_index(root_index, num_roots):
@@ -154,8 +166,8 @@ def _rotate_in_root(raising, lowering, spectrum, alpha, x):
     return gen @ out - prev + coeffs[0] * x
 
 
-def _freeze(arr):
-    out = np.array(arr)
+def _freeze(arr, dtype=None):
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -191,9 +203,7 @@ class AlgebraBasis:
     @cached_property
     def observable_norms(self):
         """Spectral norms of the basis elements (max |eigenvalue| each)."""
-        norms = np.array([np.abs(np.linalg.eigvalsh(o)).max() for o in self.basis])
-        norms.setflags(write=False)
-        return norms
+        return _freeze([np.abs(np.linalg.eigvalsh(o)).max() for o in self.basis])
 
     @cached_property
     def row_sparse(self):
@@ -374,15 +384,11 @@ def orthonormalize_basis(raw_basis, target_N=None):
         raise InvalidAlgebraSpec("basis entries must be finite")
     dim_m, rep_dim = mats.shape[0], mats.shape[1]
 
-    herm = np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))).max(axis=(1, 2))
-    hermitian = herm <= HERMITICITY_TOL * (1.0 + np.abs(mats).max(axis=(1, 2)))
+    hermitian = is_hermitian(mats)
     if not hermitian.all():
         raise NonHermitianInput(f"basis element {int(np.argmin(hermitian))} is not Hermitian")
 
-    gram = trace_gram(mats, mats)
-    if np.abs(gram.imag).max() > 1e-10 * (1.0 + np.abs(gram.real).max()):
-        raise NonHermitianInput("Gram matrix has imaginary part; inputs are inconsistent")
-    gram = gram.real
+    gram = trace_gram(mats, mats).real
     # Summed entrywise rather than read off the BLAS Gram, so the scale
     # factors (hence the basis and every artifact) stay bit-stable.
     diag = np.einsum("mij,mji->m", mats, mats).real
@@ -433,20 +439,10 @@ def _structure_constants(mats, norm):
     # Tr(B O_k) = vec(B) . vec(O_k^T) lets BLAS carry the trace contractions.
     flat_t = np.transpose(mats, (0, 2, 1)).reshape(dim_m, rep_dim * rep_dim)
     f = np.empty((dim_m, dim_m, dim_m))
-    worst_imag = 0.0
     for m in range(dim_m):
         brackets = 1j * (mats[m] @ mats - mats @ mats[m])  # (M, d, d)
-        row = (brackets.reshape(dim_m, rep_dim * rep_dim) @ flat_t.T) / norm
-        worst_imag = max(worst_imag, float(np.abs(row.imag).max()))
-        f[m] = row.real
-    _check_real(f, worst_imag)
+        f[m] = ((brackets.reshape(dim_m, rep_dim * rep_dim) @ flat_t.T) / norm).real
     return f
-
-
-def _check_real(f, worst_imag):
-    """BasisNotClosed if Tr([O_m, O_m'] O_k) / N had a large imaginary part."""
-    if worst_imag > STRUCTURE_IMAG_TOL * (1.0 + np.abs(f).max()):
-        raise BasisNotClosed("structure constants have a large imaginary part")
 
 
 def _bracket_residual(gens, f):
@@ -480,13 +476,6 @@ def _is_row_sparse(mats):
     """True when no row of any matrix in the stack holds more than
     ROW_SPARSE_MAX_NNZ nonzeros; assembly then uses `_RowSparse`."""
     return int(np.count_nonzero(mats, axis=2).max()) <= ROW_SPARSE_MAX_NNZ
-
-
-def _scatter(keys, values, shape):
-    """Exact sums of values by flat key into bins of `shape`, as (real part,
-    imaginary part)."""
-    size = int(np.prod(shape))
-    return [np.bincount(keys, part, size).reshape(shape) for part in (values.real, values.imag)]
 
 
 class _RowSparse:
@@ -545,18 +534,16 @@ class _RowSparse:
         owner, weight = self.gen[order], self.val[order]
         counts = np.bincount(pos, minlength=dim * dim)
         starts = np.cumsum(counts) - counts
-        trace = np.zeros((2, dim_m, dim_m * dim_m))  # real and imaginary parts
+        trace = np.zeros((dim_m, dim_m * dim_m))
         for m in range(dim_m):
             pair, row, col, val = self._brackets(m, 0)
             look = col * dim + row  # Tr(B X_k) pairs B[i, c] with X_k[c, i]
             # One term per (entry, generator nonzero at the looked-up position).
             cnt = np.where(val != 0, counts[look], 0)
             src = np.arange(cnt.sum()) + np.repeat(starts[look] - np.cumsum(cnt) + cnt, cnt)
-            trace[:, m] = _scatter(np.repeat(pair * dim_m, cnt) + owner[src],
-                                   np.repeat(val, cnt) * weight[src], dim_m * dim_m)
-        f = -trace[0].reshape(dim_m, dim_m, dim_m) / norm
-        _check_real(f, float(np.abs(trace[1]).max()) / norm)
-        return f
+            trace[m] = np.bincount(np.repeat(pair * dim_m, cnt) + owner[src],
+                                   (np.repeat(val, cnt) * weight[src]).real, dim_m * dim_m)
+        return -trace.reshape(dim_m, dim_m, dim_m) / norm
 
     def residual(self, f):
         """`_bracket_residual` of these generators, same definition and result.
@@ -575,8 +562,9 @@ class _RowSparse:
             expansion = -f[m, m + 1 + j, k][:, None, None] * self.vals[k]
             keys = np.concatenate([(pair * dim + row) * dim + col,
                                    ((j[:, None, None] * dim + rows) * dim + self.cols[k]).ravel()])
-            bins = _scatter(keys, np.concatenate([val, expansion.ravel()]),
-                            (dim_m - m - 1, dim * dim))
+            values = np.concatenate([val, expansion.ravel()])
+            bins = [np.bincount(keys, part, (dim_m - m - 1) * dim * dim).reshape(-1, dim * dim)
+                    for part in (values.real, values.imag)]
             sq = sum(np.einsum("pi,pi->p", part, part) for part in bins)
             resid[m, m + 1:] = np.sqrt(sq) / np.maximum(1.0, norms[m] * norms[m + 1:])
         return _worst_pair(resid)
@@ -754,7 +742,7 @@ def validate_algebra(basis, cw=None):
     report.add("trace orthogonality Tr(O_m O_m') = N delta", ortho, ORTHOGONALITY_TOL * norm)
     antisym = np.abs(f + np.transpose(f, (1, 0, 2))).max()
     report.add("structure constants antisymmetric", antisym,
-               STRUCTURE_IMAG_TOL * (1.0 + np.abs(f).max()))
+               ANTISYMMETRY_TOL * (1.0 + np.abs(f).max()))
     report.add("brackets close over the basis", basis.closure[0], CLOSURE_TOL)
     kill_ok = basis.killing_conditioning > KILLING_COND_TOL
     report.entries.append(CheckResult("Killing form nondegenerate", kill_ok,
@@ -809,13 +797,9 @@ class Algebra:
         return self.basis.normalization_N
 
     @property
-    def observable_norms(self):
-        return self.basis.observable_norms
-
-    @property
     def max_observable_norm(self):
         """||O|| = max_m ||O_m|| (spectral norm)."""
-        return float(self.observable_norms.max())
+        return float(self.basis.observable_norms.max())
 
     def label(self):
         """Name for artifact files: the catalog name, or a content hash."""
@@ -836,16 +820,17 @@ class Algebra:
         a simultaneous CSA eigenvector.  On representations with more than one
         irreducible component the joint kernel contains one candidate per
         component; candidates are refined into weight vectors and the one with
-        the lexicographically largest weight vector is returned (all
-        candidates are dominant, so any choice is algebraically consistent;
-        the tie-break makes it deterministic).
+        the lexicographically largest weight vector is returned (the tie-break
+        makes the choice deterministic).  Every candidate v is dominant, so
+        any choice is algebraically consistent: with E+_l v = 0 and Z_l in the
+        CSA span (checked at assembly), mu_l . w / eta_l = <v|[S+, S-]|v> =
+        ||S- v||^2 >= 0 (Humphreys, Introduction to Lie Algebras, 7.2).
 
         Raises
         ------
         NotUnique
-            If no dominant candidate exists (inconsistent root labeling) or
-            two candidates carry identical weights (e.g. repeated irreducible
-            blocks).
+            If two candidates carry identical weights (e.g. repeated
+            irreducible blocks).
         """
         cw = self.cartan_weyl
         raising = np.asarray(cw.raising_ops)
@@ -856,17 +841,15 @@ class Algebra:
         if kernel.shape[1] == 0:
             raise NotUnique("no state is annihilated by all raising operators")
 
-        dominant = [(vec, w) for vec, w in _weight_vectors(kernel, self.csa_ops)
-                    if (cw.mu_matrix @ w / cw.etas >= -WEIGHT_TOL).all()]
-        if not dominant:
-            raise NotUnique("no annihilated weight vector is dominant; check the root labeling")
-        dominant.sort(key=lambda item: tuple(-item[1]))
-        if len(dominant) > 1 and np.allclose(dominant[0][1], dominant[1][1], atol=WEIGHT_TOL):
+        candidates = sorted(_weight_vectors(kernel, self.csa_ops),
+                            key=lambda item: tuple(-item[1]))
+        if len(candidates) > 1 and np.allclose(candidates[0][1], candidates[1][1],
+                                               atol=WEIGHT_TOL):
             raise NotUnique(
-                f"{len(dominant)} annihilated weight vectors share the top weight; "
+                f"{len(candidates)} annihilated weight vectors share the top weight; "
                 "the representation contains repeated components"
             )
-        state, weights = dominant[0]
+        state, weights = candidates[0]
 
         for l, e_plus in enumerate(raising):
             resid = np.linalg.norm(e_plus @ state)
@@ -877,9 +860,12 @@ class Algebra:
 
     @cached_property
     def spectral_gap(self):
-        """Gap between the two largest eigenvalues of F_hw = sum_r w(H_r) H_r."""
-        f_hw = np.einsum("r,rij->ij", self.highest_weight[1], self.csa_ops)
-        evals = np.linalg.eigvalsh(f_hw)
+        """Gap between the two largest eigenvalues of F_hw = sum_r w(H_r) H_r.
+
+        F_hw is diagonal in `weight_basis`, so its eigenvalues are the weight
+        table times w: no eigendecomposition on the defining representation.
+        """
+        evals = np.sort(self.weight_basis[1] @ self.highest_weight[1])
         gap = float(evals[-1] - evals[-2])
         scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
         if gap <= 1e-12 * scale:

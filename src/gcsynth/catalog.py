@@ -18,12 +18,15 @@ import operator
 import numpy as np
 
 from .algebra import assemble_algebra, orthonormalize_basis
-from .errors import InvalidParameter, ParseError
+from .errors import InvalidParameter, ParseError, RootSpectrumIllConditioned
 from .serialize import _load, parse_algebra_dict, save_algebra
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Spin j = 23/2 puts 24 distinct eigenvalues on its one root generator, past
+# what `algebra._root_spectra` admits; larger spins are refused before building.
+MAX_TWO_J = 22
 
 
 def spin_matrices(two_j):
@@ -56,9 +59,14 @@ def make_su2(two_j):
 
     The basis {2Jz, 2Jx, 2Jy} reduces to the Pauli matrices at two_j = 1 and
     keeps the root data (mu = (1,), eta = 2) identical across spins.
-    InvalidParameter unless two_j is an integer >= 1.
+    InvalidParameter unless two_j is an integer >= 1; RootSpectrumIllConditioned,
+    before any matrix is built, past MAX_TWO_J.
     """
     two_j = _integer_parameter(two_j, "two_j", 1)
+    if two_j > MAX_TWO_J:
+        raise RootSpectrumIllConditioned(
+            f"spin {two_j}/2 has {two_j + 1} distinct root-generator eigenvalues, too many "
+            f"for a closed-form rotation in double precision (two_j <= {MAX_TWO_J})")
     jz, jx, jy = spin_matrices(two_j)
     basis = orthonormalize_basis([2 * jz, 2 * jx, 2 * jy])
     return assemble_algebra(basis, csa_indices=[0], root_pairs=[(1, 2)],
@@ -134,10 +142,6 @@ CATALOG = (
     CatalogEntry("so2n", "n",
                  "quadratic Majorana so(2n) on the 2^n Jordan-Wigner space", make_so2n),
 )
-
-
-def catalog_entries():
-    return CATALOG
 
 
 def resolve_algebra(spec):

@@ -118,7 +118,7 @@ def build_parser():
 
 def _cmd_algebra(args):
     if args.subcommand == "list":
-        for entry in catalog.catalog_entries():
+        for entry in catalog.CATALOG:
             flag = "--" + entry.parameter.replace("_", "-")
             print(f"{entry.name:6s} {flag:8s} {entry.description}")
         return 0

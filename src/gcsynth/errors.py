@@ -7,7 +7,7 @@ class GcsynthError(Exception):
 
 class InvalidParameter(GcsynthError, ValueError):
     """An argument is out of range or of the wrong kind (tolerance, shot or op
-    count, iota != 0, catalog name or parameter, moment source)."""
+    count, catalog name or parameter, moment source)."""
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _freeze
 from .errors import InvalidParameter, LengthMismatch, NonFiniteMoments
 
 
@@ -29,9 +30,7 @@ class MomentVector:
     seed: int = None
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _freeze(self.values, float))
         if self.source not in ("exact", "sampled"):
             raise InvalidParameter("source must be 'exact' or 'sampled'")
 
@@ -67,7 +66,7 @@ def build_target(moments, algebra):
     values = np.asarray(moments.values, dtype=float)
     require_finite(values)
     if moments.source == "sampled":
-        bounds = algebra.observable_norms
+        bounds = algebra.basis.observable_norms
         values = np.clip(values, -bounds, bounds)
     return values
 

@@ -193,15 +193,10 @@ def synthesize(source, algebra, budget, seed=None, max_steps=None):
     )
 
 
-def circuit_state(ops, algebra):
-    """Apply a preparation circuit to the highest-weight state."""
-    return apply_circuit(algebra.highest_weight[0], ops, algebra)
-
-
 def verify(report_or_ops, reference, algebra):
     """Fidelity and phase-minimized distance of a circuit against a reference state."""
     ops = report_or_ops.ops if isinstance(report_or_ops, SynthesisReport) else report_or_ops
-    prepared = circuit_state(ops, algebra)
+    prepared = apply_circuit(algebra.highest_weight[0], ops, algebra)
     ref = np.asarray(reference, dtype=complex)
     return VerificationResult(
         fidelity=state_fidelity(ref, prepared),

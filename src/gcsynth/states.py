@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import is_hermitian
 from .errors import InvalidParameter, NonFiniteGate, NonHermitianObservable, ShotCountOverflow
 from .moments import MomentVector
 
@@ -64,8 +65,8 @@ def highest_weight_state(algebra):
 def expectation(state, observable):
     """<state| observable |state> for a Hermitian observable; returns a real scalar."""
     obs = np.asarray(observable, dtype=complex)
-    if np.abs(obs - obs.conj().T).max() > 1e-12 * (1.0 + np.abs(obs).max()):
-        raise NonHermitianObservable("expectation requires a Hermitian observable")
+    if not is_hermitian(obs):
+        raise NonHermitianObservable("expectation requires a finite Hermitian observable")
     psi = np.asarray(state, dtype=complex)
     val = np.vdot(psi, obs @ psi)
     return float(val.real)
@@ -109,8 +110,8 @@ def sample_measurements(state, observable, shots, seed, observable_index=0):
             f"{shots} shots per observable exceed the sampler's int64 range"
         )
     obs = np.asarray(observable, dtype=complex)
-    if np.abs(obs - obs.conj().T).max() > 1e-12 * (1.0 + np.abs(obs).max()):
-        raise NonHermitianObservable("sampling requires a Hermitian observable")
+    if not is_hermitian(obs):
+        raise NonHermitianObservable("sampling requires a finite Hermitian observable")
     evals, evecs = np.linalg.eigh(obs)
     amps = evecs.conj().T @ np.asarray(state, dtype=complex)
     weights = np.abs(amps) ** 2

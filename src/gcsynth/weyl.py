@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import vector_weights
+from .algebra import _freeze, vector_weights
 from .errors import DegenerateTop, NoProgress, NotAWeightState
 from .states import GroupOp, state_fidelity
 
@@ -36,12 +36,8 @@ class WeightStateInfo:
     gap: float
 
     def __post_init__(self):
-        s = np.array(self.state, dtype=complex)
-        w = np.array(self.weights, dtype=float)
-        s.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "state", s)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "state", _freeze(self.state, complex))
+        object.__setattr__(self, "weights", _freeze(self.weights, float))
 
 
 def top_weight_state(coeffs, algebra):

@@ -105,6 +105,28 @@ def build_half_one():
                             name="su2+su2:half-one")
 
 
+def build_half_plus_one():
+    """su(2) on spin 1/2 + spin 1 (d = 5), not a catalog entry: one irreducible
+    block of each spin, so the raising operator annihilates two weight vectors."""
+    blocks = []
+    for half, one in zip(spin_matrices(1), spin_matrices(2)):
+        block = np.zeros((5, 5), dtype=complex)
+        block[:2, :2], block[2:, 2:] = half, one
+        blocks.append(block)
+    basis = orthonormalize_basis(blocks)
+    return assemble_algebra(basis, csa_indices=[0], root_pairs=[(1, 2)],
+                            name="su2:half+one")
+
+
+def dense_spectral_gap(algebra):
+    """Gap between the two largest eigenvalues of F_hw = sum_r w_r H_r by a dense
+    `eigvalsh` on the defining representation: the oracle for
+    `Algebra.spectral_gap`, which reads the gap off the weight table."""
+    f_hw = np.einsum("r,rij->ij", algebra.highest_weight[1], algebra.csa_ops)
+    evals = np.linalg.eigvalsh(f_hw)
+    return float(evals[-1] - evals[-2])
+
+
 def commutator(a, b):
     """Plain matrix commutator ab - ba."""
     return a @ b - b @ a

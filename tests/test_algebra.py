@@ -16,6 +16,7 @@ from gcsynth import (
     orthonormalize_basis,
     validate_algebra,
 )
+from gcsynth.catalog import MAX_TWO_J, spin_matrices
 from gcsynth.errors import (
     BasisNotClosed,
     CsaNotAbelian,
@@ -606,11 +607,18 @@ def test_closed_form_rotations_match_dense(catalog_algebras, so8, su3, magnitude
 def test_wide_root_spectrum_is_typed():
     # One su(2) irrep puts all 2j + 1 eigenvalues on its single root; past
     # j = 11 the interpolating polynomial cannot hold double precision.
-    algebra = make_su2(22)
+    algebra = make_su2(MAX_TWO_J)
     dense = expi_hermitian(2.0 * algebra.basis.basis[1])
     assert np.abs(algebra.cartan_weyl.rotate(0, 2.0, np.eye(23)) - dense).max() < 1e-9
-    with pytest.raises(RootSpectrumIllConditioned):
-        make_su2(24)
+    # The catalog refuses larger spins before building anything; assembly
+    # refuses them on its own too.
+    for two_j in (MAX_TWO_J + 1, MAX_TWO_J + 2, 10 ** 9):
+        with pytest.raises(RootSpectrumIllConditioned, match="closed-form"):
+            make_su2(two_j)
+    for two_j in (MAX_TWO_J + 1, MAX_TWO_J + 2):
+        basis = orthonormalize_basis([2 * s for s in spin_matrices(two_j)])
+        with pytest.raises(RootSpectrumIllConditioned, match=f"{two_j + 1} distinct"):
+            assemble_algebra(basis, csa_indices=[0], root_pairs=[(1, 2)])
 
 
 def test_out_of_range_root_index_is_typed(su2_half):

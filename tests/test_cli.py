@@ -267,6 +267,15 @@ def test_bad_algebra_file_under_warnings_as_errors(tmp_path, su2_file, change):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_huge_spin_exits_1_before_building(tmp_path, capsys):
+    # su2:100000 used to end in a numpy memory-error traceback.
+    code = main(["tomo-sim", "--algebra", "su2:100000", "--seed", "1", "--epsilon", "0.1",
+                 "--quiet", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert _one_json_error_line(capsys)["error"] == "RootSpectrumIllConditioned"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_tomo_sim_shot_overflow_exits_1(tmp_path, capsys):
     code = main(["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", "1e-12",
                  "--quiet", "--out", str(tmp_path / "r.json")])

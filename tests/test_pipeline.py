@@ -31,7 +31,7 @@ from gcsynth.errors import (
 )
 from gcsynth.states import phase_min_distance
 
-from conftest import decomposition_from_operator, group_op_unitary
+from conftest import decomposition_from_operator, dense_spectral_gap, group_op_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -44,11 +44,14 @@ def test_gap_su2_half(su2_half):
 
 
 def test_gap_su2_one_from_eigensolve(su2_one):
-    # Oracle: direct 3x3 eigensolve of w(O_z) O_z.
-    hw, w = highest_weight_state(su2_one)
-    csa = su2_one.csa_ops
-    evals = np.linalg.eigvalsh(np.einsum("r,rij->ij", w, csa))
-    assert spectral_gap(su2_one) == pytest.approx(evals[-1] - evals[-2], abs=1e-12)
+    # Oracle: direct 3x3 eigensolve of w(O_z) O_z; equal to the last bit.
+    assert spectral_gap(su2_one) == dense_spectral_gap(su2_one)
+
+
+def test_gap_matches_dense_oracle(catalog_algebras, su3, half_one, so6):
+    for algebra in catalog_algebras + [su3, half_one]:
+        assert abs(spectral_gap(algebra) - dense_spectral_gap(algebra)) <= 1e-12, algebra.name
+    assert spectral_gap(so6) == dense_spectral_gap(so6)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 2.0])

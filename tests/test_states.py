@@ -12,10 +12,11 @@ from gcsynth import (
     orthonormalize_basis,
     sample_measurements,
 )
+from gcsynth.algebra import KERNEL_TOL, _weight_vectors
 from gcsynth.errors import InvalidParameter, NonHermitianObservable, NotUnique
 from gcsynth.states import derive_seed, phase_min_distance, state_fidelity
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_half_plus_one
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,29 @@ def test_random_su2_gcs_has_unit_purity(su2_half):
         assert exact_moments(state, su2_half).purity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_annihilated_weight_vectors_are_dominant(catalog_algebras, su3, half_one):
+    # For E+_l v = 0: mu_l . w / eta_l = <v|[S+, S-]|v> = ||S- v||^2 >= 0, so
+    # every candidate `highest_weight` chooses from is dominant.  The so(2n)
+    # spaces hold two spinor irreps, and spin 1/2 + spin 1 two spins; on the
+    # latter the spin-1 top (Jz weight 1, against 1/2) is chosen.
+    half_plus_one = build_half_plus_one()
+    counts = {}
+    for algebra in catalog_algebras + [su3, half_one, half_plus_one]:
+        cw = algebra.cartan_weyl
+        _, svals, vh = np.linalg.svd(np.concatenate(list(cw.raising_ops)))
+        kernel = vh[svals <= KERNEL_TOL * max(1.0, svals.max())].conj().T
+        candidates = _weight_vectors(kernel, algebra.csa_ops)
+        counts[algebra.name] = len(candidates)
+        for vec, weights in candidates + [algebra.highest_weight]:
+            m_vals = cw.mu_matrix @ weights / cw.etas
+            s_minus_sq = np.linalg.norm(cw.lowering_ops @ vec, axis=1) ** 2 / cw.etas
+            assert np.abs(m_vals - s_minus_sq).max() <= 1e-12, algebra.name
+            assert (m_vals >= -1e-12).all(), algebra.name  # zero up to round-off
+    assert counts == {"su2:1": 1, "su2:2": 1, "su2:3": 1, "so2n:2": 2, "so2n:3": 2, "su3": 1,
+                      "su2+su2:half-one": 1, "su2:half+one": 2}
+    assert np.abs(half_plus_one.highest_weight[1] - 1.0).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # sample_measurements
 # ---------------------------------------------------------------------------
@@ -138,6 +162,21 @@ def test_degenerate_eigenspace_pooling():
     state = np.array([0.6, 0.8], dtype=complex)
     rec = sample_measurements(state, np.eye(2, dtype=complex), 50, seed=2)
     assert rec.estimate == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_observable_is_typed(entry, where):
+    # A NaN residual used to pass the Hermiticity test: expectation returned
+    # nan and sampling raised numpy's bare ValueError.
+    obs = SIGMA_X.copy()
+    obs[where] = obs[where[::-1]] = entry
+    zero = np.array([1.0, 0.0], dtype=complex)
+    with np.errstate(all="raise"):
+        with pytest.raises(NonHermitianObservable):
+            expectation(zero, obs)
+        with pytest.raises(NonHermitianObservable):
+            sample_measurements(zero, obs, 10, seed=1)
 
 
 def test_hoeffding_coverage():
