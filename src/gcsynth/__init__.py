@@ -11,8 +11,8 @@ quantum circuits classically.
 from .algebra import (
     Algebra,
     AlgebraBasis,
-    AdjointRep,
     CartanWeylData,
+    RootImages,
     RootTriple,
     assemble_algebra,
     build_cartan_weyl,
@@ -47,7 +47,6 @@ from .moments import (
     MomentVector,
     build_target,
     offdiag_distance,
-    purity,
     root_coefficients,
 )
 from .pipeline import (

@@ -25,10 +25,11 @@ highest-weight Hamiltonian (read off that eigenbasis), and each root's
 pi-reflection exponent.  Each is computed on first use and cached on the
 instance, so it lives exactly as long as the algebra does.
 
-A group operation exp{i(alpha E+ + alpha* E-)} is applied in closed form:
-its generator's spectrum is |alpha| times that of E+ + E-, cached per root
-by `CartanWeylData` and `AdjointRep`, so the exponential is a short
-polynomial in the generator (`_rotate_in_root`); no eigendecomposition.
+A group operation exp{i(alpha E+ + alpha* E-)} is applied in closed form by
+`RootImages.rotate`, in either representation (`CartanWeylData.defining`,
+`Algebra.adjoint`): its generator's spectrum is |alpha| times that of
+E+ + E-, cached per root, so the exponential is a short polynomial in the
+generator; no eigendecomposition.
 
 Each structural invariant has one function, computed once per assembly
 and only where some input can break it.  Closure and the Killing form are
@@ -121,49 +122,6 @@ def check_root_index(root_index, num_roots):
     """Raise RootIndexOutOfRange unless 0 <= root_index < num_roots."""
     if not 0 <= root_index < num_roots:
         raise RootIndexOutOfRange(f"root index {root_index} is not in 0..{num_roots - 1}")
-
-
-def _root_spectra(raising, lowering):
-    """Per root, (nodes, scale, inverse) for `_rotate_in_root`.
-
-    nodes are the distinct eigenvalues x_j of E+ + E-, shared by every
-    e^{i phi} E+ + e^{-i phi} E- (its conjugate by exp(i phi Sz)); inverse
-    inverts T[j, k] = T_k(x_j / scale), scale = max |x_j|.  Chebyshev rather
-    than monomial columns keep rounding growth small for many nodes.  Raises
-    RootSpectrumIllConditioned past MAX_NODE_AMPLIFICATION (spin j > 11 in
-    one su(2) irrep).
-    """
-    spectra = []
-    for l, evals in enumerate(np.linalg.eigvalsh(raising + lowering)):
-        scale = float(max(-evals[0], evals[-1]))
-        nodes = evals[np.concatenate(([True], np.diff(evals) > NODE_TOL * scale))]
-        inverse = np.linalg.inv(np.polynomial.chebyshev.chebvander(nodes / scale,
-                                                                   len(nodes) - 1))
-        if not np.abs(inverse).sum(axis=1).max() <= MAX_NODE_AMPLIFICATION:
-            raise RootSpectrumIllConditioned(
-                f"root {l}: {len(nodes)} distinct generator eigenvalues are too many "
-                "for a closed-form rotation in double precision")
-        spectra.append((_freeze(nodes), scale, _freeze(inverse)))
-    return tuple(spectra)
-
-
-def _rotate_in_root(raising, lowering, spectrum, alpha, x):
-    """exp{i(alpha E+ + alpha* E-)} @ x without an eigendecomposition.
-
-    For alpha = t e^{i phi} the generator is t N with N's eigenvalues the
-    cached nodes, so exp(i t N) = sum_k c_k T_k(N / s), c = inverse @ e^{i t x}
-    (interpolation on the spectrum; Higham, Functions of Matrices, 1.2),
-    applied by Clenshaw's recurrence: one product with N / s per degree.
-    """
-    nodes, scale, inverse = spectrum
-    t = abs(alpha)
-    phase = complex(alpha / t if t else 1.0) / scale
-    gen = phase * raising + phase.conjugate() * lowering  # N / s
-    coeffs = inverse @ np.exp(1j * t * nodes)
-    out, prev = coeffs[-1] * x, 0.0
-    for c in coeffs[-2:0:-1]:
-        out, prev = 2.0 * (gen @ out) - prev + c * x, out
-    return gen @ out - prev + coeffs[0] * x
 
 
 def _freeze(arr, dtype=None):
@@ -263,12 +221,75 @@ class RootTriple:
 
 
 @dataclass(frozen=True, eq=False)
+class RootImages:
+    """Images of the root operators in one representation, and their rotations.
+
+    `raising[l]` is the image of E+_l and `lowering[l]`, its conjugate
+    transpose, that of E-_l.
+    """
+
+    raising: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "raising", _freeze(self.raising))
+
+    @cached_property
+    def lowering(self):
+        """The images of E-_l, the conjugate transposes of `raising`."""
+        return _freeze(np.conj(np.transpose(self.raising, (0, 2, 1))))
+
+    @cached_property
+    def spectra(self):
+        """Per root, (nodes, scale, inverse) for `rotate`.
+
+        nodes are the distinct eigenvalues x_j of E+ + E-, shared by every
+        e^{i phi} E+ + e^{-i phi} E- (its conjugate by exp(i phi Sz)); inverse
+        inverts T[j, k] = T_k(x_j / scale), scale = max |x_j|.  Chebyshev rather
+        than monomial columns keep rounding growth small for many nodes.  Raises
+        RootSpectrumIllConditioned past MAX_NODE_AMPLIFICATION (spin j > 11 in
+        one su(2) irrep).
+        """
+        spectra = []
+        for l, evals in enumerate(np.linalg.eigvalsh(self.raising + self.lowering)):
+            scale = float(max(-evals[0], evals[-1]))
+            nodes = evals[np.concatenate(([True], np.diff(evals) > NODE_TOL * scale))]
+            inverse = np.linalg.inv(np.polynomial.chebyshev.chebvander(nodes / scale,
+                                                                       len(nodes) - 1))
+            if not np.abs(inverse).sum(axis=1).max() <= MAX_NODE_AMPLIFICATION:
+                raise RootSpectrumIllConditioned(
+                    f"root {l}: {len(nodes)} distinct generator eigenvalues are too many "
+                    "for a closed-form rotation in double precision")
+            spectra.append((_freeze(nodes), scale, _freeze(inverse)))
+        return tuple(spectra)
+
+    def rotate(self, root_index, alpha, x):
+        """exp{i(alpha E+_l + alpha* E-_l)} @ x for l = root_index; RootIndexOutOfRange.
+
+        For alpha = t e^{i phi} the generator is t N with N's eigenvalues the
+        cached nodes, so exp(i t N) = sum_k c_k T_k(N / s), c = inverse @ e^{i t x}
+        (interpolation on the spectrum; Higham, Functions of Matrices, 1.2),
+        applied by Clenshaw's recurrence: one product with N / s per degree,
+        O(d^2) each for a vector x of length d.
+        """
+        check_root_index(root_index, len(self.raising))
+        nodes, scale, inverse = self.spectra[root_index]
+        t = abs(alpha)
+        phase = complex(alpha / t if t else 1.0) / scale
+        gen = phase * self.raising[root_index] + phase.conjugate() * self.lowering[root_index]
+        coeffs = inverse @ np.exp(1j * t * nodes)
+        out, prev = coeffs[-1] * x, 0.0
+        for c in coeffs[-2:0:-1]:
+            out, prev = 2.0 * (gen @ out) - prev + c * x, out
+        return gen @ out - prev + coeffs[0] * x
+
+
+@dataclass(frozen=True, eq=False)
 class CartanWeylData:
     """Cartan-Weyl split of an orthogonal basis.
 
     `pair_map[l] = (u, v)` names the two basis indices housing E+ + E- and
-    i(E- - E+) for root l; `raising_ops[l]` is E+_l on the defining
-    representation and `lowering_ops[l]` its adjoint.  `mu_matrix[l, r]` are
+    i(E- - E+) for root l; `defining` holds E+-_l on the defining
+    representation (`raising_ops`, `lowering_ops`).  `mu_matrix[l, r]` are
     the coefficients of Z_l = [E+_l, E-_l] over H_r and `etas[l]` the
     eigenvalue of [Z_l, E+_l] = eta E+_l; `root_triples[l]` reads row l.
     """
@@ -276,17 +297,24 @@ class CartanWeylData:
     rank_R: int
     num_roots_L: int
     csa_indices: tuple
-    raising_ops: np.ndarray
-    lowering_ops: np.ndarray
+    defining: RootImages
     pair_map: tuple
     mu_matrix: np.ndarray
     etas: np.ndarray
 
     def __post_init__(self):
-        for name in ("raising_ops", "lowering_ops", "mu_matrix", "etas"):
+        for name in ("mu_matrix", "etas"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "csa_indices", tuple(self.csa_indices))
         object.__setattr__(self, "pair_map", tuple(tuple(p) for p in self.pair_map))
+
+    @property
+    def raising_ops(self):
+        return self.defining.raising
+
+    @property
+    def lowering_ops(self):
+        return self.defining.lowering
 
     @cached_property
     def root_triples(self):
@@ -298,60 +326,6 @@ class CartanWeylData:
     def pair_indices(self):
         """Partner-pair basis indices as two arrays (u, v), each of length L."""
         return _freeze(np.array(self.pair_map, dtype=int).T)
-
-    @cached_property
-    def root_spectra(self):
-        """Closed-form rotation data of each root on the defining representation."""
-        return _root_spectra(self.raising_ops, self.lowering_ops)
-
-    def rotate(self, root_index, alpha, state):
-        """exp{i(alpha E+_l + alpha* E-_l)} @ state, O(d^2); RootIndexOutOfRange."""
-        check_root_index(root_index, self.num_roots_L)
-        return _rotate_in_root(self.raising_ops[root_index], self.lowering_ops[root_index],
-                               self.root_spectra[root_index], alpha, state)
-
-
-@dataclass(frozen=True, eq=False)
-class AdjointRep:
-    """Images of the root operators E+-_l in the adjoint representation.
-
-    The image of O_m is the M x M Hermitian matrix -i bar(O_m), the plain
-    commutator [O_m, .] on basis coefficients, with bar(O_m)[k, m'] =
-    f[m, m', k]; only the root images are kept.  raising_images[l] and
-    lowering_images[l] are the images of E+_l and E-_l.
-    """
-
-    raising_images: np.ndarray
-    lowering_images: np.ndarray
-
-    def __post_init__(self):
-        for name in ("raising_images", "lowering_images"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-
-    @cached_property
-    def root_spectra(self):
-        """Closed-form rotation data of each root on the adjoint representation."""
-        return _root_spectra(self.raising_images, self.lowering_images)
-
-    def rotate(self, root_index, alpha, coeffs):
-        """exp{i(alpha E+_l + alpha* E-_l)} @ coeffs, O(M^2); RootIndexOutOfRange.
-
-        The generator's image is i times a real antisymmetric matrix, so the
-        result is real.
-        """
-        check_root_index(root_index, len(self.raising_images))
-        return _rotate_in_root(self.raising_images[root_index],
-                               self.lowering_images[root_index],
-                               self.root_spectra[root_index], alpha, coeffs).real
-
-    def conjugation_matrix(self, root_index, alpha):
-        """Real orthogonal d with T^dag O_m T = sum_m' d[m, m'] O_m', in O(M^3).
-
-        T = exp{i(alpha E+_l + alpha* E-_l)} for l = root_index: the rotation
-        applied to the identity.  A coefficient vector c maps to d.T @ c, the
-        rotation by -alpha (the generator's image is antisymmetric).
-        """
-        return self.rotate(root_index, alpha, np.eye(self.raising_images.shape[1]))
 
 
 def orthonormalize_basis(raw_basis, target_N=None):
@@ -571,16 +545,16 @@ class _RowSparse:
 
 
 def _adjoint_from_constants(f, cw):
-    """Adjoint images of E+-_l, from the images -i bar(O_m) of each pair (u, v).
+    """Adjoint images of E+_l, from the images -i bar(O_m) of each pair (u, v).
 
-    bar(O_m)[k, m'] = f[m, m', k] is the real matrix of ad(O_m); the images
-    obey the stored-bracket relations because f obeys the Jacobi identity
-    once closure holds.
+    The image of O_m is the M x M Hermitian matrix -i bar(O_m), the plain
+    commutator [O_m, .] on basis coefficients, with bar(O_m)[k, m'] =
+    f[m, m', k] the real matrix of ad(O_m); only the root images are kept.
+    They obey the stored-bracket relations because f obeys the Jacobi
+    identity once closure holds.
     """
     adj_u, adj_v = (np.transpose(f[idx], (0, 2, 1)) * -1j for idx in cw.pair_indices)
-    raising = (adj_u + 1j * adj_v) / 2.0
-    lowering = np.conj(np.transpose(raising, (0, 2, 1)))
-    return AdjointRep(raising_images=raising, lowering_images=lowering)
+    return RootImages((adj_u + 1j * adj_v) / 2.0)
 
 
 def _root_residuals(f, csa, u, v):
@@ -670,13 +644,11 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
     mu = z[:, list(csa_indices)]
 
     mats = np.asarray(basis.basis)
-    raising = (mats[u] + 1j * mats[v]) / 2.0
     return CartanWeylData(
         rank_R=rank,
         num_roots_L=num_roots,
         csa_indices=csa_indices,
-        raising_ops=raising,
-        lowering_ops=np.conj(np.transpose(raising, (0, 2, 1))),
+        defining=RootImages((mats[u] + 1j * mats[v]) / 2.0),
         pair_map=pair_map,
         mu_matrix=mu,
         etas=2.0 * np.einsum("lr,lr->l", mu, mu),
@@ -777,11 +749,11 @@ def validate_algebra(basis, cw=None):
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """An orthogonal basis together with its Cartan-Weyl split and adjoint rep."""
+    """An orthogonal basis with its Cartan-Weyl split and the adjoint root images."""
 
     basis: AlgebraBasis
     cartan_weyl: CartanWeylData
-    adjoint: AdjointRep
+    adjoint: RootImages
     name: str = "custom"
 
     @property
@@ -940,5 +912,5 @@ def assemble_algebra(basis, csa_indices, root_pairs, name="custom"):
             report=report,
         )
     adjoint = _adjoint_from_constants(np.asarray(basis.structure_constants), cw)
-    _ = cw.root_spectra, adjoint.root_spectra  # RootSpectrumIllConditioned here, not later
+    _ = cw.defining.spectra, adjoint.spectra  # RootSpectrumIllConditioned here, not later
     return Algebra(basis=basis, cartan_weyl=cw, adjoint=adjoint, name=name)

@@ -19,13 +19,13 @@ import numpy as np
 
 from .algebra import assemble_algebra, orthonormalize_basis
 from .errors import InvalidParameter, ParseError, RootSpectrumIllConditioned
-from .serialize import _load, parse_algebra_dict, save_algebra
+from .serialize import _load, parse_algebra_dict
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Spin j = 23/2 puts 24 distinct eigenvalues on its one root generator, past
-# what `algebra._root_spectra` admits; larger spins are refused before building.
+# what `algebra.RootImages.spectra` admits; larger spins are refused before building.
 MAX_TWO_J = 22
 
 
@@ -184,8 +184,3 @@ def load_algebra(path):
     mats, norm, csa, pairs, name = parse_algebra_dict(data, context=str(path))
     basis = orthonormalize_basis(mats, target_N=norm)
     return assemble_algebra(basis, csa_indices=csa, root_pairs=pairs, name=name)
-
-
-def export_algebra(algebra, path):
-    """Write an algebra definition file (inverse of load_algebra)."""
-    save_algebra(algebra, path)

@@ -131,7 +131,7 @@ def _cmd_algebra(args):
             raise InvalidParameter("--n is required for so2n")
         algebra = catalog.make_so2n(args.n)
     path = _out_path(args.out, "algebra.json")
-    catalog.export_algebra(algebra, path)
+    serialize.save_algebra(algebra, path)
     print(path)
     return 0
 

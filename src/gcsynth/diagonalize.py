@@ -10,7 +10,7 @@ rotation axis lies in the Sx/Sy plane, perpendicular to (xi_x, xi_y), and
 the angle is the polar angle theta = arctan2(sqrt(xi_x^2 + xi_y^2), xi_z);
 the two-argument form keeps xi_z < 0 inputs on the (pi/2, pi) branch, where
 a principal-branch arctan would rotate toward the wrong pole.  c is rotated
-in the adjoint representation by `AdjointRep.rotate`, the closed form of the
+in the adjoint representation by `RootImages.rotate`, the closed form of the
 exponential on the root generator's known spectrum: a handful of M x M
 matrix-vector products, so one step costs O(M^2), with no M x M rotation
 matrix formed and no eigendecomposition.
@@ -82,7 +82,8 @@ def plan_step(coeffs, pivot, algebra):
     """
     cw = algebra.cartan_weyl
     check_root_index(pivot, cw.num_roots_L)
-    iota = complex(root_coefficients(coeffs, algebra)[pivot])
+    u, v = cw.pair_map[pivot]
+    iota = complex(coeffs[u] - 1j * coeffs[v])
     if iota == 0:
         raise ZeroPivot(f"root {pivot} has zero coefficient")
     triple = cw.root_triples[pivot]
@@ -104,9 +105,10 @@ def plan_step(coeffs, pivot, algebra):
 def apply_step(coeffs, plan, algebra):
     """Conjugate by the planned rotation in the adjoint representation.
 
-    The coefficient vector c becomes d.T @ c, with d the rotation's
-    `AdjointRep.conjugation_matrix`; d.T is the rotation by -alpha, applied
-    to c directly by `AdjointRep.rotate`.
+    The coefficient vector c becomes d.T @ c, with d the rotation's adjoint
+    action (`lqc.adjoint_action_of`); d.T is the rotation by -alpha, applied
+    to c directly by `Algebra.adjoint.rotate`.  Its real part is exact: the
+    generator's adjoint image is i times a real antisymmetric matrix.
 
     Returns
     -------
@@ -122,7 +124,7 @@ def apply_step(coeffs, plan, algebra):
         # Identity conjugation: nothing moves and nothing to verify.
         return coeffs, plan
 
-    out = algebra.adjoint.rotate(plan.pivot, -plan.alpha, coeffs)
+    out = algebra.adjoint.rotate(plan.pivot, -plan.alpha, coeffs).real
     # Absolute floor: near convergence sqrt(d) sinks below the conjugation
     # noise floor and a purely relative test would trip falsely.
     tol = PIVOT_REL_TOL * math.sqrt(offdiag_distance(coeffs, algebra)) \

@@ -3,8 +3,8 @@
 Gates act on the moment vector through their adjoint action
 d[m, m'] = Tr(O_m' T^dag O_m T)/N, so a circuit of length L propagates the
 M expectation values in O(L M^2) after the actions are built.  A group
-operation's action is `AdjointRep.conjugation_matrix`: the closed-form root
-rotation applied to the identity, O(M^3), with no eigendecomposition.
+operation's action is `Algebra.adjoint.rotate` applied to the identity: the
+closed-form root rotation, O(M^3), with no eigendecomposition.
 Explicit unitaries are conjugated on the defining representation and
 accepted only when conjugation keeps the algebra span.  The final state of
 a valid trajectory stays a GCS, certified by its purity, and can be handed
@@ -55,18 +55,19 @@ def adjoint_action_of(gate, algebra):
     Parameters
     ----------
     gate : GroupOp or (rep_dim, rep_dim) unitary ndarray
-        Group operations always qualify; explicit unitaries must keep the
-        algebra span under conjugation (residual below 1e-8), which is the
-        classical-simulability requirement.
+        Group operations always qualify: d is the adjoint rotation of the
+        identity, whose real part is exact because the generator's adjoint
+        image is i times a real antisymmetric matrix.  Explicit unitaries
+        must keep the algebra span under conjugation (residual below 1e-8),
+        which is the classical-simulability requirement.
 
     Raises
     ------
     RootIndexOutOfRange, InvalidGate, NonFiniteGate, LeavesAlgebraSpan
     """
     if isinstance(gate, GroupOp):
-        return AdjointAction(
-            matrix=algebra.adjoint.conjugation_matrix(gate.root_index, gate.alpha),
-            descriptor=f"group_op(l={gate.root_index})")
+        rotated = algebra.adjoint.rotate(gate.root_index, gate.alpha, np.eye(algebra.dim))
+        return AdjointAction(matrix=rotated.real, descriptor=f"group_op(l={gate.root_index})")
     unitary = np.asarray(gate, dtype=complex)
     if unitary.shape != (algebra.rep_dim, algebra.rep_dim):
         raise InvalidGate("unitary has the wrong dimension for this representation")

@@ -36,6 +36,7 @@ class MomentVector:
 
     @property
     def purity(self):
+        """The algebra purity sum_m <O_m>^2; group-invariant, maximal on GCSs."""
         return float(np.dot(self.values, self.values))
 
     def __len__(self):
@@ -46,11 +47,6 @@ def require_finite(values, context="moment vector"):
     """Raise NonFiniteMoments unless every value is finite."""
     if not np.isfinite(values).all():
         raise NonFiniteMoments(f"{context} holds NaN or infinite values")
-
-
-def purity(moments):
-    """The algebra purity sum_m <O_m>^2; group-invariant, maximal on GCSs."""
-    return moments.purity
 
 
 def build_target(moments, algebra):

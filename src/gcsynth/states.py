@@ -4,8 +4,9 @@ Provides group-element application, exact expectations, seeded
 projective-measurement sampling, and the hidden black-box source used to
 exercise the synthesis pipeline.  The highest-weight state itself is
 derived and cached by `Algebra.highest_weight`.  A group operation acts on
-a state through `CartanWeylData.rotate`, a few matrix-vector products,
-O(d^2): no unitary and no eigendecomposition.
+a state through `RootImages.rotate` on the defining representation
+(`CartanWeylData.defining`), a few matrix-vector products, O(d^2): no
+unitary and no eigendecomposition.
 """
 
 from dataclasses import dataclass
@@ -44,8 +45,8 @@ class MeasurementRecord:
 
 def apply_group_op(state, op, algebra):
     """Apply one group exponential to a state vector; norm is preserved."""
-    out = algebra.cartan_weyl.rotate(op.root_index, op.alpha,
-                                     np.asarray(state, dtype=complex))
+    out = algebra.cartan_weyl.defining.rotate(op.root_index, op.alpha,
+                                              np.asarray(state, dtype=complex))
     return out / np.linalg.norm(out)
 
 
@@ -62,12 +63,21 @@ def highest_weight_state(algebra):
     return algebra.highest_weight
 
 
+def _state_vector(state):
+    """The state as a complex array; InvalidParameter unless its norm is finite
+    and nonzero (checked before any product, where inf would warn)."""
+    psi = np.asarray(state, dtype=complex)
+    if not 0.0 < np.vdot(psi, psi).real < np.inf:
+        raise InvalidParameter("the state must be finite and nonzero")
+    return psi
+
+
 def expectation(state, observable):
     """<state| observable |state> for a Hermitian observable; returns a real scalar."""
     obs = np.asarray(observable, dtype=complex)
     if not is_hermitian(obs):
         raise NonHermitianObservable("expectation requires a finite Hermitian observable")
-    psi = np.asarray(state, dtype=complex)
+    psi = _state_vector(state)
     val = np.vdot(psi, obs @ psi)
     return float(val.real)
 
@@ -113,7 +123,7 @@ def sample_measurements(state, observable, shots, seed, observable_index=0):
     if not is_hermitian(obs):
         raise NonHermitianObservable("sampling requires a finite Hermitian observable")
     evals, evecs = np.linalg.eigh(obs)
-    amps = evecs.conj().T @ np.asarray(state, dtype=complex)
+    amps = evecs.conj().T @ _state_vector(state)
     weights = np.abs(amps) ** 2
 
     scale = max(1.0, float(np.abs(evals).max()))

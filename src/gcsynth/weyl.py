@@ -118,7 +118,7 @@ def reflect_to_highest_weight(info, algebra):
         applied.append(l)
 
     for l in applied:
-        state = cw.rotate(l, algebra.reflection_alphas[l], state)
+        state = cw.defining.rotate(l, algebra.reflection_alphas[l], state)
     if not state_fidelity(state, hw) >= 1.0 - 1e-9:
         raise NoProgress(
             "reflections exhausted without reaching the highest-weight state; "

@@ -192,7 +192,7 @@ def reflect_by_states(info, algebra):
         best = None
         for l in candidates:
             alpha = algebra.reflection_alphas[l]
-            new_state = cw.rotate(l, alpha, state)
+            new_state = cw.defining.rotate(l, alpha, state)
             new_weights = _measure_weights(new_state, csa_ops)
             overlap_gain = float(np.dot(w_hw, new_weights - weights))
             height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))

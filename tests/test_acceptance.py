@@ -152,8 +152,8 @@ def test_criterion_5_oracle_equivalences(catalog_algebras):
             u = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
             x = np.einsum("m,mij->ij", coeffs, mats)
             c_def = np.einsum("ij,mji->m", u.conj().T @ x @ u, mats).real / algebra.norm
-            ua = expi_hermitian(alpha * algebra.adjoint.raising_images[l]
-                                + np.conj(alpha) * algebra.adjoint.lowering_images[l])
+            ua = expi_hermitian(alpha * algebra.adjoint.raising[l]
+                                + np.conj(alpha) * algebra.adjoint.lowering[l])
             xa = np.einsum("m,mij->ij", coeffs, adj)
             c_adj = adjoint_coefficients(ua.conj().T @ xa @ ua, algebra)
             worst["conjugation"] = max(worst["conjugation"],

@@ -31,6 +31,7 @@ from gcsynth.errors import (
     RootSpectrumIllConditioned,
     ValidationFailed,
 )
+from gcsynth.lqc import adjoint_action_of
 from gcsynth.states import GroupOp, apply_group_op
 
 from conftest import (
@@ -371,6 +372,20 @@ def test_perturbed_structure_constant_fails_assembly(su3):
     assert "brackets close over the basis" in failed
 
 
+def test_nan_basis_entry_fails_validation_before_rotation_spectra(su2_half):
+    # Assembly forces both RootImages spectra only after validate_algebra, so
+    # a hand-built basis with a NaN entry never reaches eigvalsh.
+    mats = np.array(su2_half.basis.basis)
+    mats[1, 0, 1] = np.nan
+    broken = AlgebraBasis(dim_M=3, rep_dim=2, basis=mats, normalization_N=su2_half.norm,
+                          structure_constants=su2_half.basis.structure_constants)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailed) as info:
+            assemble_algebra(broken, [0], [(1, 2)])
+    assert "basis hermiticity" in {e.name for e in info.value.report.failures()}
+
+
 def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
     # Closure on the defining rep: one call, shared by construction and
     # validate_algebra, on the path the basis selects: the row-sparse kernel
@@ -575,7 +590,7 @@ def test_conjugation_matrix_matches_defining_rep(catalog_algebras, su3, half_one
             alpha = complex(rng.normal(), rng.normal())
             u = group_op_unitary(GroupOp(l, alpha), algebra)
             oracle = np.einsum("mij,nji->mn", u.conj().T @ mats @ u, mats) / algebra.norm
-            d = algebra.adjoint.conjugation_matrix(l, alpha)
+            d = adjoint_action_of(GroupOp(l, alpha), algebra).matrix
             assert d.dtype == np.float64
             assert np.abs(d - oracle).max() < 1e-12
             assert np.abs(d @ d.T - np.eye(algebra.dim)).max() < 1e-12
@@ -594,11 +609,11 @@ def test_closed_form_rotations_match_dense(catalog_algebras, so8, su3, magnitude
         for l in range(cw.num_roots_L):
             alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
             dense = expi_hermitian(alpha * cw.raising_ops[l] + np.conj(alpha) * cw.lowering_ops[l])
-            assert np.abs(cw.rotate(l, alpha, np.eye(algebra.rep_dim)) - dense).max() < 1e-12
-            assert np.abs(cw.rotate(l, alpha, state) - dense @ state).max() < 1e-12
-            dense_adj = expi_hermitian(alpha * adj.raising_images[l]
-                                       + np.conj(alpha) * adj.lowering_images[l])
-            d = adj.conjugation_matrix(l, alpha)
+            rotated = cw.defining.rotate(l, alpha, np.eye(algebra.rep_dim))
+            assert np.abs(rotated - dense).max() < 1e-12
+            assert np.abs(cw.defining.rotate(l, alpha, state) - dense @ state).max() < 1e-12
+            dense_adj = expi_hermitian(alpha * adj.raising[l] + np.conj(alpha) * adj.lowering[l])
+            d = adj.rotate(l, alpha, np.eye(algebra.dim))
             assert np.abs(d - dense_adj).max() < 1e-12
             assert np.abs(d @ d.T - np.eye(algebra.dim)).max() < 1e-12
             assert np.abs(adj.rotate(l, alpha, coeffs) - d @ coeffs).max() < 1e-12
@@ -609,7 +624,7 @@ def test_wide_root_spectrum_is_typed():
     # j = 11 the interpolating polynomial cannot hold double precision.
     algebra = make_su2(MAX_TWO_J)
     dense = expi_hermitian(2.0 * algebra.basis.basis[1])
-    assert np.abs(algebra.cartan_weyl.rotate(0, 2.0, np.eye(23)) - dense).max() < 1e-9
+    assert np.abs(algebra.cartan_weyl.defining.rotate(0, 2.0, np.eye(23)) - dense).max() < 1e-9
     # The catalog refuses larger spins before building anything; assembly
     # refuses them on its own too.
     for two_j in (MAX_TWO_J + 1, MAX_TWO_J + 2, 10 ** 9):
@@ -623,9 +638,9 @@ def test_wide_root_spectrum_is_typed():
 
 def test_out_of_range_root_index_is_typed(su2_half):
     with pytest.raises(RootIndexOutOfRange):
-        su2_half.adjoint.conjugation_matrix(1, 0.3)
+        su2_half.adjoint.rotate(1, 0.3, np.eye(3))
     with pytest.raises(RootIndexOutOfRange):
-        su2_half.adjoint.conjugation_matrix(-1, 0.3)
+        su2_half.adjoint.rotate(-1, 0.3, np.eye(3))
     state = su2_half.highest_weight[0]
     with pytest.raises(RootIndexOutOfRange):
         apply_group_op(state, GroupOp(5, 0.3), su2_half)
@@ -649,8 +664,8 @@ def test_conjugation_consistency_oracle(catalog_algebras, half_one):
             x = np.einsum("m,mij->ij", coeffs, mats)
             c_def = np.einsum("ij,mji->m", u.conj().T @ x @ u, mats).real / algebra.norm
 
-            ua = expi_hermitian(alpha * algebra.adjoint.raising_images[l]
-                                + np.conj(alpha) * algebra.adjoint.lowering_images[l])
+            ua = expi_hermitian(alpha * algebra.adjoint.raising[l]
+                                + np.conj(alpha) * algebra.adjoint.lowering[l])
             xa = np.einsum("m,mij->ij", coeffs, adj)
             c_adj = adjoint_coefficients(ua.conj().T @ xa @ ua, algebra)
             assert np.abs(c_def - c_adj).max() < 1e-9

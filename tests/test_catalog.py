@@ -12,14 +12,14 @@ from gcsynth import (
     resolve_algebra,
     validate_algebra,
 )
-from gcsynth.catalog import export_algebra, jordan_wigner_majoranas, reference_instances
+from gcsynth.catalog import jordan_wigner_majoranas, reference_instances
 from gcsynth.errors import (
     GcsynthError,
     KillingFormDegenerate,
     NonHermitianInput,
     RootPairNotEigenvector,
 )
-from gcsynth.serialize import _matrix_to_json
+from gcsynth.serialize import _matrix_to_json, save_algebra
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, commutator
 
@@ -120,7 +120,7 @@ def test_reference_instances_cover_acceptance_set():
 
 def test_round_trip_structure_constants(tmp_path, su2_half):
     path = tmp_path / "su2.json"
-    export_algebra(su2_half, path)
+    save_algebra(su2_half, path)
     reloaded = load_algebra(path)
     assert np.abs(np.asarray(reloaded.basis.structure_constants)
                   - np.asarray(su2_half.basis.structure_constants)).max() < 1e-12
@@ -129,7 +129,7 @@ def test_round_trip_structure_constants(tmp_path, su2_half):
 
 def test_round_trip_so4(tmp_path, so4):
     path = tmp_path / "so4.json"
-    export_algebra(so4, path)
+    save_algebra(so4, path)
     reloaded = load_algebra(path)
     assert np.abs(np.asarray(reloaded.basis.basis)
                   - np.asarray(so4.basis.basis)).max() < 1e-12
@@ -137,7 +137,7 @@ def test_round_trip_so4(tmp_path, so4):
 
 def test_non_hermitian_file_rejected(tmp_path, su2_half):
     path = tmp_path / "bad.json"
-    export_algebra(su2_half, path)
+    save_algebra(su2_half, path)
     data = json.loads(path.read_text())
     data["basis"][1] = _matrix_to_json(np.array([[0, 1], [0, 0]], dtype=complex))
     path.write_text(json.dumps(data))
@@ -147,7 +147,7 @@ def test_non_hermitian_file_rejected(tmp_path, su2_half):
 
 def test_mislabeled_root_pair_surfaces(tmp_path, su3):
     path = tmp_path / "su3.json"
-    export_algebra(su3, path)
+    save_algebra(su3, path)
     data = json.loads(path.read_text())
     # Swap the y-partners of two different roots: pairs no longer ad-eigenvectors.
     data["root_pairs"] = [[2, 6], [3, 5], [4, 7]]

@@ -8,7 +8,6 @@ from gcsynth import (
     hidden_gcs,
     highest_weight_state,
     offdiag_distance,
-    purity,
     root_coefficients,
 )
 from gcsynth.errors import GcsynthError, LengthMismatch, NonFiniteMoments
@@ -78,7 +77,7 @@ def test_sampled_moments_clipped_only_on_assembly(su2_half):
 def test_purity_examples(su2_half):
     hw, _ = highest_weight_state(su2_half)
     assert exact_moments(hw, su2_half).purity == pytest.approx(1.0, abs=1e-12)
-    assert purity(MomentVector(np.zeros(3))) == 0.0
+    assert MomentVector(np.zeros(3)).purity == 0.0
 
 
 def test_purity_invariant_on_gcs(su2_half):

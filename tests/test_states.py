@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ def test_non_finite_observable_is_typed(entry, where):
             expectation(zero, obs)
         with pytest.raises(NonHermitianObservable):
             sample_measurements(zero, obs, 10, seed=1)
+
+
+@pytest.mark.parametrize("state", [[np.nan, 0.0], [0.0, 1j * np.nan], [np.inf, 0.0],
+                                   [0.0, -np.inf], [np.inf, np.inf], [0.0, 0.0]],
+                         ids=["nan", "imag-nan", "inf", "-inf", "inf-inf", "zero"])
+@pytest.mark.parametrize("obs", [SIGMA_Z, SIGMA_X], ids=["sz", "sx"])
+def test_non_finite_or_zero_state_is_typed(state, obs):
+    # expectation used to return nan, sampling to raise numpy's bare
+    # ValueError (NaN) or warn (zero state, infinite state).
+    psi = np.array(state, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="finite and nonzero"):
+            expectation(psi, obs)
+        with pytest.raises(InvalidParameter, match="finite and nonzero"):
+            sample_measurements(psi, obs, 10, seed=1)
 
 
 def test_hoeffding_coverage():

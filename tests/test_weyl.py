@@ -12,7 +12,7 @@ from gcsynth import (
     top_weight_state,
 )
 from gcsynth import weyl
-from gcsynth.algebra import CartanWeylData, vector_weights
+from gcsynth.algebra import RootImages, vector_weights
 from gcsynth.errors import DegenerateTop, NoProgress, NotAWeightState
 from gcsynth.states import phase_min_distance, state_fidelity
 from gcsynth.weyl import WeightStateInfo
@@ -209,7 +209,7 @@ def test_reflection_acts_on_weights_in_closed_form(walk_algebras):
         for l, alpha in enumerate(algebra.reflection_alphas):
             mu, eta = cw.mu_matrix[l], cw.etas[l]
             for v, w in zip(vectors.T, weight_table):
-                reflected = vector_weights(cw.rotate(l, alpha, v), algebra.csa_ops)
+                reflected = vector_weights(cw.defining.rotate(l, alpha, v), algebra.csa_ops)
                 assert reflected is not None
                 assert np.abs(reflected - (w - 4.0 * (mu @ w / eta) * mu)).max() < 1e-12
 
@@ -218,7 +218,7 @@ def test_walk_rotates_once_per_emitted_reflection(so8, su3, monkeypatch):
     # Candidates are scored on weights alone: a walk emitting J reflections
     # measures the input once and rotates the state exactly J times.
     calls = {"rotate": 0, "weights": 0}
-    rotate, measure = CartanWeylData.rotate, weyl.vector_weights
+    rotate, measure = RootImages.rotate, weyl.vector_weights
 
     def counted_rotate(self, *args):
         calls["rotate"] += 1
@@ -228,7 +228,7 @@ def test_walk_rotates_once_per_emitted_reflection(so8, su3, monkeypatch):
         calls["weights"] += 1
         return measure(*args)
 
-    monkeypatch.setattr(CartanWeylData, "rotate", counted_rotate)
+    monkeypatch.setattr(RootImages, "rotate", counted_rotate)
     monkeypatch.setattr(weyl, "vector_weights", counted_weights)
     emitted = 0
     for algebra in (so8, su3):
