@@ -61,6 +61,7 @@ oracle.
 from dataclasses import dataclass, field
 from functools import cached_property
 import hashlib
+import math
 
 import numpy as np
 
@@ -71,6 +72,7 @@ from .errors import (
     InvalidAlgebraSpec,
     KillingFormDegenerate,
     LinearlyDependentBasis,
+    NonFiniteGate,
     NonHermitianInput,
     NotUnique,
     RootIndexOutOfRange,
@@ -108,14 +110,19 @@ def trace_gram(a, b):
     return a.reshape(len(a), size) @ np.transpose(b, (0, 2, 1)).reshape(len(b), size).T
 
 
-def is_hermitian(mats):
-    """Per matrix of a stack, or for one matrix: whether its Hermiticity
-    residual max|A - A^dag| is within HERMITICITY_TOL (1 + max|entry|).  A NaN
+def hermiticity_residual(mats):
+    """Per matrix of a stack, or for one matrix: the Hermiticity residual
+    max|A - A^dag| and its tolerance HERMITICITY_TOL (1 + max|entry|).  A NaN
     or infinite entry makes the residual NaN, which no tolerance admits."""
     mats = np.asarray(mats)
     with np.errstate(invalid="ignore"):  # inf - inf
         resid = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))).max(axis=(-2, -1))
-    return resid <= HERMITICITY_TOL * (1.0 + np.abs(mats).max(axis=(-2, -1)))
+    return resid, HERMITICITY_TOL * (1.0 + np.abs(mats).max(axis=(-2, -1)))
+
+
+def is_hermitian(mats):
+    """Whether `hermiticity_residual` is within its tolerance, per matrix."""
+    return np.less_equal(*hermiticity_residual(mats))
 
 
 def check_root_index(root_index, num_roots):
@@ -263,7 +270,11 @@ class RootImages:
         return tuple(spectra)
 
     def rotate(self, root_index, alpha, x):
-        """exp{i(alpha E+_l + alpha* E-_l)} @ x for l = root_index; RootIndexOutOfRange.
+        """exp{i(alpha E+_l + alpha* E-_l)} @ x for l = root_index.
+
+        Raises RootIndexOutOfRange for a bad index, and NonFiniteGate unless
+        |alpha| times the largest node is finite; the test bounds |alpha| by
+        |Re| + |Im|, which, unlike abs() of a huge Python complex, cannot overflow.
 
         For alpha = t e^{i phi} the generator is t N with N's eigenvalues the
         cached nodes, so exp(i t N) = sum_k c_k T_k(N / s), c = inverse @ e^{i t x}
@@ -273,6 +284,9 @@ class RootImages:
         """
         check_root_index(root_index, len(self.raising))
         nodes, scale, inverse = self.spectra[root_index]
+        if not math.isfinite((abs(alpha.real) + abs(alpha.imag)) * scale):
+            raise NonFiniteGate(f"exponent alpha = {alpha} overflows the rotation of root "
+                                f"{root_index}")
         t = abs(alpha)
         phase = complex(alpha / t if t else 1.0) / scale
         gen = phase * self.raising[root_index] + phase.conjugate() * self.lowering[root_index]
@@ -707,8 +721,8 @@ def validate_algebra(basis, cw=None):
     mats = np.asarray(basis.basis)
     f = np.asarray(basis.structure_constants)
 
-    herm = np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))).max()
-    report.add("basis hermiticity", herm, HERMITICITY_TOL * (1.0 + np.abs(mats).max()))
+    herm, herm_tol = hermiticity_residual(mats)
+    report.add("basis hermiticity", herm.max(), herm_tol.max())
     norm = basis.normalization_N
     ortho = np.abs(trace_gram(mats, mats).real - norm * np.eye(basis.dim_M)).max()
     report.add("trace orthogonality Tr(O_m O_m') = N delta", ortho, ORTHOGONALITY_TOL * norm)

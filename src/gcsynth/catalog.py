@@ -18,7 +18,7 @@ import operator
 import numpy as np
 
 from .algebra import assemble_algebra, orthonormalize_basis
-from .errors import InvalidParameter, ParseError, RootSpectrumIllConditioned
+from .errors import InvalidParameter, RootSpectrumIllConditioned
 from .serialize import _load, parse_algebra_dict
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -135,6 +135,11 @@ class CatalogEntry:
     description: str
     build: callable
 
+    @property
+    def flag(self):
+        """The command-line flag that sets `parameter`, e.g. --two-j."""
+        return "--" + self.parameter.replace("_", "-")
+
 
 CATALOG = (
     CatalogEntry("su2", "two_j",
@@ -178,9 +183,6 @@ def load_algebra(path):
         Structural problems (bad CSA/root indices, non-Hermitian entries,
         mislabeled root pairs, degenerate Killing form, ...) from assembly.
     """
-    data = _load(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    mats, norm, csa, pairs, name = parse_algebra_dict(data, context=str(path))
+    mats, norm, csa, pairs, name = parse_algebra_dict(_load(path), context=str(path))
     basis = orthonormalize_basis(mats, target_N=norm)
     return assemble_algebra(basis, csa_indices=csa, root_pairs=pairs, name=name)

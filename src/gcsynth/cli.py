@@ -1,8 +1,9 @@
 """Command-line interface: file-based, seeded, reproducible workflows.
 
-Exit status 0 on success, 1 on validation/parse failures, 2 on numerical
-failures (non-convergence, orbit violations).  Errors are emitted as a
-machine-readable JSON record on stderr.
+Exit status 0 on success, 1 on bad input (usage, validation and parse
+failures), 2 on numerical failures (non-convergence, orbit violations).
+Every failure, a usage error included, is one JSON line on stderr; the error
+type states its status and fields (`errors.exit_record`).
 """
 
 import argparse
@@ -11,26 +12,15 @@ import os
 import sys
 
 from . import catalog, lqc, pipeline, serialize
-from .errors import (
-    DegenerateTop,
-    GcsynthError,
-    InvalidParameter,
-    MaxStepsExceeded,
-    NoProgress,
-    NotAGcs,
-    StepDidNotReducePivot,
-    ZeroGap,
-)
+from .errors import GcsynthError, InvalidParameter, exit_record
 from .states import hidden_gcs
 
-_NUMERICAL_ERRORS = (MaxStepsExceeded, NoProgress, StepDidNotReducePivot,
-                     DegenerateTop, ZeroGap, NotAGcs)
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidParameter; subparsers are built from this class."""
 
-def _out_path(arg, default_name):
-    if arg:
-        return arg
-    return os.path.join(os.environ.get("GCSYNTH_OUT", "."), default_name)
+    def error(self, message):
+        raise InvalidParameter(f"{self.prog}: {message}")
 
 
 def _resolve_algebra(spec):
@@ -56,43 +46,48 @@ def _log(message, quiet=False):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcsynth",
         description="Synthesize preparation circuits for generalized coherent "
                     "states and simulate Lie-algebraic circuits classically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_dir = os.environ.get("GCSYNTH_OUT", ".")
 
     p_alg = sub.add_parser("algebra", help="catalog utilities")
     alg_sub = p_alg.add_subparsers(dest="subcommand", required=True)
-    alg_sub.add_parser("list", help="list catalog entries")
+    alg_sub.add_parser("list", help="list catalog entries").set_defaults(run=_cmd_algebra_list)
     p_export = alg_sub.add_parser("export", help="write a catalog instance to a file")
+    p_export.set_defaults(run=_cmd_algebra_export, out=os.path.join(out_dir, "algebra.json"))
     p_export.add_argument("--name", required=True, choices=[e.name for e in catalog.CATALOG])
-    p_export.add_argument("--two-j", type=int, help="spin parameter for su2")
-    p_export.add_argument("--n", type=int, help="mode count for so2n")
+    for entry in catalog.CATALOG:
+        p_export.add_argument(entry.flag, type=int, help=f"{entry.parameter} for {entry.name}")
     p_export.add_argument("--out", help="output path (default $GCSYNTH_OUT/algebra.json)")
 
-    p_synth = sub.add_parser("synth", help="synthesize a circuit from a moment file")
-    p_synth.add_argument("--algebra", required=True, help="algebra file or catalog spec")
-    p_synth.add_argument("--moments", required=True)
-    p_synth.add_argument("--epsilon", type=float, required=True)
-    p_synth.add_argument("--delta", type=float, default=0.05)
-    p_synth.add_argument("--max-steps", type=int, default=None)
-    p_synth.add_argument("--out", help="circuit path (default $GCSYNTH_OUT/circuit.json)")
-    p_synth.add_argument("--quiet", action="store_true")
+    # Options shared by the two commands that synthesize from moments.
+    synthesis = _Parser(add_help=False)
+    synthesis.add_argument("--algebra", required=True, help="algebra file or catalog spec")
+    synthesis.add_argument("--epsilon", type=float, required=True)
+    synthesis.add_argument("--delta", type=float, default=0.05)
+    synthesis.add_argument("--max-steps", type=int, default=None)
+    synthesis.add_argument("--quiet", action="store_true")
 
-    p_tomo = sub.add_parser("tomo-sim", help="sampled tomography of a hidden GCS")
-    p_tomo.add_argument("--algebra", required=True)
+    p_synth = sub.add_parser("synth", parents=[synthesis],
+                             help="synthesize a circuit from a moment file")
+    p_synth.set_defaults(run=_cmd_synth, out=os.path.join(out_dir, "circuit.json"))
+    p_synth.add_argument("--moments", required=True)
+    p_synth.add_argument("--out", help="circuit path (default $GCSYNTH_OUT/circuit.json)")
+
+    p_tomo = sub.add_parser("tomo-sim", parents=[synthesis],
+                            help="sampled tomography of a hidden GCS")
+    p_tomo.set_defaults(run=_cmd_tomo_sim, out=os.path.join(out_dir, "report.json"))
     p_tomo.add_argument("--seed", type=int, required=True)
     p_tomo.add_argument("--hidden-ops", type=int, default=5)
-    p_tomo.add_argument("--epsilon", type=float, required=True)
-    p_tomo.add_argument("--delta", type=float, default=0.05)
     p_tomo.add_argument("--shots-override", type=int, default=None)
-    p_tomo.add_argument("--max-steps", type=int, default=None)
     p_tomo.add_argument("--out", help="report path (default $GCSYNTH_OUT/report.json)")
-    p_tomo.add_argument("--quiet", action="store_true")
 
     p_verify = sub.add_parser("verify", help="check a circuit against a hidden state")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--algebra", required=True)
     p_verify.add_argument("--circuit", required=True)
     p_verify.add_argument("--against", choices=["hidden"], default="hidden")
@@ -104,6 +99,7 @@ def build_parser():
     p_lqc = sub.add_parser("lqc", help="Lie-algebraic circuit simulation")
     lqc_sub = p_lqc.add_subparsers(dest="subcommand", required=True)
     p_run = lqc_sub.add_parser("run", help="propagate moments through a circuit file")
+    p_run.set_defaults(run=_cmd_lqc_run, out=os.path.join(out_dir, "moments.json"))
     p_run.add_argument("--circuit", required=True)
     p_run.add_argument("--algebra", required=True)
     p_run.add_argument("--out", help="moments path (default $GCSYNTH_OUT/moments.json)")
@@ -111,29 +107,22 @@ def build_parser():
                        help="also synthesize a preparation circuit for the final state")
     p_run.add_argument("--epsilon", type=float, default=1e-4)
     p_run.add_argument("--delta", type=float, default=0.05)
-    p_run.add_argument("--max-steps", type=int, default=None)
     p_run.add_argument("--quiet", action="store_true")
     return parser
 
 
-def _cmd_algebra(args):
-    if args.subcommand == "list":
-        for entry in catalog.CATALOG:
-            flag = "--" + entry.parameter.replace("_", "-")
-            print(f"{entry.name:6s} {flag:8s} {entry.description}")
-        return 0
-    if args.name == "su2":
-        if args.two_j is None:
-            raise InvalidParameter("--two-j is required for su2")
-        algebra = catalog.make_su2(args.two_j)
-    else:
-        if args.n is None:
-            raise InvalidParameter("--n is required for so2n")
-        algebra = catalog.make_so2n(args.n)
-    path = _out_path(args.out, "algebra.json")
-    serialize.save_algebra(algebra, path)
-    print(path)
-    return 0
+def _cmd_algebra_list(args):
+    for entry in catalog.CATALOG:
+        print(f"{entry.name:6s} {entry.flag:8s} {entry.description}")
+
+
+def _cmd_algebra_export(args):
+    entry = next(e for e in catalog.CATALOG if e.name == args.name)
+    value = getattr(args, entry.parameter)
+    if value is None:
+        raise InvalidParameter(f"{entry.flag} is required for {entry.name}")
+    serialize.save_algebra(entry.build(value), args.out)
+    print(args.out)
 
 
 def _cmd_synth(args):
@@ -144,11 +133,9 @@ def _cmd_synth(args):
     report = pipeline.synthesize(moments, algebra, budget, max_steps=args.max_steps)
     _log(f"d trace: {['%.3e' % d for d in report.trace]}", args.quiet)
     _log(f"K' = {report.steps_jacobi} jacobi + {report.steps_weyl} weyl ops", args.quiet)
-    path = _out_path(args.out, "circuit.json")
     serialize.save_circuit(report.ops, report.kind_tags, report.trace,
-                           algebra.label(), path)
-    print(path)
-    return 0
+                           algebra.label(), args.out)
+    print(args.out)
 
 
 def _cmd_tomo_sim(args):
@@ -164,10 +151,8 @@ def _cmd_tomo_sim(args):
     _log(f"d trace: {['%.3e' % d for d in report.trace]}", args.quiet)
     _log(f"fidelity {check.fidelity:.6f}, distance {check.distance:.3e} "
          f"(target epsilon {args.epsilon})", args.quiet)
-    path = _out_path(args.out, "report.json")
-    serialize.save_report(report, path)
-    print(path)
-    return 0
+    serialize.save_report(report, args.out)
+    print(args.out)
 
 
 def _cmd_verify(args):
@@ -181,7 +166,6 @@ def _cmd_verify(args):
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.out:
         serialize._dump(result, args.out)
-    return 0
 
 
 def _cmd_lqc_run(args):
@@ -199,39 +183,25 @@ def _cmd_lqc_run(args):
     ok, deficit = lqc.gcs_certificate(final, algebra)
     _log(f"purity {final.purity:.12f}, certificate "
          f"{'pass' if ok else 'FAIL'} (deficit {deficit:.3e})", args.quiet)
-    path = _out_path(args.out, "moments.json")
-    serialize.save_moments(final, algebra.label(), path)
-    print(path)
+    serialize.save_moments(final, algebra.label(), args.out)
+    print(args.out)
     if args.recover_circuit:
         report = lqc.final_state_query(final, algebra, budget)
-        circuit_path = os.path.splitext(path)[0] + ".circuit.json"
+        circuit_path = os.path.splitext(args.out)[0] + ".circuit.json"
         serialize.save_circuit(report.ops, report.kind_tags, report.trace,
                                algebra.label(), circuit_path)
         print(circuit_path)
-    return 0
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "algebra": _cmd_algebra,
-        "synth": _cmd_synth,
-        "tomo-sim": _cmd_tomo_sim,
-        "verify": _cmd_verify,
-        "lqc": _cmd_lqc_run,
-    }
     try:
-        return handlers[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, MaxStepsExceeded):
-            record["trace"] = exc.trace
-        print(json.dumps(record), file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        args.run(args)
+        return 0
     except (GcsynthError, ValueError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        status, record = exit_record(exc)
+        print(json.dumps(record), file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

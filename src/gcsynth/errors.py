@@ -1,18 +1,36 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit.
+
+Each error states its CLI exit status (`exit_status`: 1 for bad input, 2 for
+a `NumericalFailure`) and what its JSON error line carries (`carried`).  The
+bad-input errors come first, then the numerical failures, then the warning.
+"""
 
 
 class GcsynthError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: bad input, exit status 1."""
+
+    exit_status = 1
+    carried = ()  # attributes the JSON error line carries besides name and message
+
+
+class NumericalFailure(GcsynthError):
+    """Well-formed input on which the numerics failed; exit status 2."""
+
+    exit_status = 2
+
+
+def exit_record(exc):
+    """(exit status, JSON error record) of an exception that ends a CLI run; one
+    from outside the toolkit (an unreadable file) is bad input, exit 1."""
+    kind = type(exc) if isinstance(exc, GcsynthError) else GcsynthError
+    return kind.exit_status, dict(error=type(exc).__name__, message=str(exc),
+                                  **{name: getattr(exc, name) for name in kind.carried})
 
 
 class InvalidParameter(GcsynthError, ValueError):
     """An argument is out of range or of the wrong kind (tolerance, shot or op
     count, catalog name or parameter, moment source)."""
 
-
-# ---------------------------------------------------------------------------
-# Algebra construction and validation
-# ---------------------------------------------------------------------------
 
 class InvalidAlgebraSpec(GcsynthError):
     """Basis shapes, normalization or CSA/root indices are malformed."""
@@ -55,16 +73,13 @@ class RootSpectrumIllConditioned(GcsynthError):
 
 
 class ValidationFailed(GcsynthError):
-    """An algebra failed its invariant suite; carries the diagnostic report."""
+    """An algebra failed its invariant suite; carries the diagnostic report (off
+    the JSON error line: the message names the failed checks)."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
-
-# ---------------------------------------------------------------------------
-# States and measurement
-# ---------------------------------------------------------------------------
 
 class NotUnique(GcsynthError):
     """The joint kernel of the raising operators does not single out one state."""
@@ -82,10 +97,6 @@ class RootIndexOutOfRange(GcsynthError):
     """A group operation names a root the algebra does not have."""
 
 
-# ---------------------------------------------------------------------------
-# Moments and diagonalization
-# ---------------------------------------------------------------------------
-
 class LengthMismatch(GcsynthError):
     """Moment vector length does not match the algebra dimension."""
 
@@ -102,40 +113,8 @@ class ZeroPivot(GcsynthError):
     """Step planning requested for a root with zero coefficient."""
 
 
-class StepDidNotReducePivot(GcsynthError):
-    """Pivot coefficient survived its planned step; algebra data inconsistent."""
-
-
-class MaxStepsExceeded(GcsynthError):
-    """Diagonalization did not reach the target distance; carries the d trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
-
-
-# ---------------------------------------------------------------------------
-# Weight states and Weyl mapping
-# ---------------------------------------------------------------------------
-
-class DegenerateTop(GcsynthError):
-    """Top eigenvalue of the CSA element is (numerically) degenerate."""
-
-
 class NotAWeightState(GcsynthError):
     """Input state is not a simultaneous CSA eigenvector."""
-
-
-class NoProgress(GcsynthError):
-    """No Weyl reflection advances the state toward the highest weight."""
-
-
-# ---------------------------------------------------------------------------
-# Pipeline and LQC
-# ---------------------------------------------------------------------------
-
-class ZeroGap(GcsynthError):
-    """Spectral gap of the highest-weight Hamiltonian vanished."""
 
 
 class LeavesAlgebraSpan(GcsynthError):
@@ -150,12 +129,38 @@ class InvalidGate(GcsynthError):
     """A gate matrix has the wrong size or is not unitary."""
 
 
-class NotAGcs(GcsynthError):
-    """Moment vector fails the purity certificate."""
-
-
 class ParseError(GcsynthError):
     """An artifact file is malformed."""
+
+
+class StepDidNotReducePivot(NumericalFailure):
+    """Pivot coefficient survived its planned step; algebra data inconsistent."""
+
+
+class MaxStepsExceeded(NumericalFailure):
+    """Diagonalization did not reach the target distance; carries the d trace."""
+
+    carried = ("trace",)
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = list(trace) if trace is not None else []
+
+
+class DegenerateTop(NumericalFailure):
+    """Top eigenvalue of the CSA element is (numerically) degenerate."""
+
+
+class NoProgress(NumericalFailure):
+    """No Weyl reflection advances the state toward the highest weight."""
+
+
+class ZeroGap(NumericalFailure):
+    """Spectral gap of the highest-weight Hamiltonian vanished."""
+
+
+class NotAGcs(NumericalFailure):
+    """Moment vector fails the purity certificate."""
 
 
 class GapBudgetInfeasible(UserWarning):

@@ -7,6 +7,7 @@ byte-identical artifacts.
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -25,7 +26,7 @@ def _matrix_from_json(data, context="matrix"):
         arr = np.asarray(data, dtype=float)
         if not all(_is_number(x) for row in data for pair in row for x in pair):
             raise TypeError("booleans and strings are not numbers")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{context}: entries must be [re, im] pairs of numbers") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"{context}: expected a square matrix of [re, im] pairs")
@@ -61,8 +62,9 @@ def _list(data, key, context):
 
 
 def _is_number(value):
-    """True for a JSON number; booleans are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a JSON number a float can hold; booleans are not numbers here."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 def _is_index(value):
@@ -199,10 +201,13 @@ def load_circuit(path):
     ops = [_group_op_from_json(entry, f"{path}: ops[{k}]")
            for k, entry in enumerate(_list(data, "ops", str(path)))]
     tags = data.get("kind_tags", ["jacobi"] * len(ops))
-    if not isinstance(tags, list) or len(tags) != len(ops):
-        raise ParseError(f"{path}: kind_tags must be a list as long as ops")
-    trace = data.get("trace", [])
-    return ops, tags, trace, data["algebra"]
+    if (not isinstance(tags, list) or len(tags) != len(ops)
+            or not all(tag in ("weyl", "jacobi") for tag in tags)):
+        raise ParseError(f"{path}: kind_tags must list 'weyl' or 'jacobi' for each op")
+    trace = _numbers(data, "trace", path) if "trace" in data else np.zeros(0)
+    if not np.isfinite(trace).all():
+        raise ParseError(f"{path}: trace must be a list of finite numbers")
+    return ops, tags, trace.tolist(), data["algebra"]
 
 
 # ---------------------------------------------------------------------------

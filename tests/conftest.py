@@ -105,6 +105,32 @@ def build_half_one():
                             name="su2+su2:half-one")
 
 
+def build_tied_top():
+    """su(2) + su(2) on (1/2 x 1/2) + (0 x 1) + 4 x (1/2 x 0), d = 15, whose
+    highest-weight Hamiltonian has a degenerate top eigenvalue.
+
+    The four spin-1/2 blocks of the first ideal give both ideals the same
+    trace norm, so F_hw = w . H takes one value on the highest weight of the
+    1/2 x 1/2 block and on the top of the spin-1 block: a zero spectral gap.
+    """
+    def block_diag(*blocks):
+        out = np.zeros((15, 15), dtype=complex)
+        start = 0
+        for block in blocks:
+            stop = start + len(block)
+            out[start:stop, start:stop] = block
+            start = stop
+        return out
+
+    half, one, i2 = spin_matrices(1), spin_matrices(2), np.eye(2)
+    first = [block_diag(np.kron(s, i2), np.zeros((3, 3)), *[s] * 4) for s in half]
+    second = [block_diag(np.kron(i2, s), t, *[np.zeros((2, 2))] * 4)
+              for s, t in zip(half, one)]
+    basis = orthonormalize_basis(first + second)
+    return assemble_algebra(basis, csa_indices=[0, 3], root_pairs=[(1, 2), (4, 5)],
+                            name="su2+su2:tied-top")
+
+
 def build_half_plus_one():
     """su(2) on spin 1/2 + spin 1 (d = 5), not a catalog entry: one irreducible
     block of each spin, so the raising operator annihilates two weight vectors."""

@@ -30,6 +30,7 @@ from gcsynth.errors import (
     RootPairNotEigenvector,
     RootSpectrumIllConditioned,
     ValidationFailed,
+    ZeroRootBracket,
 )
 from gcsynth.lqc import adjoint_action_of
 from gcsynth.states import GroupOp, apply_group_op
@@ -199,6 +200,21 @@ def test_root_pair_not_eigenvector():
     with pytest.raises(RootPairNotEigenvector):
         build_cartan_weyl(basis, csa_indices=[0, 1],
                           root_pairs=[(2, 5), (3, 6), (4, 7)])
+
+
+def test_commuting_root_pair_has_zero_bracket():
+    # su(2)^3 on three qubits, CSA {Z x I x I} only: Z2 and Z3 commute with it,
+    # so the pair (3, 6) passes as an ad-eigenvector, but [E+, E-] = 0.
+    def site(pauli, k):
+        ops = [np.eye(2)] * 3
+        ops[k] = pauli
+        return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+    basis = orthonormalize_basis([site(p, k) for k in range(3)
+                                  for p in (SIGMA_Z, SIGMA_X, SIGMA_Y)])
+    with pytest.raises(ZeroRootBracket, match="root 3"):
+        build_cartan_weyl(basis, csa_indices=[0],
+                          root_pairs=[(1, 2), (4, 5), (7, 8), (3, 6)])
 
 
 # ---------------------------------------------------------------------------

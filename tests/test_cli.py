@@ -6,11 +6,19 @@ import sys
 import pytest
 
 import gcsynth
+from gcsynth import errors
 from gcsynth.cli import main
-from gcsynth.serialize import _matrix_to_json, load_circuit, save_circuit, save_lqc, save_moments
+from gcsynth.serialize import (
+    _matrix_to_json,
+    load_circuit,
+    save_algebra,
+    save_circuit,
+    save_lqc,
+    save_moments,
+)
 from gcsynth import GroupOp, MomentVector, hidden_gcs
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_tied_top
 
 
 @pytest.fixture()
@@ -94,9 +102,87 @@ def test_synth_max_steps_exceeded_exits_2(tmp_path, su2_file, su2_half, capsys):
                  "--epsilon", "1e-6", "--max-steps", "0", "--quiet",
                  "--out", str(tmp_path / "c.json")])
     assert code == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    record = _one_json_error_line(capsys)
     assert record["error"] == "MaxStepsExceeded"
-    assert "trace" in record
+    assert len(record["trace"]) == 1 and record["trace"][0] > 0
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_zero_gap_exits_2(tmp_path, capsys):
+    # A well-formed definition file whose highest-weight Hamiltonian has a
+    # degenerate top eigenvalue: a numerical failure, not bad input.
+    algebra_path = tmp_path / "tied.json"
+    save_algebra(build_tied_top(), algebra_path)
+    out_path = tmp_path / "r.json"
+    assert main(["tomo-sim", "--algebra", str(algebra_path), "--seed", "1",
+                 "--epsilon", "0.1", "--quiet", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "ZeroGap", "message": "highest-weight Hamiltonian has a degenerate top eigenvalue"}
+    assert not out_path.exists()
+
+
+def test_error_types_state_their_exit_status_and_fields():
+    numerical = {name for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, errors.NumericalFailure)}
+    assert numerical == {"NumericalFailure", "MaxStepsExceeded", "NoProgress",
+                         "StepDidNotReducePivot", "DegenerateTop", "ZeroGap", "NotAGcs"}
+    assert errors.exit_record(errors.MaxStepsExceeded("m", trace=[0.5, 0.25])) == (
+        2, {"error": "MaxStepsExceeded", "message": "m", "trace": [0.5, 0.25]})
+    # The validation report stays off the line; its message names the failures.
+    assert errors.exit_record(errors.ValidationFailed("v", report=object())) == (
+        1, {"error": "ValidationFailed", "message": "v"})
+    assert errors.exit_record(FileNotFoundError("no file")) == (
+        1, {"error": "FileNotFoundError", "message": "no file"})
+
+
+# Per subcommand: a well-formed command line, one numeric flag, one required flag.
+_COMMANDS = {
+    "algebra-list": (["algebra", "list"], None, None),
+    "algebra-export": (["algebra", "export", "--name", "su2", "--two-j", "1"],
+                       "--two-j", "--name"),
+    "synth": (["synth", "--algebra", "su2:1", "--moments", "m.json", "--epsilon", "0.1"],
+              "--epsilon", "--moments"),
+    "tomo-sim": (["tomo-sim", "--algebra", "su2:1", "--seed", "1", "--epsilon", "0.1"],
+                 "--seed", "--algebra"),
+    "verify": (["verify", "--algebra", "su2:1", "--circuit", "c.json", "--seed", "1"],
+               "--hidden-ops", "--circuit"),
+    "lqc-run": (["lqc", "run", "--circuit", "c.json", "--algebra", "su2:1"],
+                "--epsilon", "--circuit"),
+}
+_USAGE_ERRORS = {"unknown-command": ["bogus"], "no-command": [],
+                 "unknown-algebra-subcommand": ["algebra", "bogus"],
+                 "unknown-lqc-subcommand": ["lqc", "bogus"],
+                 "lqc-run-max-steps": _COMMANDS["lqc-run"][0] + ["--max-steps", "3"]}
+for _name, (_argv, _number, _required) in _COMMANDS.items():
+    _USAGE_ERRORS[f"{_name}-unknown-flag"] = _argv + ["--bogus"]
+    if _number:
+        _USAGE_ERRORS[f"{_name}-bad-number"] = _argv + [_number, "1.5x"]
+    if _required:
+        _at = _argv.index(_required)
+        _USAGE_ERRORS[f"{_name}-missing-flag"] = _argv[:_at] + _argv[_at + 2:]
+
+
+@pytest.mark.parametrize("argv", list(_USAGE_ERRORS.values()), ids=list(_USAGE_ERRORS))
+def test_usage_errors_exit_1_with_one_json_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("GCSYNTH_OUT", str(tmp_path))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InvalidParameter"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["algebra", "export", "--help"],
+                                  ["lqc", "run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gcsynth")
 
 
 def test_lqc_run_with_recovery(tmp_path, capsys):
@@ -158,8 +244,10 @@ def _one_json_error_line(capsys):
 
 def test_export_without_parameter_exits_1(tmp_path, capsys):
     out = tmp_path / "so.json"
-    assert main(["algebra", "export", "--name", "so2n", "--out", str(out)]) == 1
-    assert _one_json_error_line(capsys)["error"] == "InvalidParameter"
+    for name, flag in [("so2n", "--n"), ("su2", "--two-j")]:
+        assert main(["algebra", "export", "--name", name, "--out", str(out)]) == 1
+        assert _one_json_error_line(capsys) == {
+            "error": "InvalidParameter", "message": f"{flag} is required for {name}"}
     assert not out.exists()
 
 
@@ -176,6 +264,7 @@ _GOOD_ALPHA = [0.3, 0.1]
 _NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _DIAG_1_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
 _EYE_3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+_HUGE_INT = 10 ** 400  # a JSON integer no float can hold
 
 
 @pytest.mark.parametrize("command, content, error", [
@@ -193,9 +282,19 @@ _EYE_3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
      "NonFiniteGate"),
     ("lqc", {"gates": [{"type": "unitary", "matrix": _DIAG_1_2}]}, "InvalidGate"),
     ("lqc", {"gates": [{"type": "unitary", "matrix": _EYE_3}]}, "InvalidGate"),
+    # |alpha| times the adjoint generator's largest eigenvalue (2 on su2:1) overflows.
+    ("lqc", {"gates": [{"type": "group_op", "l": 0, "alpha": [1e308, 0.0]}]}, "NonFiniteGate"),
+    ("verify", {"ops": [{"l": 0, "alpha": [1.7e308, 1.7e308]}]}, "NonFiniteGate"),
+    ("verify", {"ops": [], "trace": 5}, "ParseError"),
+    ("verify", {"ops": [], "trace": [1.0, "a"]}, "ParseError"),
+    ("verify", {"ops": [], "trace": [1.0, float("nan")]}, "ParseError"),
+    ("verify", {"ops": [{"l": 0, "alpha": _GOOD_ALPHA}], "kind_tags": ["swap"]}, "ParseError"),
+    ("verify", {"ops": [{"l": 0, "alpha": [_HUGE_INT, 0]}]}, "ParseError"),
 ], ids=["verify-root-range", "lqc-root-range", "lqc-root-type", "lqc-alpha-shape",
         "lqc-nan-unitary", "verify-ops-not-list", "lqc-gates-not-list", "verify-tags-not-list",
-        "verify-nan-alpha", "lqc-inf-alpha", "lqc-not-unitary", "lqc-wrong-size"])
+        "verify-nan-alpha", "lqc-inf-alpha", "lqc-not-unitary", "lqc-wrong-size",
+        "lqc-huge-alpha", "verify-huge-alpha", "verify-trace-not-list", "verify-trace-str",
+        "verify-trace-nan", "verify-tag-value", "verify-int-alpha-past-float"])
 def test_bad_gate_files_exit_1(tmp_path, capsys, command, content, error):
     circuit_path = tmp_path / "bad.json"
     circuit_path.write_text(json.dumps(dict(content, algebra="su2:1", initial="hw")))
@@ -213,6 +312,8 @@ def test_bad_gate_files_exit_1(tmp_path, capsys, command, content, error):
 
 _INF_BASIS = [_matrix_to_json(m) for m in (SIGMA_Z, SIGMA_X, SIGMA_Y)]
 _INF_BASIS[1][0][1][0] = float("inf")
+_HUGE_INT_BASIS = [_matrix_to_json(m) for m in (SIGMA_Z, SIGMA_X, SIGMA_Y)]
+_HUGE_INT_BASIS[1][0][1][0] = _HUGE_INT
 # Loader cases: booleans are not indices or numbers, and the normalization,
 # the basis entries and the name must be finite numbers and a string.
 _PARSE_CASES = {
@@ -222,6 +323,7 @@ _PARSE_CASES = {
     "name-list": {"name": [1]},
     "normalization-inf": {"normalization": float("inf")},
     "basis-inf": {"basis": _INF_BASIS},
+    "basis-int-past-float": {"basis": _HUGE_INT_BASIS},
 }
 
 
@@ -311,8 +413,9 @@ def test_synth_tiny_epsilon_exits_1(tmp_path, su2_file, su2_half, capsys):
     ("synth", {"moments": [1.0, 0.0, 0.0], "seed": [1]}),
     ("lqc", {"initial": [1, "a", 0], "gates": []}),
     ("lqc", {"initial": [[1], 2, 3], "gates": []}),
+    ("synth", {"moments": [_HUGE_INT, 0.0, 0.0]}),
 ], ids=["synth-shots-str", "synth-shots-negative", "synth-seed-list", "lqc-initial-str",
-        "lqc-initial-nested"])
+        "lqc-initial-nested", "synth-moment-int-past-float"])
 def test_malformed_numeric_fields_exit_1(tmp_path, su2_file, capsys, command, content):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(dict(content, algebra="su2:1")))

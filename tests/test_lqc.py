@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,21 @@ def test_bad_gates_are_typed(su2_half):
     for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
         with pytest.raises(NonFiniteGate):
             GroupOp(0, alpha)
+
+
+def test_huge_alpha_is_non_finite_gate(su2_half, so6):
+    # |alpha| times the largest generator eigenvalue overflows: e^{i t x} would
+    # be NaN.  A Python complex past float range makes abs() itself overflow.
+    psi = highest_weight_state(so6)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1.5e308, complex(0.0, -1.5e308), complex(1.7e308, 1.7e308)):
+            with pytest.raises(NonFiniteGate):
+                adjoint_action_of(GroupOp(0, alpha), so6)
+            with pytest.raises(NonFiniteGate):
+                apply_circuit(psi, [GroupOp(0, alpha)], so6)
+        with pytest.raises(NonFiniteGate):
+            adjoint_action_of(GroupOp(0, 1e308), su2_half)
 
 
 def test_span_leaving_unitary_rejected(su2_one):

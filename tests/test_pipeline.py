@@ -28,10 +28,16 @@ from gcsynth.errors import (
     InvalidParameter,
     NonFiniteMoments,
     ShotCountOverflow,
+    ZeroGap,
 )
 from gcsynth.states import phase_min_distance
 
-from conftest import decomposition_from_operator, dense_spectral_gap, group_op_unitary
+from conftest import (
+    build_tied_top,
+    decomposition_from_operator,
+    dense_spectral_gap,
+    group_op_unitary,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +109,16 @@ def test_budget_formula_invariants(so4):
 def test_infeasible_budget_warns(su2_half):
     with pytest.warns(GapBudgetInfeasible):
         make_budget(100.0, 0.05, su2_half)
+
+
+def test_tied_top_weight_has_zero_gap():
+    algebra = build_tied_top()
+    evals = np.sort(algebra.weight_basis[1] @ algebra.highest_weight[1])
+    assert evals[-1] == pytest.approx(evals[-2], abs=1e-12)
+    with pytest.raises(ZeroGap):
+        spectral_gap(algebra)
+    with pytest.raises(ZeroGap):
+        make_budget(0.1, 0.05, algebra)
 
 
 # ---------------------------------------------------------------------------
