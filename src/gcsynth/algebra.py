@@ -125,6 +125,30 @@ def is_hermitian(mats):
     return np.less_equal(*hermiticity_residual(mats))
 
 
+def pooled_eigenbasis(mats):
+    """Projective measurements of a stack of Hermitian matrices, by one batched
+    `eigh`: V^dag per matrix, its distinct outcomes, and the size of every
+    eigenspace of all in turn.  A run of eigenvalues within 1e-10 max(1, max|e|)
+    of its first is one outcome, their mean, and its Born weight is pooled, so
+    no outcome or probability hangs on an eigenvector choice."""
+    evals, evecs = np.linalg.eigh(mats)
+    outcomes, sizes = [], []
+    for spectrum in evals:
+        scale = max(1.0, float(np.abs(spectrum).max()))
+        means, idx = [], 0
+        while idx < spectrum.size:
+            stop = idx + 1
+            while stop < spectrum.size and spectrum[stop] - spectrum[idx] <= 1e-10 * scale:
+                stop += 1
+            means.append(float(spectrum[idx:stop].mean()))
+            sizes.append(stop - idx)
+            idx = stop
+        outcomes.append(_freeze(means))
+    vh = np.swapaxes(evecs, -1, -2)
+    np.conj(vh, out=vh).setflags(write=False)  # in place: no second M d^2 array
+    return vh, tuple(outcomes), _freeze(sizes)
+
+
 def check_root_index(root_index, num_roots):
     """Raise RootIndexOutOfRange unless 0 <= root_index < num_roots."""
     if not 0 <= root_index < num_roots:
@@ -169,6 +193,12 @@ class AlgebraBasis:
     def observable_norms(self):
         """Spectral norms of the basis elements (max |eigenvalue| each)."""
         return _freeze([np.abs(np.linalg.eigvalsh(o)).max() for o in self.basis])
+
+    @cached_property
+    def measurement_basis(self):
+        """`pooled_eigenbasis` of the basis, built on the first sampled request.
+        `observable_norms` keeps its own `eigvalsh`, whose bits set the budget."""
+        return pooled_eigenbasis(self.basis)
 
     @cached_property
     def row_sparse(self):

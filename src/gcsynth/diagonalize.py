@@ -157,7 +157,7 @@ def run(coeffs, algebra, eps_d, max_steps=None):
     eps_d : float
         Target squared distance to the CSA.
     max_steps : int, optional
-        Defaults to four times the contraction bound.
+        At least 0; defaults to four times the contraction bound.
 
     Returns
     -------
@@ -168,6 +168,8 @@ def run(coeffs, algebra, eps_d, max_steps=None):
     """
     if not eps_d > 0:
         raise InvalidParameter(f"eps_d must be positive, got {eps_d}")
+    if max_steps is not None and max_steps < 0:
+        raise InvalidParameter(f"max_steps must be >= 0, got {max_steps}")
     d = offdiag_distance(coeffs, algebra)
     bound = step_bound(d, eps_d, algebra.cartan_weyl.num_roots_L)
     if max_steps is None:

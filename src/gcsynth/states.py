@@ -6,14 +6,16 @@ exercise the synthesis pipeline.  The highest-weight state itself is
 derived and cached by `Algebra.highest_weight`.  A group operation acts on
 a state through `RootImages.rotate` on the defining representation
 (`CartanWeylData.defining`), a few matrix-vector products, O(d^2): no
-unitary and no eigendecomposition.
+unitary and no eigendecomposition.  Sampling all M basis observables reads
+the eigenbases `AlgebraBasis.measurement_basis` computes once per algebra;
+a seed is an integer in [0, 2^64), never reduced modulo 2^64.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_hermitian
+from .algebra import is_hermitian, pooled_eigenbasis
 from .errors import InvalidParameter, NonFiniteGate, NonHermitianObservable, ShotCountOverflow
 from .moments import MomentVector
 
@@ -89,75 +91,85 @@ def exact_moments(state, algebra):
     return MomentVector(values=vals.real, source="exact")
 
 
+def _seed(seed):
+    """The seed as an int; InvalidParameter unless it is an integer in [0, 2^64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise InvalidParameter(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def derive_seed(seed, index):
     """Stable 64-bit child seed for stream `index` of master `seed`."""
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)])
+    ss = np.random.SeedSequence([_seed(seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _rng(seed):
     # Counter-based generator: reproducible and cheap to fork by reseeding.
-    return np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+    return np.random.Generator(np.random.Philox(key=_seed(seed)))
+
+
+def _run_sums(values, sizes):
+    """Sums of the consecutive runs of `values` of the given sizes, each added as
+    `ndarray.sum` adds it alone, which `np.add.reduceat` does not: the runs of
+    one size are gathered as rows and summed along them."""
+    ends = np.cumsum(sizes)
+    out = np.empty(ends.size)
+    for n in np.unique(sizes):
+        runs = sizes == n
+        out[runs] = values[(ends[runs] - n)[:, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
+def _sample(state, spectra, shots, seeds):
+    """Per observable of `spectra` (from `pooled_eigenbasis`), the mean of `shots`
+    outcome draws on the stream of its seed."""
+    if shots < 1:
+        raise InvalidParameter(f"shots must be >= 1, got {shots}")
+    if shots > np.iinfo(np.int64).max:
+        raise ShotCountOverflow(f"{shots} shots per observable exceed the sampler's int64 range")
+    vh, outcomes, sizes = spectra
+    weights = (np.abs(vh @ _state_vector(state)) ** 2).ravel()
+    probs = np.clip(_run_sums(weights, sizes), 0.0, None)
+    counts = np.array([o.size for o in outcomes])
+    probs /= np.repeat(_run_sums(probs, counts), counts)
+    return [float(np.dot(_rng(s).multinomial(int(shots), probs[end - o.size:end]), o) / shots)
+            for s, o, end in zip(seeds, outcomes, np.cumsum(counts))]
 
 
 def sample_measurements(state, observable, shots, seed, observable_index=0):
     """Simulate Q projective measurements of one observable.
 
     The observable is eigendecomposed once; Born weights of degenerate
-    eigenvalues are pooled per eigenspace, so the outcome distribution never
-    depends on an arbitrary eigenvector choice.  The estimate is the sample
-    mean of Q i.i.d. eigenvalue draws, realized through a multinomial count
-    over the distinct outcomes.
+    eigenvalues are pooled per eigenspace (`algebra.pooled_eigenbasis`), so the
+    outcome distribution never depends on an arbitrary eigenvector choice.
+    The estimate is the sample mean of Q i.i.d. eigenvalue draws, realized
+    through a multinomial count over the distinct outcomes.
 
     Returns
     -------
     MeasurementRecord
     """
-    if shots < 1:
-        raise InvalidParameter(f"shots must be >= 1, got {shots}")
-    if shots > np.iinfo(np.int64).max:
-        raise ShotCountOverflow(
-            f"{shots} shots per observable exceed the sampler's int64 range"
-        )
     obs = np.asarray(observable, dtype=complex)
     if not is_hermitian(obs):
         raise NonHermitianObservable("sampling requires a finite Hermitian observable")
-    evals, evecs = np.linalg.eigh(obs)
-    amps = evecs.conj().T @ _state_vector(state)
-    weights = np.abs(amps) ** 2
-
-    scale = max(1.0, float(np.abs(evals).max()))
-    outcomes, probs = [], []
-    idx = 0
-    while idx < evals.size:
-        stop = idx + 1
-        while stop < evals.size and evals[stop] - evals[idx] <= 1e-10 * scale:
-            stop += 1
-        outcomes.append(float(evals[idx:stop].mean()))
-        probs.append(float(weights[idx:stop].sum()))
-        idx = stop
-    probs = np.clip(np.array(probs), 0.0, None)
-    probs /= probs.sum()
-
-    counts = _rng(seed).multinomial(int(shots), probs)
-    estimate = float(np.dot(counts, outcomes) / shots)
     return MeasurementRecord(
         observable_index=int(observable_index),
         num_shots=int(shots),
-        estimate=estimate,
+        estimate=_sample(state, pooled_eigenbasis(obs[None]), shots, [seed])[0],
         shot_seed=int(seed),
     )
 
 
 def sample_all_moments(state, algebra, shots, seed):
-    """Sampled estimates of every basis observable, with per-observable derived seeds."""
-    mats = np.asarray(algebra.basis.basis)
-    values = np.empty(algebra.dim)
-    for m in range(algebra.dim):
-        rec = sample_measurements(state, mats[m], shots, derive_seed(seed, m),
-                                  observable_index=m)
-        values[m] = rec.estimate
-    return MomentVector(values=values, source="sampled", shots=int(shots), seed=int(seed))
+    """Sampled estimates of every basis observable, observable m on the stream
+    `derive_seed(seed, m)`: the draws of `sample_measurements`, bit for bit,
+    from the eigenbases `AlgebraBasis.measurement_basis` caches, so a request
+    runs no eigendecomposition and one product gives all M Born distributions."""
+    values = _sample(state, algebra.basis.measurement_basis, shots,
+                     (derive_seed(seed, m) for m in range(algebra.dim)))
+    return MomentVector(values=np.array(values), source="sampled", shots=int(shots),
+                        seed=int(seed))
 
 
 class HiddenGcs:
@@ -173,7 +185,7 @@ class HiddenGcs:
         if num_ops < 0:
             raise InvalidParameter(f"num_ops must be >= 0, got {num_ops}")
         self.algebra = algebra
-        self.seed = int(seed)
+        self.seed = _seed(seed)
         self.num_ops = int(num_ops)
         rng = _rng(derive_seed(seed, 0x9E3779B9))
         num_roots = algebra.cartan_weyl.num_roots_L

@@ -4,7 +4,7 @@ import pytest
 from gcsynth import assemble_algebra, make_so2n, make_su2, orthonormalize_basis
 from gcsynth.catalog import spin_matrices
 from gcsynth.errors import NoProgress, NotAWeightState
-from gcsynth.states import GroupOp, state_fidelity
+from gcsynth.states import GroupOp, derive_seed, state_fidelity
 from gcsynth.weyl import M_NEGATIVE_TOL, PROGRESS_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,6 +151,35 @@ def dense_spectral_gap(algebra):
     f_hw = np.einsum("r,rij->ij", algebra.highest_weight[1], algebra.csa_ops)
     evals = np.linalg.eigvalsh(f_hw)
     return float(evals[-1] - evals[-2])
+
+
+def sampled_moments_oracle(state, algebra, shots, seed):
+    """Per-observable shot sampling as `sample_all_moments` did before the
+    cached eigenbasis: one `eigh`, the pooling loop and a multinomial on the
+    stream `derive_seed(seed, m)` per observable.  The fast path's oracle."""
+    values = np.empty(algebra.dim)
+    for m, obs in enumerate(np.asarray(algebra.basis.basis)):
+        evals, evecs = np.linalg.eigh(obs)
+        amps = evecs.conj().T @ np.asarray(state, dtype=complex)
+        weights = np.abs(amps) ** 2
+
+        scale = max(1.0, float(np.abs(evals).max()))
+        outcomes, probs = [], []
+        idx = 0
+        while idx < evals.size:
+            stop = idx + 1
+            while stop < evals.size and evals[stop] - evals[idx] <= 1e-10 * scale:
+                stop += 1
+            outcomes.append(float(evals[idx:stop].mean()))
+            probs.append(float(weights[idx:stop].sum()))
+            idx = stop
+        probs = np.clip(np.array(probs), 0.0, None)
+        probs /= probs.sum()
+
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, m)))
+        counts = rng.multinomial(int(shots), probs)
+        values[m] = float(np.dot(counts, outcomes) / shots)
+    return values
 
 
 def commutator(a, b):

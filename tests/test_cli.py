@@ -108,6 +108,46 @@ def test_synth_max_steps_exceeded_exits_2(tmp_path, su2_file, su2_half, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "tomo-sim"])
+def test_negative_max_steps_exits_1(tmp_path, su2_file, su2_half, capsys, command):
+    moments_path = tmp_path / "m.json"
+    save_moments(hidden_gcs(su2_half, seed=3, num_ops=2).exact_moments(), "su2:1", moments_path)
+    source = ["--moments", str(moments_path)] if command == "synth" else ["--seed", "1"]
+    out = tmp_path / "out.json"
+    assert main([command, "--algebra", str(su2_file), *source, "--epsilon", "0.1",
+                 "--max-steps", "-1", "--quiet", "--out", str(out)]) == 1
+    assert _one_json_error_line(capsys) == {
+        "error": "InvalidParameter", "message": "max_steps must be >= 0, got -1"}
+    assert not out.exists()
+
+
+def _seed_argv(command, seed, tmp_path):
+    if command == "tomo-sim":
+        return ["tomo-sim", "--algebra", "su2:1", f"--seed={seed}", "--epsilon", "0.1",
+                "--quiet", "--out", str(tmp_path / "r.json")]
+    save_circuit([GroupOp(0, 0.3 + 0.1j)], ["jacobi"], [0.0], "su2:1", tmp_path / "c.json")
+    return ["verify", "--algebra", "su2:1", "--circuit", str(tmp_path / "c.json"),
+            f"--seed={seed}", "--out", str(tmp_path / "r.json")]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("command", ["tomo-sim", "verify"])
+def test_seed_outside_uint64_exits_1(tmp_path, capsys, command, seed):
+    # -1 and 2^64 - 1 used to write byte-identical reports.
+    assert main(_seed_argv(command, seed, tmp_path)) == 1
+    assert _one_json_error_line(capsys) == {
+        "error": "InvalidParameter",
+        "message": f"seed must be an integer in [0, 2^64), got {seed}"}
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("command", ["tomo-sim", "verify"])
+def test_seeds_at_the_uint64_ends_run(tmp_path, capsys, command, seed):
+    assert main(_seed_argv(command, seed, tmp_path)) == 0
+    assert (tmp_path / "r.json").exists()
+
+
 def test_zero_gap_exits_2(tmp_path, capsys):
     # A well-formed definition file whose highest-weight Hamiltonian has a
     # degenerate top eigenvalue: a numerical failure, not bad input.

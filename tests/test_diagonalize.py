@@ -275,6 +275,18 @@ def test_top_eigenvalue_invariant_across_steps(so4):
     assert top1 == pytest.approx(top0, abs=1e-9)
 
 
+def test_negative_max_steps_is_typed(so4):
+    # It used to end as MaxStepsExceeded "after -1 steps", a numerical failure.
+    coeffs = build_target(hidden_gcs(so4, seed=3, num_ops=3).exact_moments(), so4)
+    with pytest.raises(InvalidParameter, match="max_steps must be >= 0"):
+        run(coeffs, so4, 1e-12, max_steps=-1)
+    with pytest.raises(MaxStepsExceeded):
+        run(coeffs, so4, 1e-12, max_steps=0)
+    diagonal = np.zeros(so4.dim)
+    diagonal[list(so4.cartan_weyl.csa_indices)] = 1.0
+    assert run(diagonal, so4, 1e-12, max_steps=0).steps_taken == 0
+
+
 @pytest.mark.parametrize("eps_d", [np.nan, 0.0, -1e-6])
 def test_bad_eps_d_is_typed(so4, eps_d):
     coeffs = build_target(hidden_gcs(so4, seed=3, num_ops=3).exact_moments(), so4)

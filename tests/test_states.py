@@ -11,14 +11,30 @@ from gcsynth import (
     expectation,
     hidden_gcs,
     highest_weight_state,
+    make_so2n,
+    make_su2,
     orthonormalize_basis,
+    sample_all_moments,
     sample_measurements,
 )
 from gcsynth.algebra import KERNEL_TOL, _weight_vectors
-from gcsynth.errors import InvalidParameter, NonHermitianObservable, NotUnique
+from gcsynth.errors import (
+    InvalidParameter,
+    NonHermitianObservable,
+    NotUnique,
+    ShotCountOverflow,
+)
 from gcsynth.states import derive_seed, phase_min_distance, state_fidelity
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, build_half_plus_one
+from conftest import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    build_half_one,
+    build_half_plus_one,
+    build_su3,
+    sampled_moments_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +201,7 @@ def test_non_finite_observable_is_typed(entry, where):
                                    [0.0, -np.inf], [np.inf, np.inf], [0.0, 0.0]],
                          ids=["nan", "imag-nan", "inf", "-inf", "inf-inf", "zero"])
 @pytest.mark.parametrize("obs", [SIGMA_Z, SIGMA_X], ids=["sz", "sx"])
-def test_non_finite_or_zero_state_is_typed(state, obs):
+def test_non_finite_or_zero_state_is_typed(su2_half, state, obs):
     # expectation used to return nan, sampling to raise numpy's bare
     # ValueError (NaN) or warn (zero state, infinite state).
     psi = np.array(state, dtype=complex)
@@ -195,6 +211,38 @@ def test_non_finite_or_zero_state_is_typed(state, obs):
             expectation(psi, obs)
         with pytest.raises(InvalidParameter, match="finite and nonzero"):
             sample_measurements(psi, obs, 10, seed=1)
+        with pytest.raises(InvalidParameter, match="finite and nonzero"):
+            sample_all_moments(psi, su2_half, 10, seed=1)
+
+
+SAMPLED_ALGEBRAS = {"su2:1": lambda: make_su2(1), "su2:2": lambda: make_su2(2),
+                    "su2:3": lambda: make_su2(3), "su3": build_su3,
+                    "so2n:2": lambda: make_so2n(2), "so2n:3": lambda: make_so2n(3),
+                    "so2n:4": lambda: make_so2n(4), "so2n:5": lambda: make_so2n(5),
+                    "half-one": build_half_one}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_ALGEBRAS))
+def test_sample_all_moments_equals_per_observable_oracle(name):
+    # The cached-eigenbasis path, and sample_measurements, against the
+    # per-observable sampler of conftest: bit-equal estimates, on hidden GCSs
+    # and on states with uniform magnitudes.  The latter give diagonal
+    # observables exactly symmetric Born distributions, where one ulp in a
+    # pooled sum flips the binomial draw: pooling with np.add.reduceat
+    # instead fails here on su2:3, so2n:3-5 and half-one.
+    algebra = SAMPLED_ALGEBRAS[name]()
+    assert "measurement_basis" not in vars(algebra.basis)  # built on first use only
+    for seed in range(20):
+        phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(algebra.rep_dim))
+        for state in (hidden_gcs(algebra, seed=seed, num_ops=seed % 4).reference_state(),
+                      phases / np.sqrt(algebra.rep_dim)):
+            shots = 10 ** 6 + 7919 * seed
+            expected = sampled_moments_oracle(state, algebra, shots, seed)
+            assert np.array_equal(sample_all_moments(state, algebra, shots, seed).values,
+                                  expected)
+            singles = [sample_measurements(state, obs, shots, derive_seed(seed, m)).estimate
+                       for m, obs in enumerate(algebra.basis.basis)]
+            assert np.array_equal(singles, expected)
 
 
 def test_hoeffding_coverage():
@@ -272,6 +320,26 @@ def test_derived_seeds_are_stable():
     assert derive_seed(7, 0) != derive_seed(7, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1, 1.0, "1", None])
+def test_seed_outside_uint64_is_typed(su2_half, seed):
+    # -1 and 2^64 - 1, or 2^65 - 1 and 2^64 - 1, used to name one stream.
+    hw, _ = highest_weight_state(su2_half)
+    with pytest.raises(InvalidParameter, match=r"seed must be an integer in \[0, 2\^64\)"):
+        derive_seed(seed, 0)
+    with pytest.raises(InvalidParameter):
+        sample_measurements(hw, SIGMA_Z, 10, seed)
+    with pytest.raises(InvalidParameter):
+        hidden_gcs(su2_half, seed=seed, num_ops=1)
+
+
+def test_seeds_at_the_uint64_ends_run(su2_half):
+    hw, _ = highest_weight_state(su2_half)
+    for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+        assert derive_seed(seed, 0) == derive_seed(int(seed), 0)
+        sample_measurements(hw, SIGMA_Z, 10, seed)
+        hidden_gcs(su2_half, seed=seed, num_ops=1).sample_moments(10)
+
+
 def test_phase_min_distance():
     a = np.array([1.0, 0.0], dtype=complex)
     assert phase_min_distance(a, 1j * a) < 1e-12
@@ -284,6 +352,16 @@ def test_shot_count_below_one_is_typed(su2_half):
     for shots in (0, -3):
         with pytest.raises(InvalidParameter):
             sample_measurements(hw, SIGMA_Z, shots, seed=1)
+        with pytest.raises(InvalidParameter):
+            sample_all_moments(hw, su2_half, shots, seed=1)
+
+
+def test_shot_count_past_int64_is_typed(su2_half):
+    hw, _ = highest_weight_state(su2_half)
+    with pytest.raises(ShotCountOverflow):
+        sample_measurements(hw, SIGMA_Z, 2 ** 63, seed=1)
+    with pytest.raises(ShotCountOverflow):
+        sample_all_moments(hw, su2_half, 2 ** 63, seed=1)
 
 
 def test_negative_hidden_op_count_is_typed(su2_half):
