@@ -29,7 +29,8 @@ A group operation exp{i(alpha E+ + alpha* E-)} is applied in closed form by
 `RootImages.rotate`, in either representation (`CartanWeylData.defining`,
 `Algebra.adjoint`): its generator's spectrum is |alpha| times that of
 E+ + E-, cached per root, so the exponential is a short polynomial in the
-generator; no eigendecomposition.
+generator, applied to the root's support block only and in real arithmetic
+in the adjoint representation; no eigendecomposition.
 
 Each structural invariant has one function, computed once per assembly
 and only where some input can break it.  Closure and the Killing form are
@@ -270,24 +271,28 @@ class RootImages:
     def __post_init__(self):
         object.__setattr__(self, "raising", _freeze(self.raising))
 
-    @cached_property
+    @property
     def lowering(self):
-        """The images of E-_l, the conjugate transposes of `raising`."""
+        """The images of E-_l, the conjugate transposes of `raising`, formed per read."""
         return _freeze(np.conj(np.transpose(self.raising, (0, 2, 1))))
 
     @cached_property
     def spectra(self):
-        """Per root, (nodes, scale, inverse) for `rotate`.
+        """Per root, (scale, nodes, inverse, rows, cos_part, sin_part) for `rotate`.
 
         nodes are the distinct eigenvalues x_j of E+ + E-, shared by every
         e^{i phi} E+ + e^{-i phi} E- (its conjugate by exp(i phi Sz)); inverse
-        inverts T[j, k] = T_k(x_j / scale), scale = max |x_j|.  Chebyshev rather
-        than monomial columns keep rounding growth small for many nodes.  Raises
-        RootSpectrumIllConditioned past MAX_NODE_AMPLIFICATION (spin j > 11 in
-        one su(2) irrep).
+        inverts T[j, k] = T_k(x_j / scale), scale = max |x_j|, row k times (-i)^k.
+        Chebyshev rather than monomial columns keep rounding growth small for
+        many nodes.  rows is the support S (rows where E+ or E- is nonzero);
+        cos_part, sin_part are i(E+ + E-) and E- - E+ on S x S, real where
+        their imaginary parts are zero.  Raises RootSpectrumIllConditioned past
+        MAX_NODE_AMPLIFICATION (spin j > 11 in one su(2) irrep).
         """
         spectra = []
-        for l, evals in enumerate(np.linalg.eigvalsh(self.raising + self.lowering)):
+        lowering = self.lowering
+        sums = self.raising + lowering
+        for l, evals in enumerate(np.linalg.eigvalsh(sums)):
             scale = float(max(-evals[0], evals[-1]))
             nodes = evals[np.concatenate(([True], np.diff(evals) > NODE_TOL * scale))]
             inverse = np.linalg.inv(np.polynomial.chebyshev.chebvander(nodes / scale,
@@ -296,7 +301,13 @@ class RootImages:
                 raise RootSpectrumIllConditioned(
                     f"root {l}: {len(nodes)} distinct generator eigenvalues are too many "
                     "for a closed-form rotation in double precision")
-            spectra.append((_freeze(nodes), scale, _freeze(inverse)))
+            diff = lowering[l] - self.raising[l]
+            rows = np.flatnonzero((sums[l] != 0).any(axis=1) | (diff != 0).any(axis=1))
+            parts = 1j * sums[l][np.ix_(rows, rows)], diff[np.ix_(rows, rows)]
+            if not any(part.imag.any() for part in parts):
+                parts = tuple(part.real for part in parts)
+            unit = (-1j) ** np.arange(len(nodes))[:, None]
+            spectra.append((scale, *map(_freeze, (nodes, unit * inverse, rows, *parts))))
         return tuple(spectra)
 
     def rotate(self, root_index, alpha, x):
@@ -308,23 +319,33 @@ class RootImages:
 
         For alpha = t e^{i phi} the generator is t N with N's eigenvalues the
         cached nodes, so exp(i t N) = sum_k c_k T_k(N / s), c = inverse @ e^{i t x}
-        (interpolation on the spectrum; Higham, Functions of Matrices, 1.2),
-        applied by Clenshaw's recurrence: one product with N / s per degree,
-        O(d^2) each for a vector x of length d.
+        (interpolation on the spectrum; Higham, Functions of Matrices, 1.2).
+        With B = i N / s, U_k = i^k T_k(N / s) obeys U_{k+1} = 2 B U_k + U_{k-1},
+        so Clenshaw's recurrence applies sum_k c_k (-i)^k U_k with one product
+        by B's support block per degree: O(|S|^2) for a vector, O(|S|^2 m) for
+        m columns.  Rows outside S come back unchanged (p(0) = 1).  Since
+        |c_k (-i)^k| = |c_k| and ||U_k|| = ||T_k(N / s)|| <= 1, rounding grows
+        by at most MAX_NODE_AMPLIFICATION.  Where B is real (the adjoint
+        representation), N's spectrum is symmetric and each c_k (-i)^k real,
+        so the recurrence runs in float64 and a real x stays real.
         """
         check_root_index(root_index, len(self.raising))
-        nodes, scale, inverse = self.spectra[root_index]
+        scale, nodes, inverse, rows, cos_part, sin_part = self.spectra[root_index]
         if not math.isfinite((abs(alpha.real) + abs(alpha.imag)) * scale):
             raise NonFiniteGate(f"exponent alpha = {alpha} overflows the rotation of root "
                                 f"{root_index}")
         t = abs(alpha)
         phase = complex(alpha / t if t else 1.0) / scale
-        gen = phase * self.raising[root_index] + phase.conjugate() * self.lowering[root_index]
+        gen = phase.real * cos_part + phase.imag * sin_part
         coeffs = inverse @ np.exp(1j * t * nodes)
-        out, prev = coeffs[-1] * x, 0.0
+        coeffs = coeffs if np.iscomplexobj(gen) else coeffs.real
+        part = x[rows]
+        out, prev = coeffs[-1] * part, 0.0
         for c in coeffs[-2:0:-1]:
-            out, prev = 2.0 * (gen @ out) - prev + c * x, out
-        return gen @ out - prev + coeffs[0] * x
+            out, prev = 2.0 * (gen @ out) + prev + c * part, out
+        result = x.astype(np.result_type(gen, coeffs, x))
+        result[rows] = gen @ out + prev + coeffs[0] * part
+        return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,9 +616,11 @@ def _adjoint_from_constants(f, cw):
     commutator [O_m, .] on basis coefficients, with bar(O_m)[k, m'] =
     f[m, m', k] the real matrix of ad(O_m); only the root images are kept.
     They obey the stored-bracket relations because f obeys the Jacobi
-    identity once closure holds.
+    identity once closure holds.  bar(O_m) is antisymmetric, and its computed
+    antisymmetric part (f's transpose bit for bit where f is) makes each image
+    exactly i times a real one, so `RootImages.rotate` runs in real arithmetic.
     """
-    adj_u, adj_v = (np.transpose(f[idx], (0, 2, 1)) * -1j for idx in cw.pair_indices)
+    adj_u, adj_v = ((np.transpose(f[i], (0, 2, 1)) - f[i]) * -0.5j for i in cw.pair_indices)
     return RootImages((adj_u + 1j * adj_v) / 2.0)
 
 
@@ -829,6 +852,11 @@ class Algebra:
         return _freeze(self.basis.basis[list(self.cartan_weyl.csa_indices)])
 
     @cached_property
+    def weight_tols(self):
+        """Per CSA generator H_r, `vector_weights`' tolerance WEIGHT_TOL max(1, max|H_r|)."""
+        return tuple(WEIGHT_TOL * max(1.0, float(np.abs(h).max())) for h in self.csa_ops)
+
+    @cached_property
     def highest_weight(self):
         """The highest-weight state and its CSA weights, as (state, w(H_r)).
 
@@ -857,7 +885,7 @@ class Algebra:
         if kernel.shape[1] == 0:
             raise NotUnique("no state is annihilated by all raising operators")
 
-        candidates = sorted(_weight_vectors(kernel, self.csa_ops),
+        candidates = sorted(_weight_vectors(kernel, self),
                             key=lambda item: tuple(-item[1]))
         if len(candidates) > 1 and np.allclose(candidates[0][1], candidates[1][1],
                                                atol=WEIGHT_TOL):
@@ -892,7 +920,7 @@ class Algebra:
     def weight_basis(self):
         """(vectors, weights): vectors[:, i] is a unit eigenvector of every H_r
         with eigenvalue weights[i, r], so sum_r gamma_r H_r is diagonal there."""
-        pairs = _weight_vectors(np.eye(self.rep_dim, dtype=complex), self.csa_ops)
+        pairs = _weight_vectors(np.eye(self.rep_dim, dtype=complex), self)
         return (_freeze(np.array([vec for vec, _ in pairs]).T),
                 _freeze([w for _, w in pairs]))
 
@@ -907,36 +935,36 @@ class Algebra:
         return tuple(np.pi / np.sqrt(2.0 * self.cartan_weyl.etas))
 
 
-def _weight_vectors(subspace, csa_ops):
+def _weight_vectors(subspace, algebra):
     """Diagonalize the CSA action within a subspace; return (vector, weights) pairs."""
     k = subspace.shape[1]
     if k == 1:
         vecs = [subspace[:, 0]]
     else:
         # A fixed incommensurate combination splits distinct weights at once.
-        coeffs = 1.0 / np.sqrt(np.arange(2, len(csa_ops) + 2, dtype=float))
-        combo = np.einsum("r,rij->ij", coeffs, csa_ops)
+        coeffs = 1.0 / np.sqrt(np.arange(2, len(algebra.csa_ops) + 2, dtype=float))
+        combo = np.einsum("r,rij->ij", coeffs, algebra.csa_ops)
         sub = subspace.conj().T @ combo @ subspace
         _, v = np.linalg.eigh((sub + sub.conj().T) / 2.0)
         vecs = [subspace @ v[:, i] for i in range(k)]
     out = []
     for vec in vecs:
         vec = vec / np.linalg.norm(vec)
-        weights = vector_weights(vec, csa_ops)
+        weights = vector_weights(vec, algebra)
         if weights is None:
             raise NotUnique("subspace does not split into CSA weight vectors")
         out.append((vec, weights))
     return out
 
 
-def vector_weights(vec, csa_ops):
+def vector_weights(vec, algebra):
     """The weights <v|H_r|v> of a unit vector, or None unless it is an eigenvector
-    of every H_r to WEIGHT_TOL (a non-finite vector never is)."""
-    weights = np.empty(len(csa_ops))
-    for r, h in enumerate(csa_ops):
+    of every H_r to `Algebra.weight_tols` (a non-finite vector never is)."""
+    weights = np.empty(len(algebra.csa_ops))
+    for r, (h, tol) in enumerate(zip(algebra.csa_ops, algebra.weight_tols)):
         hv = h @ vec
         w = np.real(np.vdot(vec, hv))
-        if not np.linalg.norm(hv - w * vec) <= WEIGHT_TOL * max(1.0, float(np.abs(h).max())):
+        if not np.linalg.norm(hv - w * vec) <= tol:
             return None
         weights[r] = w
     return weights

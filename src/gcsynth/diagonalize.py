@@ -2,18 +2,20 @@
 
 The Hamiltonian is carried as its real coefficient vector c over the
 orthogonal basis, from `build_target` to the final CSA element; its root
-coefficients iota are read off c by `moments.root_coefficients`.  Each step
-picks the root carrying the largest |iota_l|, decomposes the Hamiltonian
-inside that root's su(2) as xi_z Sz + xi_x Sx + xi_y Sy + (orthogonal rest),
-and conjugates by the rotation that aligns the su(2) part with Sz.  The
+coefficients iota (`moments.root_coefficients`) are read off c once per
+step and give both the distance d and the pivot, the root carrying the
+largest |iota_l|.  Each step decomposes the Hamiltonian inside that root's
+su(2) as xi_z Sz + xi_x Sx + xi_y Sy + (orthogonal rest), and conjugates by
+the rotation that aligns the su(2) part with Sz.  The
 rotation axis lies in the Sx/Sy plane, perpendicular to (xi_x, xi_y), and
 the angle is the polar angle theta = arctan2(sqrt(xi_x^2 + xi_y^2), xi_z);
 the two-argument form keeps xi_z < 0 inputs on the (pi/2, pi) branch, where
 a principal-branch arctan would rotate toward the wrong pole.  c is rotated
 in the adjoint representation by `RootImages.rotate`, the closed form of the
-exponential on the root generator's known spectrum: a handful of M x M
-matrix-vector products, so one step costs O(M^2), with no M x M rotation
-matrix formed and no eigendecomposition.
+exponential on the root generator's known spectrum: a handful of real
+products with the generator's block on the root's support S (36-38 of 66
+coordinates at so(12)), so one step costs O(|S|^2) <= O(M^2), with no
+M x M rotation matrix formed and no eigendecomposition.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import (
     StepDidNotReducePivot,
     ZeroPivot,
 )
-from .moments import offdiag_distance, root_coefficients
+from .moments import root_coefficients
 from .states import GroupOp
 
 PIVOT_REL_TOL = 1e-10
@@ -64,9 +66,8 @@ class DiagonalizationResult:
         return self.trace[-1]
 
 
-def select_pivot(coeffs, algebra):
-    """Index of a root with maximal |iota_l|; ties break to the smallest index."""
-    mags = np.abs(root_coefficients(coeffs, algebra))
+def select_pivot(mags):
+    """Index of the largest of the L magnitudes |iota_l|; ties break to the smallest."""
     if mags.size == 0 or float(mags.max()) == 0.0:
         raise AlreadyDiagonal("coefficient vector has no off-diagonal part")
     return int(mags.argmax())
@@ -102,13 +103,13 @@ def plan_step(coeffs, pivot, algebra):
                     theta=theta, pi_x=pi_x, pi_y=pi_y, alpha=alpha)
 
 
-def apply_step(coeffs, plan, algebra):
+def apply_step(coeffs, plan, algebra, distance):
     """Conjugate by the planned rotation in the adjoint representation.
 
     The coefficient vector c becomes d.T @ c, with d the rotation's adjoint
     action (`lqc.adjoint_action_of`); d.T is the rotation by -alpha, applied
-    to c directly by `Algebra.adjoint.rotate`.  Its real part is exact: the
-    generator's adjoint image is i times a real antisymmetric matrix.
+    to c directly by `Algebra.adjoint.rotate`, in real arithmetic.  distance
+    is c's d, the last trace entry of `run`, and sets the pivot tolerance.
 
     Returns
     -------
@@ -124,10 +125,10 @@ def apply_step(coeffs, plan, algebra):
         # Identity conjugation: nothing moves and nothing to verify.
         return coeffs, plan
 
-    out = algebra.adjoint.rotate(plan.pivot, -plan.alpha, coeffs).real
+    out = algebra.adjoint.rotate(plan.pivot, -plan.alpha, coeffs)
     # Absolute floor: near convergence sqrt(d) sinks below the conjugation
     # noise floor and a purely relative test would trip falsely.
-    tol = PIVOT_REL_TOL * math.sqrt(offdiag_distance(coeffs, algebra)) \
+    tol = PIVOT_REL_TOL * math.sqrt(distance) \
         + PIVOT_ABS_TOL * math.sqrt(max(float(np.dot(coeffs, coeffs)), 1.0))
     u, v = algebra.cartan_weyl.pair_map[plan.pivot]
     left = math.hypot(out[u], out[v])
@@ -170,12 +171,12 @@ def run(coeffs, algebra, eps_d, max_steps=None):
         raise InvalidParameter(f"eps_d must be positive, got {eps_d}")
     if max_steps is not None and max_steps < 0:
         raise InvalidParameter(f"max_steps must be >= 0, got {max_steps}")
-    d = offdiag_distance(coeffs, algebra)
-    bound = step_bound(d, eps_d, algebra.cartan_weyl.num_roots_L)
+    mags = np.abs(root_coefficients(coeffs, algebra))
+    trace = [float(mags.dot(mags))]
+    bound = step_bound(trace[0], eps_d, algebra.cartan_weyl.num_roots_L)
     if max_steps is None:
         max_steps = max(4 * bound, 16)
 
-    trace = [d]
     ops = []
     while trace[-1] > eps_d:
         if len(ops) >= max_steps:
@@ -183,10 +184,11 @@ def run(coeffs, algebra, eps_d, max_steps=None):
                 f"distance {trace[-1]:.3e} > {eps_d:.3e} after {max_steps} steps",
                 trace=trace,
             )
-        pivot = select_pivot(coeffs, algebra)
+        pivot = select_pivot(mags)
         plan = plan_step(coeffs, pivot, algebra)
-        coeffs, _ = apply_step(coeffs, plan, algebra)
+        coeffs, _ = apply_step(coeffs, plan, algebra, trace[-1])
         ops.append(GroupOp(pivot, plan.alpha))
-        trace.append(offdiag_distance(coeffs, algebra))
+        mags = np.abs(root_coefficients(coeffs, algebra))
+        trace.append(float(mags.dot(mags)))
     return DiagonalizationResult(ops=tuple(ops), final_coeffs=coeffs,
                                  trace=tuple(trace), steps_taken=len(ops))

@@ -4,7 +4,7 @@ Gates act on the moment vector through their adjoint action
 d[m, m'] = Tr(O_m' T^dag O_m T)/N, so a circuit of length L propagates the
 M expectation values in O(L M^2) after the actions are built.  A group
 operation's action is `Algebra.adjoint.rotate` applied to the identity: the
-closed-form root rotation, O(M^3), with no eigendecomposition.
+closed-form root rotation on the root's support S, O(|S|^2 M), and real.
 Explicit unitaries are conjugated on the defining representation and
 accepted only when conjugation keeps the algebra span.  The final state of
 a valid trajectory stays a GCS, certified by its purity, and can be handed
@@ -56,8 +56,8 @@ def adjoint_action_of(gate, algebra):
     ----------
     gate : GroupOp or (rep_dim, rep_dim) unitary ndarray
         Group operations always qualify: d is the adjoint rotation of the
-        identity, whose real part is exact because the generator's adjoint
-        image is i times a real antisymmetric matrix.  Explicit unitaries
+        identity, real because the generator's adjoint image is i times a
+        real antisymmetric matrix.  Explicit unitaries
         must keep the algebra span under conjugation (residual below 1e-8),
         which is the classical-simulability requirement.
 
@@ -67,7 +67,7 @@ def adjoint_action_of(gate, algebra):
     """
     if isinstance(gate, GroupOp):
         rotated = algebra.adjoint.rotate(gate.root_index, gate.alpha, np.eye(algebra.dim))
-        return AdjointAction(matrix=rotated.real, descriptor=f"group_op(l={gate.root_index})")
+        return AdjointAction(matrix=rotated, descriptor=f"group_op(l={gate.root_index})")
     unitary = np.asarray(gate, dtype=complex)
     if unitary.shape != (algebra.rep_dim, algebra.rep_dim):
         raise InvalidGate("unitary has the wrong dimension for this representation")

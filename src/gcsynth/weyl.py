@@ -87,7 +87,7 @@ def reflect_to_highest_weight(info, algebra):
     """
     cw = algebra.cartan_weyl
     state = np.asarray(info.state, dtype=complex)
-    weights = vector_weights(state, algebra.csa_ops)
+    weights = vector_weights(state, algebra)
     if weights is None:
         raise NotAWeightState("state is not a simultaneous eigenvector of the CSA")
 

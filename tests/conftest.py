@@ -1,9 +1,13 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from gcsynth import assemble_algebra, make_so2n, make_su2, orthonormalize_basis
+from gcsynth.algebra import NODE_TOL, check_root_index
 from gcsynth.catalog import spin_matrices
-from gcsynth.errors import NoProgress, NotAWeightState
+from gcsynth.errors import NoProgress, NonFiniteGate, NotAWeightState
 from gcsynth.states import GroupOp, derive_seed, state_fidelity
 from gcsynth.weyl import M_NEGATIVE_TOL, PROGRESS_TOL
 
@@ -180,6 +184,40 @@ def sampled_moments_oracle(state, algebra, shots, seed):
         counts = rng.multinomial(int(shots), probs)
         values[m] = float(np.dot(counts, outcomes) / shots)
     return values
+
+
+@functools.cache
+def dense_spectra(images):
+    """Per root (nodes, scale, inverse) of `images`, as `RootImages.spectra` built
+    them for `dense_rotate`."""
+    spectra = []
+    for evals in np.linalg.eigvalsh(images.raising + images.lowering):
+        scale = float(max(-evals[0], evals[-1]))
+        nodes = evals[np.concatenate(([True], np.diff(evals) > NODE_TOL * scale))]
+        inverse = np.linalg.inv(np.polynomial.chebyshev.chebvander(nodes / scale,
+                                                                   len(nodes) - 1))
+        spectra.append((nodes, scale, inverse))
+    return tuple(spectra)
+
+
+def dense_rotate(self, root_index, alpha, x):
+    """`RootImages.rotate` before the support kernel, copied verbatim but for its
+    spectra, read from `dense_spectra`: Clenshaw's recurrence with the full d x d
+    complex generator.  The support kernel's oracle; it can stand in for the
+    method (`monkeypatch.setattr(RootImages, "rotate", dense_rotate)`)."""
+    check_root_index(root_index, len(self.raising))
+    nodes, scale, inverse = dense_spectra(self)[root_index]
+    if not math.isfinite((abs(alpha.real) + abs(alpha.imag)) * scale):
+        raise NonFiniteGate(f"exponent alpha = {alpha} overflows the rotation of root "
+                            f"{root_index}")
+    t = abs(alpha)
+    phase = complex(alpha / t if t else 1.0) / scale
+    gen = phase * self.raising[root_index] + phase.conjugate() * self.lowering[root_index]
+    coeffs = inverse @ np.exp(1j * t * nodes)
+    out, prev = coeffs[-1] * x, 0.0
+    for c in coeffs[-2:0:-1]:
+        out, prev = 2.0 * (gen @ out) - prev + c * x, out
+    return gen @ out - prev + coeffs[0] * x
 
 
 def commutator(a, b):

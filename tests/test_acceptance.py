@@ -24,7 +24,9 @@ from gcsynth import (
     make_budget,
     make_so2n,
     make_su2,
+    offdiag_distance,
     propagate,
+    root_coefficients,
     spectral_gap,
     step_bound,
     synthesize,
@@ -265,10 +267,10 @@ def test_criterion_7_complexity_smoke():
         for _ in range(60):
             values = rng.standard_normal(algebra.dim)
             coeffs = build_target(MomentVector(values), algebra)
-            pivot = select_pivot(coeffs, algebra)
+            pivot = select_pivot(np.abs(root_coefficients(coeffs, algebra)))
             plan = plan_step(coeffs, pivot, algebra)
             t0 = time.perf_counter()
-            apply_step(coeffs, plan, algebra)
+            apply_step(coeffs, plan, algebra, offdiag_distance(coeffs, algebra))
             samples.append(time.perf_counter() - t0)
         sizes.append(algebra.dim)
         times.append(float(np.median(samples)))

@@ -25,6 +25,7 @@ from gcsynth.errors import (
     InvalidAlgebraSpec,
     KillingFormDegenerate,
     LinearlyDependentBasis,
+    NonFiniteGate,
     NonHermitianInput,
     RootIndexOutOfRange,
     RootPairNotEigenvector,
@@ -43,6 +44,7 @@ from conftest import (
     adjoint_gram,
     adjoint_matrices,
     build_su3,
+    build_tied_top,
     commutator,
     expi_hermitian,
     gell_mann,
@@ -633,6 +635,39 @@ def test_closed_form_rotations_match_dense(catalog_algebras, so8, su3, magnitude
             assert np.abs(d - dense_adj).max() < 1e-12
             assert np.abs(d @ d.T - np.eye(algebra.dim)).max() < 1e-12
             assert np.abs(adj.rotate(l, alpha, coeffs) - d @ coeffs).max() < 1e-12
+
+
+def test_rotate_matches_dense_exponential(catalog_algebras, su3, half_one):
+    # RootImages.rotate against exp(i gen) by eigendecomposition, in both
+    # representations: vector and matrix x, real and complex, at alpha = 0,
+    # the root's reflection exponent and a random exponent.  A real x stays
+    # real in the adjoint representation.
+    rng = np.random.default_rng(19)
+    for algebra in catalog_algebras + [su3, half_one, build_tied_top()]:
+        for images in (algebra.cartan_weyl.defining, algebra.adjoint):
+            dim = images.raising.shape[1]
+            real_vec, real_mat = rng.standard_normal(dim), rng.standard_normal((dim, 3))
+            xs = [real_vec, real_mat, np.eye(dim),
+                  real_vec + 1j * rng.standard_normal(dim),
+                  real_mat + 1j * rng.standard_normal((dim, 3))]
+            for l, reflection in enumerate(algebra.reflection_alphas):
+                for alpha in (0j, complex(reflection), complex(rng.normal(), rng.normal())):
+                    dense = expi_hermitian(alpha * images.raising[l]
+                                           + np.conj(alpha) * images.lowering[l])
+                    for x in xs:
+                        out = images.rotate(l, alpha, x)
+                        assert out.shape == x.shape
+                        assert np.abs(out - dense @ x).max() < 1e-12, algebra.name
+                        if images is algebra.adjoint and not np.iscomplexobj(x):
+                            assert not np.iscomplexobj(out), algebra.name
+    for images in (make_su2(1).cartan_weyl.defining, make_su2(1).adjoint):
+        dim = images.raising.shape[1]
+        for alpha in (1e308 + 1e308j, -1.5e308 - 1e308j):
+            with pytest.raises(NonFiniteGate):
+                images.rotate(0, alpha, np.eye(dim))
+        for l in (1, -1):
+            with pytest.raises(RootIndexOutOfRange):
+                images.rotate(l, 0.3 + 0j, np.eye(dim))
 
 
 def test_wide_root_spectrum_is_typed():

@@ -41,26 +41,26 @@ RECORDED_ENV = {
 
 EXPECTED = {
     "algebra list": "877bbb1ad577c5921e53b80b74a34395ada61c1dc81a0db268166afc06766166",
-    "circuit.json": "5a5ec8176e5c4ac8755cfae710db673a092fdc1a9815bcc5ea7b242e58778e9a",
-    "final.circuit.json": "e232a0d54edf57b23d28b08c7a128a807cb30f8e1b86b19f106e594e2ec79647",
-    "final.json": "34bc51f8877512799b8bcdde380d020ade11e8faab9ce88bb892d24a55e83400",
-    "m.json": "711f1ca6b579b661b4c4227b9250fbc1fcf371fc1c9540ffb7d242ad4ba3f9eb",
-    "report-su2-2.json": "0f641f49081ab65578f72a2a3bd7b725f5f40ab45b9a967af32b75ae08e6ca4d",
-    "report.json": "a1faea47ace9a0d5ada2472032677cd7d4a0ab5a75e8ef0bba49f757104a1829",
+    "circuit.json": "a4dbfec9e225b34274dd49e801de9afc14b94fb4128ab9cfbac531ed5939fd57",
+    "final.circuit.json": "32a35ac53aa579779f7ecb856f175e15b35ec783e4c4a4baf6109b30c7f04545",
+    "final.json": "8edef7aa5501559aa66a9ec92d0d1ddc184d2ce78bcc81f7f016cabc84eaa6df",
+    "m.json": "01a3ec48317fe7283368f2db82ea5f4160878abbc575e0495e8b407625000e20",
+    "report-su2-2.json": "7a13877bf8be6358fd02f9ed4dfe27c001150ad0278b43d087ca35be14e80a0d",
+    "report.json": "3b8700143eb7c7be7a51e34cc0cb1be1d30ea0a462c85dbfc685a5c2129ac223",
     "so6.json": "05c48c31a83e7df5ccb8da6c7b07f1e89f2fe774f967d9192979009e5041a72e",
     "verify stdout": "e62854a9705ef417b37c46b47e96cbfedaacfa781d417a5a7bae31268e76bf55",
     "verify.json": "e62854a9705ef417b37c46b47e96cbfedaacfa781d417a5a7bae31268e76bf55",
 }
 
 BENCH_EXPECTED = {
-    ("exact-jacobi", 1): "096fad5bd4348b4d5a59d340539322ae17b95e8ad8e257e86cf139441ef8944a",
-    ("lqc-circuits", 1): "9607ef512172fc47af06e9bbe15ece6dac40ae96d83d7e485d3933abe7d2a056",
-    ("tomo-sampled", 1): "e0c05a929ed9490eab7f97999398badf75bd8b22c5aa74f86cc6919865933332",
-    ("tomo-sampled", 2): "3093b7be093fa853646924f224301f1a651d9871eed2bc9cba793c73a2bbc958",
-    ("tomo-sampled", 3): "e3168bf11aac9d746a49afcf617a849f042ee885b6783f217e5ae6073b8a3cc6",
-    ("tomo-sampled", 4): "b87bb8df3aa823c9ce642b4ac0f9a428cb46acb69ace668d6daeb9e3e0a0f837",
-    ("tomo-sampled", 5): "33ca2c72c4d55ac2d9785535bfe13dad646f3a7cd9ed14f3ad4f7494d0ed50ac",
-    ("tomo-sampled", 6): "4bdf8b32104ef5669a4d7d2dcb5c98d732724087289ae718d53a270c815294df",
+    ("exact-jacobi", 1): "922d321d1b9435e8e7bf5b70924f33707e43272d4e44f605d3e47cb446bcd225",
+    ("lqc-circuits", 1): "272466498403e2edec8b0d1c20a8fb6f3760d801bee66ca981521627f7c1125d",
+    ("tomo-sampled", 1): "5548b15c33e6ff725859f21cc92a2a5bc9363617246a625a8c69c4f94863c515",
+    ("tomo-sampled", 2): "5bd1d1818ad4bf9f6332dffed0a6899c25e3ba7e34d801559e24cff6fd1ec37d",
+    ("tomo-sampled", 3): "519a1441dbdee35ee2a4acd8cad6eb1bc93fd0bf9cbfcfb083625b10dbc72920",
+    ("tomo-sampled", 4): "2c9bb0392dac1fff9406cca55aee4facd5cddac2b2b061f0767aff67aa1bf2ad",
+    ("tomo-sampled", 5): "0ff073289ac356d639d09a75b445667710404830e26460004d909d8320f5d61e",
+    ("tomo-sampled", 6): "89b82365cf46da34a895d4c3b764a0841b01ceda9796a6abcab38a009779df92",
     ("weyl-orbit", 1): "ef8c42cff4c61afc2cef5bbf2859cb04e1708547422eb557d9c55c5eb82650cf",
 }
 

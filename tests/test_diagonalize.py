@@ -8,12 +8,16 @@ from gcsynth import (
     apply_step,
     build_target,
     hidden_gcs,
+    make_budget,
+    make_so2n,
     offdiag_distance,
     plan_step,
     root_coefficients,
     select_pivot,
     step_bound,
+    synthesize,
 )
+from gcsynth.algebra import RootImages
 from gcsynth.diagonalize import run
 from gcsynth.errors import (
     AlreadyDiagonal,
@@ -29,6 +33,7 @@ from conftest import (
     assemble_operator,
     cw_coefficients,
     decomposition_from_operator,
+    dense_rotate,
     group_op_unitary,
 )
 
@@ -38,26 +43,29 @@ from conftest import (
 # ---------------------------------------------------------------------------
 
 def test_pivot_largest_magnitude(so4):
-    assert select_pivot(cw_coefficients(so4, [0.0, 0.0], [0.1, 0.9j]), so4) == 1
+    coeffs = cw_coefficients(so4, [0.0, 0.0], [0.1, 0.9j])
+    assert select_pivot(np.abs(root_coefficients(coeffs, so4))) == 1
 
 
 def test_pivot_tie_breaks_to_smallest_index(so4):
-    assert select_pivot(cw_coefficients(so4, [0.0, 0.0], [0.5, 0.5]), so4) == 0
+    coeffs = cw_coefficients(so4, [0.0, 0.0], [0.5, 0.5])
+    assert select_pivot(np.abs(root_coefficients(coeffs, so4))) == 0
 
 
 def test_pivot_on_diagonal_raises(su2_half):
     with pytest.raises(AlreadyDiagonal):
-        select_pivot(cw_coefficients(su2_half, [1.0], [0.0]), su2_half)
+        select_pivot(np.abs(root_coefficients(cw_coefficients(su2_half, [1.0], [0.0]),
+                                              su2_half)))
 
 
 def test_pivot_strictly_reduced_after_step(su3):
     rng = np.random.default_rng(6)
     for _ in range(10):
         coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
-        pivot = select_pivot(coeffs, su3)
+        pivot = select_pivot(np.abs(root_coefficients(coeffs, su3)))
         before = abs(root_coefficients(coeffs, su3)[pivot])
         plan = plan_step(coeffs, pivot, su3)
-        after, _ = apply_step(coeffs, plan, su3)
+        after, _ = apply_step(coeffs, plan, su3, offdiag_distance(coeffs, su3))
         assert abs(root_coefficients(after, su3)[pivot]) < before * 1e-9
 
 
@@ -106,7 +114,7 @@ def test_plan_negative_xi_z_upper_branch(su2_half):
     plan = plan_step(coeffs, 0, su2_half)
     assert plan.theta > np.pi / 2.0
     assert plan.theta == pytest.approx(np.pi, abs=0.05)
-    after, _ = apply_step(coeffs, plan, su2_half)
+    after, _ = apply_step(coeffs, plan, su2_half, offdiag_distance(coeffs, su2_half))
     assert abs(root_coefficients(after, su2_half)[0]) < 1e-12
     # The 2x2 oracle agrees.
     u = group_op_unitary(GroupOp(0, plan.alpha), su2_half)
@@ -133,7 +141,7 @@ def test_plan_pivot_out_of_range_is_typed(so4, pivot):
 def test_apply_step_su2_sigma_x(su2_half):
     coeffs = cw_coefficients(su2_half, [0.0], [1.0])
     plan = plan_step(coeffs, 0, su2_half)
-    after, used = apply_step(coeffs, plan, su2_half)
+    after, used = apply_step(coeffs, plan, su2_half, offdiag_distance(coeffs, su2_half))
     assert abs(root_coefficients(after, su2_half)[0]) < 1e-12
     assert abs(abs(after[0]) - 1.0) < 1e-12
     assert offdiag_distance(after, su2_half) < 1e-24
@@ -144,9 +152,9 @@ def test_apply_step_conserves_coefficient_norm(su3):
     rng = np.random.default_rng(21)
     for _ in range(10):
         coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
-        pivot = select_pivot(coeffs, su3)
+        pivot = select_pivot(np.abs(root_coefficients(coeffs, su3)))
         plan = plan_step(coeffs, pivot, su3)
-        after, _ = apply_step(coeffs, plan, su3)
+        after, _ = apply_step(coeffs, plan, su3, offdiag_distance(coeffs, su3))
         assert np.dot(after, after) == pytest.approx(np.dot(coeffs, coeffs), abs=1e-10)
 
 
@@ -156,13 +164,13 @@ def test_sign_flipped_plan_raises(su3):
     rng = np.random.default_rng(8)
     for _ in range(5):
         coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
-        pivot = select_pivot(coeffs, su3)
+        pivot = select_pivot(np.abs(root_coefficients(coeffs, su3)))
         plan = plan_step(coeffs, pivot, su3)
         assert abs(plan.theta - np.pi / 2.0) > 1e-3
         flipped = replace(plan, theta=-plan.theta, pi_x=-plan.pi_x, pi_y=-plan.pi_y,
                           alpha=-plan.alpha)
         with pytest.raises(StepDidNotReducePivot):
-            apply_step(coeffs, flipped, su3)
+            apply_step(coeffs, flipped, su3, offdiag_distance(coeffs, su3))
 
 
 def test_apply_zero_alpha_plan_is_identity(su2_half):
@@ -170,7 +178,7 @@ def test_apply_zero_alpha_plan_is_identity(su2_half):
     plan = plan_step(coeffs, 0, su2_half)
     zero_plan = type(plan)(pivot=0, xi_x=0.0, xi_y=0.0, xi_z=0.0, theta=0.0,
                            pi_x=0.0, pi_y=0.0, alpha=0.0)
-    after, _ = apply_step(coeffs, zero_plan, su2_half)
+    after, _ = apply_step(coeffs, zero_plan, su2_half, offdiag_distance(coeffs, su2_half))
     assert np.allclose(after, coeffs)
 
 
@@ -292,3 +300,30 @@ def test_bad_eps_d_is_typed(so4, eps_d):
     coeffs = build_target(hidden_gcs(so4, seed=3, num_ops=3).exact_moments(), so4)
     with pytest.raises(InvalidParameter):
         run(coeffs, so4, eps_d)
+
+
+def test_synthesis_streams_match_dense_kernel(su3, monkeypatch):
+    # The support kernel against the dense one it replaced (conftest.dense_rotate)
+    # on the exact-moment streams: 20 hidden states per algebra give the same
+    # pivots, step counts and kind tags, with exponents within 1e-13.
+    def old_rotate(self, root_index, alpha, x):
+        # The dense kernel's callers kept the real part of an adjoint rotation.
+        out = dense_rotate(self, root_index, alpha, x)
+        return out if np.iscomplexobj(x) else out.real
+
+    worst, steps = 0.0, 0
+    for algebra in [su3] + [make_so2n(n) for n in (3, 4, 5, 6)]:
+        budget = make_budget(1e-6, 0.05, algebra)
+        for seed in range(20):
+            moments = hidden_gcs(algebra, seed=seed, num_ops=20).exact_moments()
+            lean = synthesize(moments, algebra, budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(RootImages, "rotate", old_rotate)
+                dense = synthesize(moments, algebra, budget)
+            assert [op.root_index for op in lean.ops] == [op.root_index for op in dense.ops]
+            assert lean.kind_tags == dense.kind_tags
+            assert (lean.steps_jacobi, lean.steps_weyl) == (dense.steps_jacobi, dense.steps_weyl)
+            worst = max([worst] + [abs(a.alpha - b.alpha) for a, b in zip(lean.ops, dense.ops)])
+            steps += lean.steps_jacobi
+    assert worst <= 1e-13
+    assert steps > 1000

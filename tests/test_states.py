@@ -136,7 +136,7 @@ def test_annihilated_weight_vectors_are_dominant(catalog_algebras, su3, half_one
         cw = algebra.cartan_weyl
         _, svals, vh = np.linalg.svd(np.concatenate(list(cw.raising_ops)))
         kernel = vh[svals <= KERNEL_TOL * max(1.0, svals.max())].conj().T
-        candidates = _weight_vectors(kernel, algebra.csa_ops)
+        candidates = _weight_vectors(kernel, algebra)
         counts[algebra.name] = len(candidates)
         for vec, weights in candidates + [algebra.highest_weight]:
             m_vals = cw.mu_matrix @ weights / cw.etas

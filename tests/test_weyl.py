@@ -209,7 +209,7 @@ def test_reflection_acts_on_weights_in_closed_form(walk_algebras):
         for l, alpha in enumerate(algebra.reflection_alphas):
             mu, eta = cw.mu_matrix[l], cw.etas[l]
             for v, w in zip(vectors.T, weight_table):
-                reflected = vector_weights(cw.defining.rotate(l, alpha, v), algebra.csa_ops)
+                reflected = vector_weights(cw.defining.rotate(l, alpha, v), algebra)
                 assert reflected is not None
                 assert np.abs(reflected - (w - 4.0 * (mu @ w / eta) * mu)).max() < 1e-12
 
