@@ -23,7 +23,6 @@ from .catalog import (
     load_algebra,
     make_so2n,
     make_su2,
-    reference_instances,
     resolve_algebra,
 )
 from .diagonalize import (
@@ -61,15 +60,12 @@ from .pipeline import (
 from .states import (
     GroupOp,
     HiddenGcs,
-    MeasurementRecord,
     apply_circuit,
     apply_group_op,
     exact_moments,
-    expectation,
     hidden_gcs,
     highest_weight_state,
     sample_all_moments,
-    sample_measurements,
 )
 from .weyl import WeightStateInfo, reflect_to_highest_weight, top_weight_state
 

@@ -121,35 +121,6 @@ def hermiticity_residual(mats):
     return resid, HERMITICITY_TOL * (1.0 + np.abs(mats).max(axis=(-2, -1)))
 
 
-def is_hermitian(mats):
-    """Whether `hermiticity_residual` is within its tolerance, per matrix."""
-    return np.less_equal(*hermiticity_residual(mats))
-
-
-def pooled_eigenbasis(mats):
-    """Projective measurements of a stack of Hermitian matrices, by one batched
-    `eigh`: V^dag per matrix, its distinct outcomes, and the size of every
-    eigenspace of all in turn.  A run of eigenvalues within 1e-10 max(1, max|e|)
-    of its first is one outcome, their mean, and its Born weight is pooled, so
-    no outcome or probability hangs on an eigenvector choice."""
-    evals, evecs = np.linalg.eigh(mats)
-    outcomes, sizes = [], []
-    for spectrum in evals:
-        scale = max(1.0, float(np.abs(spectrum).max()))
-        means, idx = [], 0
-        while idx < spectrum.size:
-            stop = idx + 1
-            while stop < spectrum.size and spectrum[stop] - spectrum[idx] <= 1e-10 * scale:
-                stop += 1
-            means.append(float(spectrum[idx:stop].mean()))
-            sizes.append(stop - idx)
-            idx = stop
-        outcomes.append(_freeze(means))
-    vh = np.swapaxes(evecs, -1, -2)
-    np.conj(vh, out=vh).setflags(write=False)  # in place: no second M d^2 array
-    return vh, tuple(outcomes), _freeze(sizes)
-
-
 def check_root_index(root_index, num_roots):
     """Raise RootIndexOutOfRange unless 0 <= root_index < num_roots."""
     if not 0 <= root_index < num_roots:
@@ -197,9 +168,29 @@ class AlgebraBasis:
 
     @cached_property
     def measurement_basis(self):
-        """`pooled_eigenbasis` of the basis, built on the first sampled request.
-        `observable_norms` keeps its own `eigvalsh`, whose bits set the budget."""
-        return pooled_eigenbasis(self.basis)
+        """Projective measurements of the basis observables, by one batched `eigh`
+        on the first sampled request: V^dag per observable, its distinct
+        outcomes, and the size of every eigenspace of all in turn.  A run of
+        eigenvalues within 1e-10 max(1, max|e|) of its first is one outcome,
+        their mean, and its Born weight is pooled, so no outcome or probability
+        hangs on an eigenvector choice.  `observable_norms` keeps its own
+        `eigvalsh`, whose bits set the budget."""
+        evals, evecs = np.linalg.eigh(self.basis)
+        outcomes, sizes = [], []
+        for spectrum in evals:
+            scale = max(1.0, float(np.abs(spectrum).max()))
+            means, idx = [], 0
+            while idx < spectrum.size:
+                stop = idx + 1
+                while stop < spectrum.size and spectrum[stop] - spectrum[idx] <= 1e-10 * scale:
+                    stop += 1
+                means.append(float(spectrum[idx:stop].mean()))
+                sizes.append(stop - idx)
+                idx = stop
+            outcomes.append(_freeze(means))
+        vh = np.swapaxes(evecs, -1, -2)
+        np.conj(vh, out=vh).setflags(write=False)  # in place: no second M d^2 array
+        return vh, tuple(outcomes), _freeze(sizes)
 
     @cached_property
     def row_sparse(self):
@@ -423,7 +414,7 @@ def orthonormalize_basis(raw_basis, target_N=None):
         raise InvalidAlgebraSpec("basis entries must be finite")
     dim_m, rep_dim = mats.shape[0], mats.shape[1]
 
-    hermitian = is_hermitian(mats)
+    hermitian = np.less_equal(*hermiticity_residual(mats))
     if not hermitian.all():
         raise NonHermitianInput(f"basis element {int(np.argmin(hermitian))} is not Hermitian")
 

@@ -167,11 +167,6 @@ def resolve_algebra(spec):
                            + ", ".join(e.name for e in CATALOG))
 
 
-def reference_instances():
-    """The standing desk-scale test set: su(2) j = 1/2, 1, 3/2; so(4); so(6)."""
-    return [make_su2(1), make_su2(2), make_su2(3), make_so2n(2), make_so2n(3)]
-
-
 def load_algebra(path):
     """Load and fully validate an algebra definition file.
 

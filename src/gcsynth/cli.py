@@ -83,7 +83,6 @@ def build_parser():
     p_tomo.set_defaults(run=_cmd_tomo_sim, out=os.path.join(out_dir, "report.json"))
     p_tomo.add_argument("--seed", type=int, required=True)
     p_tomo.add_argument("--hidden-ops", type=int, default=5)
-    p_tomo.add_argument("--shots-override", type=int, default=None)
     p_tomo.add_argument("--out", help="report path (default $GCSYNTH_OUT/report.json)")
 
     p_verify = sub.add_parser("verify", help="check a circuit against a hidden state")
@@ -141,8 +140,7 @@ def _cmd_synth(args):
 def _cmd_tomo_sim(args):
     algebra = _resolve_algebra(args.algebra)
     handle = hidden_gcs(algebra, args.seed, args.hidden_ops)
-    budget = pipeline.make_budget(args.epsilon, args.delta, algebra,
-                                  shots_override=args.shots_override)
+    budget = pipeline.make_budget(args.epsilon, args.delta, algebra)
     report = pipeline.synthesize(handle, algebra, budget, seed=args.seed,
                                  max_steps=args.max_steps)
     check = pipeline.verify(report, handle.reference_state(), algebra)

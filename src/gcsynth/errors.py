@@ -85,10 +85,6 @@ class NotUnique(GcsynthError):
     """The joint kernel of the raising operators does not single out one state."""
 
 
-class NonHermitianObservable(GcsynthError):
-    """Expectation requested for a non-Hermitian matrix."""
-
-
 class ShotCountOverflow(GcsynthError):
     """A shot count exceeds what the int64 sampler can draw."""
 

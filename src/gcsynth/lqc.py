@@ -29,7 +29,6 @@ class AdjointAction:
     """Real matrix d with T^dag O_m T = sum_m' d[m, m'] O_m'."""
 
     matrix: np.ndarray
-    descriptor: str = "gate"
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix, float))
@@ -67,7 +66,7 @@ def adjoint_action_of(gate, algebra):
     """
     if isinstance(gate, GroupOp):
         rotated = algebra.adjoint.rotate(gate.root_index, gate.alpha, np.eye(algebra.dim))
-        return AdjointAction(matrix=rotated, descriptor=f"group_op(l={gate.root_index})")
+        return AdjointAction(matrix=rotated)
     unitary = np.asarray(gate, dtype=complex)
     if unitary.shape != (algebra.rep_dim, algebra.rep_dim):
         raise InvalidGate("unitary has the wrong dimension for this representation")
@@ -85,7 +84,7 @@ def adjoint_action_of(gate, algebra):
         raise LeavesAlgebraSpan(
             f"conjugation leaves the algebra span (worst residual {resid.max():.2e})"
         )
-    return AdjointAction(matrix=d_complex.real, descriptor="unitary")
+    return AdjointAction(matrix=d_complex.real)
 
 
 def propagate(circuit):
@@ -98,7 +97,11 @@ def propagate(circuit):
 
 
 def gcs_certificate(moments, algebra, tol=1e-8):
-    """Whether the moments carry the full orbit purity; returns (ok, deficit)."""
+    """Whether the moments carry the full orbit purity; returns (ok, deficit).
+    LengthMismatch unless there is one moment per basis element."""
+    if len(moments) != algebra.dim:
+        raise LengthMismatch(f"moment vector has length {len(moments)}, "
+                             f"algebra dimension is {algebra.dim}")
     weights = algebra.highest_weight[1]
     p_h = float(np.dot(weights, weights))
     deficit = p_h - moments.purity

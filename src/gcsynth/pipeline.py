@@ -105,7 +105,7 @@ def _square(x, name):
         raise InvalidParameter(f"{name} = {x:.3g} is too large: its square overflows") from None
 
 
-def make_budget(epsilon, delta, algebra, shots_override=None):
+def make_budget(epsilon, delta, algebra):
     """Tolerance budget for a synthesis at state error epsilon, confidence 1 - delta."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameter(f"epsilon must be finite and positive, got {epsilon}")
@@ -127,8 +127,6 @@ def make_budget(epsilon, delta, algebra, shots_override=None):
             f"eps_M = {eps_m:.3g} >= ||O|| = {o_norm:.3g}: the budget demands nothing",
             GapBudgetInfeasible,
         )
-    shots = hoeffding_shots(o_norm, eps_m, delta, algebra.dim) \
-        if shots_override is None else int(shots_override)
     return ToleranceBudget(
         epsilon=float(epsilon),
         delta=float(delta),
@@ -136,7 +134,7 @@ def make_budget(epsilon, delta, algebra, shots_override=None):
         eps_M=float(eps_m),
         Delta=gap,
         O_norm=o_norm,
-        Q=shots,
+        Q=hoeffding_shots(o_norm, eps_m, delta, algebra.dim),
         K_prime_bound=diagonalize.step_bound(d0_cap, eps_d, num_roots),
     )
 

@@ -30,7 +30,8 @@ def _matrix_from_json(data, context="matrix"):
         raise ParseError(f"{context}: entries must be [re, im] pairs of numbers") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"{context}: expected a square matrix of [re, im] pairs")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf; callers reject non-finite entries
+        return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def _dump(obj, path):

@@ -1,22 +1,22 @@
 """Exact dense-vector state engine on the defining representation.
 
-Provides group-element application, exact expectations, seeded
-projective-measurement sampling, and the hidden black-box source used to
+Provides group-element application, exact moments, seeded shot sampling
+of all M basis observables, and the hidden black-box source used to
 exercise the synthesis pipeline.  The highest-weight state itself is
 derived and cached by `Algebra.highest_weight`.  A group operation acts on
 a state through `RootImages.rotate` on the defining representation
 (`CartanWeylData.defining`), a few matrix-vector products, O(d^2): no
-unitary and no eigendecomposition.  Sampling all M basis observables reads
-the eigenbases `AlgebraBasis.measurement_basis` computes once per algebra;
-a seed is an integer in [0, 2^64), never reduced modulo 2^64.
+unitary and no eigendecomposition.  Sampling reads the eigenbases
+`AlgebraBasis.measurement_basis` computes once per algebra; a seed or an
+op count is an integer (never a boolean), a seed one in [0, 2^64), never
+reduced modulo 2^64.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_hermitian, pooled_eigenbasis
-from .errors import InvalidParameter, NonFiniteGate, NonHermitianObservable, ShotCountOverflow
+from .errors import InvalidParameter, NonFiniteGate, ShotCountOverflow
 from .moments import MomentVector
 
 
@@ -30,19 +30,6 @@ class GroupOp:
     def __post_init__(self):
         if not np.isfinite(self.alpha):
             raise NonFiniteGate(f"group-op exponent alpha = {self.alpha} is not finite")
-
-    def inverse(self):
-        return GroupOp(self.root_index, -self.alpha)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of Q projective measurements of one basis observable."""
-
-    observable_index: int
-    num_shots: int
-    estimate: float
-    shot_seed: int
 
 
 def apply_group_op(state, op, algebra):
@@ -74,16 +61,6 @@ def _state_vector(state):
     return psi
 
 
-def expectation(state, observable):
-    """<state| observable |state> for a Hermitian observable; returns a real scalar."""
-    obs = np.asarray(observable, dtype=complex)
-    if not is_hermitian(obs):
-        raise NonHermitianObservable("expectation requires a finite Hermitian observable")
-    psi = _state_vector(state)
-    val = np.vdot(psi, obs @ psi)
-    return float(val.real)
-
-
 def exact_moments(state, algebra):
     """Exact expectation values of all basis observables."""
     psi = np.asarray(state, dtype=complex)
@@ -92,8 +69,9 @@ def exact_moments(state, algebra):
 
 
 def _seed(seed):
-    """The seed as an int; InvalidParameter unless it is an integer in [0, 2^64)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    """The seed as an int; InvalidParameter unless it is an integer in [0, 2^64).
+    Booleans are not integers here, as in the file loaders."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise InvalidParameter(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return int(seed)
 
@@ -121,53 +99,24 @@ def _run_sums(values, sizes):
     return out
 
 
-def _sample(state, spectra, shots, seeds):
-    """Per observable of `spectra` (from `pooled_eigenbasis`), the mean of `shots`
-    outcome draws on the stream of its seed."""
+def sample_all_moments(state, algebra, shots, seed):
+    """Sampled estimates of every basis observable: observable m's is the mean
+    of `shots` draws of its outcomes, on the stream `derive_seed(seed, m)`.
+    The eigenbases come from `AlgebraBasis.measurement_basis`, cached per
+    algebra, so a request runs no eigendecomposition and one product gives all
+    M Born distributions, each pooled per eigenspace."""
     if shots < 1:
         raise InvalidParameter(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ShotCountOverflow(f"{shots} shots per observable exceed the sampler's int64 range")
-    vh, outcomes, sizes = spectra
+    vh, outcomes, sizes = algebra.basis.measurement_basis
     weights = (np.abs(vh @ _state_vector(state)) ** 2).ravel()
     probs = np.clip(_run_sums(weights, sizes), 0.0, None)
     counts = np.array([o.size for o in outcomes])
     probs /= np.repeat(_run_sums(probs, counts), counts)
-    return [float(np.dot(_rng(s).multinomial(int(shots), probs[end - o.size:end]), o) / shots)
-            for s, o, end in zip(seeds, outcomes, np.cumsum(counts))]
-
-
-def sample_measurements(state, observable, shots, seed, observable_index=0):
-    """Simulate Q projective measurements of one observable.
-
-    The observable is eigendecomposed once; Born weights of degenerate
-    eigenvalues are pooled per eigenspace (`algebra.pooled_eigenbasis`), so the
-    outcome distribution never depends on an arbitrary eigenvector choice.
-    The estimate is the sample mean of Q i.i.d. eigenvalue draws, realized
-    through a multinomial count over the distinct outcomes.
-
-    Returns
-    -------
-    MeasurementRecord
-    """
-    obs = np.asarray(observable, dtype=complex)
-    if not is_hermitian(obs):
-        raise NonHermitianObservable("sampling requires a finite Hermitian observable")
-    return MeasurementRecord(
-        observable_index=int(observable_index),
-        num_shots=int(shots),
-        estimate=_sample(state, pooled_eigenbasis(obs[None]), shots, [seed])[0],
-        shot_seed=int(seed),
-    )
-
-
-def sample_all_moments(state, algebra, shots, seed):
-    """Sampled estimates of every basis observable, observable m on the stream
-    `derive_seed(seed, m)`: the draws of `sample_measurements`, bit for bit,
-    from the eigenbases `AlgebraBasis.measurement_basis` caches, so a request
-    runs no eigendecomposition and one product gives all M Born distributions."""
-    values = _sample(state, algebra.basis.measurement_basis, shots,
-                     (derive_seed(seed, m) for m in range(algebra.dim)))
+    seeds = (derive_seed(seed, m) for m in range(algebra.dim))
+    values = [float(np.dot(_rng(s).multinomial(int(shots), probs[end - o.size:end]), o) / shots)
+              for s, o, end in zip(seeds, outcomes, np.cumsum(counts))]
     return MomentVector(values=np.array(values), source="sampled", shots=int(shots),
                         seed=int(seed))
 
@@ -182,8 +131,8 @@ class HiddenGcs:
     """
 
     def __init__(self, algebra, seed, num_ops):
-        if num_ops < 0:
-            raise InvalidParameter(f"num_ops must be >= 0, got {num_ops}")
+        if isinstance(num_ops, bool) or not isinstance(num_ops, (int, np.integer)) or num_ops < 0:
+            raise InvalidParameter(f"num_ops must be an integer >= 0, got {num_ops!r}")
         self.algebra = algebra
         self.seed = _seed(seed)
         self.num_ops = int(num_ops)

@@ -12,7 +12,7 @@ from gcsynth import (
     resolve_algebra,
     validate_algebra,
 )
-from gcsynth.catalog import jordan_wigner_majoranas, reference_instances
+from gcsynth.catalog import jordan_wigner_majoranas
 from gcsynth.errors import (
     GcsynthError,
     KillingFormDegenerate,
@@ -107,11 +107,6 @@ def test_resolve_algebra_specs():
 def test_bad_catalog_parameters_are_typed(build, argument):
     with pytest.raises(GcsynthError):
         build(argument)
-
-
-def test_reference_instances_cover_acceptance_set():
-    names = [a.name for a in reference_instances()]
-    assert names == ["su2:1", "su2:2", "su2:3", "so2n:2", "so2n:3"]
 
 
 # ---------------------------------------------------------------------------

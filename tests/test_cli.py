@@ -195,7 +195,8 @@ _COMMANDS = {
 _USAGE_ERRORS = {"unknown-command": ["bogus"], "no-command": [],
                  "unknown-algebra-subcommand": ["algebra", "bogus"],
                  "unknown-lqc-subcommand": ["lqc", "bogus"],
-                 "lqc-run-max-steps": _COMMANDS["lqc-run"][0] + ["--max-steps", "3"]}
+                 "lqc-run-max-steps": _COMMANDS["lqc-run"][0] + ["--max-steps", "3"],
+                 "tomo-sim-shots-override": _COMMANDS["tomo-sim"][0] + ["--shots-override", "5"]}
 for _name, (_argv, _number, _required) in _COMMANDS.items():
     _USAGE_ERRORS[f"{_name}-unknown-flag"] = _argv + ["--bogus"]
     if _number:
@@ -258,6 +259,25 @@ def test_lqc_recovery_bad_epsilon_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("recover", [[], ["--recover-circuit"]], ids=["run", "recover"])
+def test_lqc_initial_of_wrong_length_exits_1(tmp_path, capsys, recover):
+    # With no gates nothing compared the initial vector with the algebra: run
+    # wrote it back as the final moments, and recovery failed with NotAGcs.
+    circuit_path = tmp_path / "lqc.json"
+    circuit_path.write_text(json.dumps({"algebra": "so2n:3", "initial": [0.1, 0.2],
+                                        "gates": []}))
+    out_path = tmp_path / "final.json"
+    assert main(["lqc", "run", "--circuit", str(circuit_path), "--algebra", "so2n:3",
+                 "--out", str(out_path), "--quiet"] + recover) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "LengthMismatch", "message": "moment vector has length 2, "
+                                              "algebra dimension is 15"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lqc.json"]
+
+
 def test_algebra_label_mismatch_exits_1(tmp_path, su2_file, capsys):
     moments_path = tmp_path / "m.json"
     save_moments(MomentVector([1.0, 0.0, 0.0]), "so2n:2", moments_path)
@@ -302,6 +322,7 @@ def test_synth_nan_moments_exits_1(tmp_path, su2_file, capsys):
 
 _GOOD_ALPHA = [0.3, 0.1]
 _NAN_UNITARY = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_INF_IMAG_UNITARY = [[[1.0, float("inf")], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _DIAG_1_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
 _EYE_3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
 _HUGE_INT = 10 ** 400  # a JSON integer no float can hold
@@ -314,6 +335,8 @@ _HUGE_INT = 10 ** 400  # a JSON integer no float can hold
     ("lqc", {"gates": [{"type": "group_op", "l": "x", "alpha": _GOOD_ALPHA}]}, "ParseError"),
     ("lqc", {"gates": [{"type": "group_op", "l": 0, "alpha": 3}]}, "ParseError"),
     ("lqc", {"gates": [{"type": "unitary", "matrix": _NAN_UNITARY}]}, "NonFiniteGate"),
+    # 1j * inf used to warn on stderr besides the JSON line.
+    ("lqc", {"gates": [{"type": "unitary", "matrix": _INF_IMAG_UNITARY}]}, "NonFiniteGate"),
     ("verify", {"ops": 5}, "ParseError"),
     ("lqc", {"gates": 5}, "ParseError"),
     ("verify", {"ops": [], "kind_tags": 5}, "ParseError"),
@@ -331,7 +354,7 @@ _HUGE_INT = 10 ** 400  # a JSON integer no float can hold
     ("verify", {"ops": [{"l": 0, "alpha": _GOOD_ALPHA}], "kind_tags": ["swap"]}, "ParseError"),
     ("verify", {"ops": [{"l": 0, "alpha": [_HUGE_INT, 0]}]}, "ParseError"),
 ], ids=["verify-root-range", "lqc-root-range", "lqc-root-type", "lqc-alpha-shape",
-        "lqc-nan-unitary", "verify-ops-not-list", "lqc-gates-not-list", "verify-tags-not-list",
+        "lqc-nan-unitary", "lqc-inf-imag-unitary", "verify-ops-not-list", "lqc-gates-not-list", "verify-tags-not-list",
         "verify-nan-alpha", "lqc-inf-alpha", "lqc-not-unitary", "lqc-wrong-size",
         "lqc-huge-alpha", "verify-huge-alpha", "verify-trace-not-list", "verify-trace-str",
         "verify-trace-nan", "verify-tag-value", "verify-int-alpha-past-float"])

@@ -1,19 +1,28 @@
-"""Static check of src/gcsynth: no unused import, no unreferenced private name.
+"""Static check of src/gcsynth: no unused import, no unreferenced private name,
+no export that only tests use.
 
 Built on `ast` alone.  An import counts as used when its bound name is read
 anywhere in its module; a private module-level name (one leading underscore)
 counts as used when some module of the package reads or imports it.  The
-package's `__init__.py` re-exports by importing, so its imports are exempt.
+package's `__init__.py` re-exports by importing, so its imports are exempt
+from the first check and subject to the last: each export must be reached
+from a demo, the benchmark, the README or the command line.
 """
 
 import ast
 from pathlib import Path
+import re
 
 import gcsynth
 
 PACKAGE = Path(gcsynth.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 MODULES = {path.name: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
+# Exports that nothing outside the tests reaches, each with the reason it stays.
+EXPORT_EXCEPTIONS = {
+    "offdiag_distance": "the tests' oracle for the d trace `diagonalize.run` records",
+}
 
 
 def _names_read(tree):
@@ -38,17 +47,55 @@ def _imported(tree):
     return out
 
 
-def _private_definitions(tree):
-    """(name, line) for each private function, class or variable at module level."""
+def _definitions(statements):
+    """(name, line) for each function, class or variable the statements define."""
     out = []
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
-    return [(name, line) for name, line in out
+    return out
+
+
+def _private_definitions(tree):
+    """(name, line) for each private function, class or variable at module level."""
+    return [(name, line) for name, line in _definitions(tree.body)
             if name.startswith("_") and not name.startswith("__")]
+
+
+def _names_used(node):
+    """`_names_read` plus imported names and identifier strings: the benchmark's
+    tracer looks functions up by name."""
+    strings = {n.value for n in ast.walk(node)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)
+               and n.value.isidentifier()}
+    return _names_read(node) | {name for name, _ in _imported(node)} | strings
+
+
+def _reached_names():
+    """Names read by a demo, `perfbench/`, a README code span or block, or a
+    package statement outside any definition and import; then, until nothing
+    grows, by each package-level definition whose name is reached."""
+    outside = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    reached = set().union(*(_names_used(ast.parse(path.read_text())) for path in outside))
+    code = re.findall(r"```.*?```|`[^`\n]+`", (REPO / "README.md").read_text(), flags=re.S)
+    reached |= set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+    definitions = []
+    for module, tree in MODULES.items():
+        for node in tree.body if module != "__init__.py" else ():
+            names = {name for name, _ in _definitions([node])}
+            if names:
+                definitions.append((names, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _names_used(node)
+    while True:
+        grown = reached.union(*(_names_used(node) for names, node in definitions
+                                if names & reached))
+        if grown == reached:
+            return reached
+        reached = grown
 
 
 def test_no_unused_imports():
@@ -68,6 +115,18 @@ def test_no_unreferenced_private_names():
                     for module, tree in MODULES.items()
                     for name, line in _private_definitions(tree) if name not in used]
     assert not unreferenced, "unreferenced private names: " + ", ".join(unreferenced)
+
+
+def test_every_export_has_a_non_test_user():
+    # Re-exports are checked under the name they are defined by
+    # (`diagonalize_run` as `run`).
+    reached = _reached_names()
+    exports = [alias.name for node in MODULES["__init__.py"].body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    unused = [name for name in exports
+              if name not in reached and name not in EXPORT_EXCEPTIONS]
+    assert not unused, "exports only tests use: " + ", ".join(unused)
+    assert not reached & set(EXPORT_EXCEPTIONS), "a listed exception has a user now"
 
 
 def test_checks_catch_planted_dead_code():

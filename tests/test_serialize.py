@@ -1,11 +1,14 @@
+import copy
 import json
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gcsynth import GroupOp, MomentVector
-from gcsynth.errors import NonFiniteMoments, ParseError
+from gcsynth import GroupOp, MomentVector, load_algebra, make_su2
+from gcsynth.errors import GcsynthError, NonFiniteMoments, ParseError
 from gcsynth.serialize import (
+    algebra_to_dict,
     load_circuit,
     load_lqc,
     load_moments,
@@ -145,3 +148,59 @@ def test_null_shots_and_seed_load_as_exact(tmp_path):
                                 "shots_per_observable": None, "seed": None}))
     moments, _ = load_moments(path)
     assert (moments.source, moments.shots, moments.seed) == ("exact", None, None)
+
+
+# One valid file per loader; the property test below mutates one field of it.
+_ALPHA = [0.3, 0.1]
+_VALID_FILES = {
+    "moments": (load_moments, {"algebra": "su2:1", "moments": [1.0, 0.0, 0.0],
+                               "shots_per_observable": 10, "seed": 3}),
+    "circuit": (load_circuit, {"algebra": "su2:1", "ops": [{"l": 0, "alpha": _ALPHA}],
+                               "kind_tags": ["jacobi"], "trace": [1.0]}),
+    "lqc": (load_lqc, {"algebra": "su2:1", "initial": [1.0, 0.0, 0.0], "gates": [
+        {"type": "group_op", "l": 0, "alpha": _ALPHA},
+        {"type": "unitary", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]}),
+    "algebra": (load_algebra, algebra_to_dict(make_su2(1))),
+}
+_DELETE = object()
+_FIELD_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-10 ** 400, 10 ** 400),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.text(max_size=4),
+    st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=3),
+)
+
+
+def _field_paths(node, path=()):
+    """The path of every dict value and list entry under `node`, containers included."""
+    keys = node.keys() if isinstance(node, dict) \
+        else range(len(node)) if isinstance(node, list) else ()
+    out = []
+    for key in keys:
+        out += [path + (key,)] + _field_paths(node[key], path + (key,))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_FILES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_raise_only_gcsynth_errors(tmp_path_factory, kind, data):
+    # One field deleted or replaced by a value of any JSON kind: the loader
+    # returns or raises a GcsynthError, never a bare Python or numpy error.
+    loader, valid = _VALID_FILES[kind]
+    doc = copy.deepcopy(valid)
+    *parents, last = data.draw(st.sampled_from(_field_paths(doc)))
+    target = doc
+    for key in parents:
+        target = target[key]
+    value = data.draw(_FIELD_VALUES)
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path_factory.getbasetemp() / f"mutated-{kind}.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loader(path)
+    except GcsynthError:
+        pass

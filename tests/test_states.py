@@ -8,22 +8,15 @@ from gcsynth import (
     apply_group_op,
     assemble_algebra,
     exact_moments,
-    expectation,
     hidden_gcs,
     highest_weight_state,
     make_so2n,
     make_su2,
     orthonormalize_basis,
     sample_all_moments,
-    sample_measurements,
 )
 from gcsynth.algebra import KERNEL_TOL, _weight_vectors
-from gcsynth.errors import (
-    InvalidParameter,
-    NonHermitianObservable,
-    NotUnique,
-    ShotCountOverflow,
-)
+from gcsynth.errors import InvalidParameter, NotUnique, ShotCountOverflow
 from gcsynth.states import derive_seed, phase_min_distance, state_fidelity
 
 from conftest import (
@@ -102,19 +95,6 @@ def test_norm_preserved_on_random_ops(so4):
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# expectation
-# ---------------------------------------------------------------------------
-
-def test_expectation_examples():
-    zero = np.array([1.0, 0.0], dtype=complex)
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    assert expectation(zero, SIGMA_Z) == pytest.approx(1.0)
-    assert expectation(plus, SIGMA_X) == pytest.approx(1.0)
-    with pytest.raises(NonHermitianObservable):
-        expectation(zero, np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_random_su2_gcs_has_unit_purity(su2_half):
     # Bloch vector of a pure qubit state has length 1 in the N = 2 basis.
     rng = np.random.default_rng(3)
@@ -149,68 +129,56 @@ def test_annihilated_weight_vectors_are_dominant(catalog_algebras, su3, half_one
 
 
 # ---------------------------------------------------------------------------
-# sample_measurements
+# sample_all_moments
 # ---------------------------------------------------------------------------
 
-def test_deterministic_outcome():
+def test_deterministic_outcome(su2_half):
+    # |0> is the sigma_z eigenvector of eigenvalue 1: every shot reads 1.
     zero = np.array([1.0, 0.0], dtype=complex)
     for shots in (1, 7, 1000):
-        rec = sample_measurements(zero, SIGMA_Z, shots, seed=5)
-        assert rec.estimate == pytest.approx(1.0)
-        assert rec.num_shots == shots
+        moments = sample_all_moments(zero, su2_half, shots, seed=5)
+        assert moments.values[0] == pytest.approx(1.0)
+        assert moments.shots == shots
 
 
-def test_symmetric_observable_bounded_and_converging():
+def test_symmetric_observable_bounded_and_converging(su2_half):
+    # On |0>, the sigma_x and sigma_y moments draw +-1 with equal weight.
     zero = np.array([1.0, 0.0], dtype=complex)
-    estimates = [sample_measurements(zero, SIGMA_X, q, seed=17).estimate
+    estimates = [sample_all_moments(zero, su2_half, q, seed=17).values[1:]
                  for q in (16, 256, 4096, 65536)]
-    assert all(abs(e) <= 1.0 for e in estimates)
-    assert abs(estimates[-1]) < 0.02
+    assert all(np.abs(e).max() <= 1.0 for e in estimates)
+    assert np.abs(estimates[-1]).max() < 0.02
 
 
-def test_equal_seeds_equal_streams():
+def test_equal_seeds_equal_streams(su2_half):
     state = np.array([0.6, 0.8j], dtype=complex)
-    a = sample_measurements(state, SIGMA_X, 1000, seed=123).estimate
-    b = sample_measurements(state, SIGMA_X, 1000, seed=123).estimate
-    assert a == b
+    a = sample_all_moments(state, su2_half, 1000, seed=123).values
+    b = sample_all_moments(state, su2_half, 1000, seed=123).values
+    assert np.array_equal(a, b)
 
 
-def test_degenerate_eigenspace_pooling():
-    # Observable = identity: single outcome regardless of eigenvector choice.
-    state = np.array([0.6, 0.8], dtype=complex)
-    rec = sample_measurements(state, np.eye(2, dtype=complex), 50, seed=2)
-    assert rec.estimate == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-def test_non_finite_observable_is_typed(entry, where):
-    # A NaN residual used to pass the Hermiticity test: expectation returned
-    # nan and sampling raised numpy's bare ValueError.
-    obs = SIGMA_X.copy()
-    obs[where] = obs[where[::-1]] = entry
-    zero = np.array([1.0, 0.0], dtype=complex)
-    with np.errstate(all="raise"):
-        with pytest.raises(NonHermitianObservable):
-            expectation(zero, obs)
-        with pytest.raises(NonHermitianObservable):
-            sample_measurements(zero, obs, 10, seed=1)
+def test_degenerate_eigenspace_pooling(so6):
+    # Every so(6) observable on the 8-dim Fock space has only degenerate
+    # eigenspaces, so eigh's choice of eigenvectors in each is arbitrary.  The
+    # Born weight is pooled per eigenspace: a state inside one eigenspace of
+    # an observable reads its outcome at every shot.
+    _, outcomes, sizes = so6.basis.measurement_basis
+    assert sum(o.size for o in outcomes) == sizes.size
+    assert (sizes > 1).all() and sizes.sum() == so6.dim * so6.rep_dim
+    hw, weights = highest_weight_state(so6)
+    values = sample_all_moments(hw, so6, 50, seed=2).values
+    assert np.abs(values[list(so6.cartan_weyl.csa_indices)] - weights).max() <= 1e-12
 
 
 @pytest.mark.parametrize("state", [[np.nan, 0.0], [0.0, 1j * np.nan], [np.inf, 0.0],
                                    [0.0, -np.inf], [np.inf, np.inf], [0.0, 0.0]],
                          ids=["nan", "imag-nan", "inf", "-inf", "inf-inf", "zero"])
-@pytest.mark.parametrize("obs", [SIGMA_Z, SIGMA_X], ids=["sz", "sx"])
-def test_non_finite_or_zero_state_is_typed(su2_half, state, obs):
-    # expectation used to return nan, sampling to raise numpy's bare
-    # ValueError (NaN) or warn (zero state, infinite state).
+def test_non_finite_or_zero_state_is_typed(su2_half, state):
+    # Sampling used to raise numpy's bare ValueError (NaN) or warn (zero
+    # state, infinite state).
     psi = np.array(state, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidParameter, match="finite and nonzero"):
-            expectation(psi, obs)
-        with pytest.raises(InvalidParameter, match="finite and nonzero"):
-            sample_measurements(psi, obs, 10, seed=1)
         with pytest.raises(InvalidParameter, match="finite and nonzero"):
             sample_all_moments(psi, su2_half, 10, seed=1)
 
@@ -224,8 +192,7 @@ SAMPLED_ALGEBRAS = {"su2:1": lambda: make_su2(1), "su2:2": lambda: make_su2(2),
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_ALGEBRAS))
 def test_sample_all_moments_equals_per_observable_oracle(name):
-    # The cached-eigenbasis path, and sample_measurements, against the
-    # per-observable sampler of conftest: bit-equal estimates, on hidden GCSs
+    # The cached-eigenbasis path against the per-observable sampler of conftest: bit-equal estimates, on hidden GCSs
     # and on states with uniform magnitudes.  The latter give diagonal
     # observables exactly symmetric Born distributions, where one ulp in a
     # pooled sum flips the binomial draw: pooling with np.add.reduceat
@@ -240,18 +207,16 @@ def test_sample_all_moments_equals_per_observable_oracle(name):
             expected = sampled_moments_oracle(state, algebra, shots, seed)
             assert np.array_equal(sample_all_moments(state, algebra, shots, seed).values,
                                   expected)
-            singles = [sample_measurements(state, obs, shots, derive_seed(seed, m)).estimate
-                       for m, obs in enumerate(algebra.basis.basis)]
-            assert np.array_equal(singles, expected)
 
 
-def test_hoeffding_coverage():
-    # Empirical check of the concentration bound at delta = 0.05, Q = 400.
+def test_hoeffding_coverage(su2_half):
+    # Empirical check of the concentration bound at delta = 0.05, Q = 400, on
+    # the sigma_x moment of |0>.
     zero = np.array([1.0, 0.0], dtype=complex)
     shots = 400
     bound = np.sqrt(2.0 * np.log(2.0 / 0.05)) / np.sqrt(shots)
     hits = sum(
-        abs(sample_measurements(zero, SIGMA_X, shots, seed=s).estimate) <= bound
+        abs(sample_all_moments(zero, su2_half, shots, seed=s).values[1]) <= bound
         for s in range(1000)
     )
     assert hits >= 950
@@ -320,14 +285,15 @@ def test_derived_seeds_are_stable():
     assert derive_seed(7, 0) != derive_seed(7, 1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1, 1.0, "1", None])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1, 1.0, "1", None, True, False])
 def test_seed_outside_uint64_is_typed(su2_half, seed):
-    # -1 and 2^64 - 1, or 2^65 - 1 and 2^64 - 1, used to name one stream.
+    # -1 and 2^64 - 1, or 2^65 - 1 and 2^64 - 1, used to name one stream;
+    # True and False used to run as seeds 1 and 0.
     hw, _ = highest_weight_state(su2_half)
     with pytest.raises(InvalidParameter, match=r"seed must be an integer in \[0, 2\^64\)"):
         derive_seed(seed, 0)
     with pytest.raises(InvalidParameter):
-        sample_measurements(hw, SIGMA_Z, 10, seed)
+        sample_all_moments(hw, su2_half, 10, seed)
     with pytest.raises(InvalidParameter):
         hidden_gcs(su2_half, seed=seed, num_ops=1)
 
@@ -336,7 +302,7 @@ def test_seeds_at_the_uint64_ends_run(su2_half):
     hw, _ = highest_weight_state(su2_half)
     for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
         assert derive_seed(seed, 0) == derive_seed(int(seed), 0)
-        sample_measurements(hw, SIGMA_Z, 10, seed)
+        sample_all_moments(hw, su2_half, 10, seed)
         hidden_gcs(su2_half, seed=seed, num_ops=1).sample_moments(10)
 
 
@@ -351,19 +317,17 @@ def test_shot_count_below_one_is_typed(su2_half):
     hw, _ = highest_weight_state(su2_half)
     for shots in (0, -3):
         with pytest.raises(InvalidParameter):
-            sample_measurements(hw, SIGMA_Z, shots, seed=1)
-        with pytest.raises(InvalidParameter):
             sample_all_moments(hw, su2_half, shots, seed=1)
 
 
 def test_shot_count_past_int64_is_typed(su2_half):
     hw, _ = highest_weight_state(su2_half)
     with pytest.raises(ShotCountOverflow):
-        sample_measurements(hw, SIGMA_Z, 2 ** 63, seed=1)
-    with pytest.raises(ShotCountOverflow):
         sample_all_moments(hw, su2_half, 2 ** 63, seed=1)
 
 
 def test_negative_hidden_op_count_is_typed(su2_half):
-    with pytest.raises(InvalidParameter):
-        hidden_gcs(su2_half, seed=1, num_ops=-1)
+    # 2.5 used to run 2 ops and True 1; NaN and "3" raised bare Python errors.
+    for num_ops in (-1, 2.5, True, float("nan"), "3"):
+        with pytest.raises(InvalidParameter):
+            hidden_gcs(su2_half, seed=1, num_ops=num_ops)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcsynth import (
+    GroupOp,
     apply_circuit,
     highest_weight_state,
     make_so2n,
@@ -148,7 +149,7 @@ def test_progress_functional_increases(so6):
     current = state
     value = np.real(np.vdot(current, f_hw @ current))
     for op in reversed(ops):
-        current = apply_circuit(current, [op.inverse()], so6)
+        current = apply_circuit(current, [GroupOp(op.root_index, -op.alpha)], so6)
         new_value = np.real(np.vdot(current, f_hw @ current))
         assert new_value >= value + 1e-10
         value = new_value
