@@ -173,10 +173,13 @@ def test_degenerate_eigenspace_pooling(so6):
 @pytest.mark.parametrize("state", [[np.nan, 0.0], [0.0, 1j * np.nan], [np.inf, 0.0],
                                    [0.0, -np.inf], [np.inf, np.inf], [0.0, 0.0]],
                          ids=["nan", "imag-nan", "inf", "-inf", "inf-inf", "zero"])
-def test_non_finite_or_zero_state_is_typed(su2_half, state):
+@pytest.mark.parametrize("obs", [SIGMA_Z, SIGMA_X], ids=["sz", "sx"])
+def test_non_finite_or_zero_state_is_typed(su2_half, state, obs):
     # Sampling used to raise numpy's bare ValueError (NaN) or warn (zero
-    # state, infinite state).
-    psi = np.array(state, dtype=complex)
+    # state, infinite state).  The bad state is written in the eigenbasis of
+    # `obs`, so it is rejected whichever basis its entries are given in.
+    with np.errstate(all="ignore"):
+        psi = np.linalg.eigh(obs)[1] @ np.array(state, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameter, match="finite and nonzero"):
