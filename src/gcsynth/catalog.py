@@ -13,12 +13,11 @@ Catalog entries:
 """
 
 from dataclasses import dataclass
-import operator
 
 import numpy as np
 
 from .algebra import assemble_algebra, orthonormalize_basis
-from .errors import InvalidParameter, RootSpectrumIllConditioned
+from .errors import InvalidParameter, RootSpectrumIllConditioned, integer_argument
 from .serialize import _load, parse_algebra_dict
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,27 +41,15 @@ def spin_matrices(two_j):
     return jz, (jp + jm) / 2.0, (jp - jm) / 2.0j
 
 
-def _integer_parameter(value, name, low, high=None):
-    """value as an int in low..high, else InvalidParameter."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
-    if number < low or (high is not None and number > high):
-        bounds = f"in {low}..{high}" if high is not None else f">= {low}"
-        raise InvalidParameter(f"{name} must be {bounds}, got {number}")
-    return number
-
-
 def make_su2(two_j):
     """Spin-j irreducible su(2) instance; M = 3, R = 1, L = 1.
 
     The basis {2Jz, 2Jx, 2Jy} reduces to the Pauli matrices at two_j = 1 and
     keeps the root data (mu = (1,), eta = 2) identical across spins.
-    InvalidParameter unless two_j is an integer >= 1; RootSpectrumIllConditioned,
-    before any matrix is built, past MAX_TWO_J.
+    InvalidParameter unless two_j is an integer (not a boolean) >= 1;
+    RootSpectrumIllConditioned, before any matrix is built, past MAX_TWO_J.
     """
-    two_j = _integer_parameter(two_j, "two_j", 1)
+    two_j = integer_argument(two_j, "two_j", 1)
     if two_j > MAX_TWO_J:
         raise RootSpectrumIllConditioned(
             f"spin {two_j}/2 has {two_j + 1} distinct root-generator eigenvalues, too many "
@@ -100,7 +87,7 @@ def make_so2n(n):
     so(2) and is rejected by the semisimplicity check.  InvalidParameter
     unless n is an integer in 1..6 (rep_dim = 2^n stays at desk scale).
     """
-    n = _integer_parameter(n, "n", 1, 6)
+    n = integer_argument(n, "n", 1, 6)
     c = jordan_wigner_majoranas(n)
     csa = [-1j * c[2 * p] @ c[2 * p + 1] for p in range(n)]  # qubit Z_p
 
@@ -174,9 +161,10 @@ def load_algebra(path):
     ------
     ParseError
         Malformed file.
-    InvalidAlgebraSpec, ValidationFailed and the other algebra errors
+    InvalidAlgebraSpec and the other algebra errors
         Structural problems (bad CSA/root indices, non-Hermitian entries,
-        mislabeled root pairs, degenerate Killing form, ...) from assembly.
+        mislabeled root pairs, degenerate Killing form, ...), each raised
+        where the basis, the split or the algebra is built.
     """
     mats, norm, csa, pairs, name = parse_algebra_dict(_load(path), context=str(path))
     basis = orthonormalize_basis(mats, target_N=norm)

@@ -30,6 +30,7 @@ from .errors import (
     MaxStepsExceeded,
     StepDidNotReducePivot,
     ZeroPivot,
+    integer_argument,
 )
 from .moments import root_coefficients
 from .states import GroupOp
@@ -169,8 +170,8 @@ def run(coeffs, algebra, eps_d, max_steps=None):
     """
     if not eps_d > 0:
         raise InvalidParameter(f"eps_d must be positive, got {eps_d}")
-    if max_steps is not None and max_steps < 0:
-        raise InvalidParameter(f"max_steps must be >= 0, got {max_steps}")
+    if max_steps is not None:
+        max_steps = integer_argument(max_steps, "max_steps", 0)
     mags = np.abs(root_coefficients(coeffs, algebra))
     trace = [float(mags.dot(mags))]
     bound = step_bound(trace[0], eps_d, algebra.cartan_weyl.num_roots_L)

@@ -3,7 +3,10 @@
 Each error states its CLI exit status (`exit_status`: 1 for bad input, 2 for
 a `NumericalFailure`) and what its JSON error line carries (`carried`).  The
 bad-input errors come first, then the numerical failures, then the warning.
+`integer_argument` is the one test of an integer argument.
 """
+
+import numpy as np
 
 
 class GcsynthError(Exception):
@@ -30,6 +33,20 @@ def exit_record(exc):
 class InvalidParameter(GcsynthError, ValueError):
     """An argument is out of range or of the wrong kind (tolerance, shot or op
     count, catalog name or parameter, moment source)."""
+
+
+def integer_argument(value, name, low, high=None, rule=None):
+    """value as an int in low..high (no upper end when high is None), else
+    InvalidParameter.  Booleans are not integers here, as in the file
+    loaders; NumPy integers are.  `rule` words both messages in place of
+    "an integer" and the bounds."""
+    if type(value) is not int and (isinstance(value, bool)  # a plain int skips both tests
+                                   or not isinstance(value, (int, np.integer))):
+        raise InvalidParameter(f"{name} must be {rule or 'an integer'}, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f"in {low}..{high}" if high is not None else f">= {low}"
+        raise InvalidParameter(f"{name} must be {rule or bounds}, got {value}")
+    return int(value)
 
 
 class InvalidAlgebraSpec(GcsynthError):
@@ -70,15 +87,6 @@ class ZeroRootBracket(GcsynthError):
 
 class RootSpectrumIllConditioned(GcsynthError):
     """A root generator has too many distinct eigenvalues for its closed-form rotation."""
-
-
-class ValidationFailed(GcsynthError):
-    """An algebra failed its invariant suite; carries the diagnostic report (off
-    the JSON error line: the message names the failed checks)."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class NotUnique(GcsynthError):

@@ -9,6 +9,7 @@ in application order V_K', ..., V_1), so that the full sequence carries
 
 from dataclasses import dataclass
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -107,6 +108,9 @@ def _square(x, name):
 
 def make_budget(epsilon, delta, algebra):
     """Tolerance budget for a synthesis at state error epsilon, confidence 1 - delta."""
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InvalidParameter(f"epsilon must be finite and positive, got {epsilon}")
     if not 0 < delta < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteGate, ShotCountOverflow
+from .errors import InvalidParameter, NonFiniteGate, ShotCountOverflow, integer_argument
 from .moments import MomentVector
 
 
@@ -69,11 +69,8 @@ def exact_moments(state, algebra):
 
 
 def _seed(seed):
-    """The seed as an int; InvalidParameter unless it is an integer in [0, 2^64).
-    Booleans are not integers here, as in the file loaders."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
-        raise InvalidParameter(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
+    """The seed as an int; InvalidParameter unless it is an integer in [0, 2^64)."""
+    return integer_argument(seed, "seed", 0, 2 ** 64 - 1, "an integer in [0, 2^64)")
 
 
 def derive_seed(seed, index):
@@ -84,7 +81,8 @@ def derive_seed(seed, index):
 
 def _rng(seed):
     # Counter-based generator: reproducible and cheap to fork by reseeding.
-    return np.random.Generator(np.random.Philox(key=_seed(seed)))
+    # Every seed here comes from `derive_seed`, a uint64 by construction.
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _run_sums(values, sizes):
@@ -127,15 +125,14 @@ class HiddenGcs:
     Draws `num_ops` random group operations (alpha from a standard complex
     Gaussian), applies them to the highest-weight state, and hides the
     result.  The synthesis pipeline may only request measurement samples;
-    the exact-moment and reference-state oracles exist for test harnesses.
+    the exact moments and the reference state serve the exact-moment demo
+    and the verification of a synthesized circuit (`tomo-sim`, `verify`).
     """
 
     def __init__(self, algebra, seed, num_ops):
-        if isinstance(num_ops, bool) or not isinstance(num_ops, (int, np.integer)) or num_ops < 0:
-            raise InvalidParameter(f"num_ops must be an integer >= 0, got {num_ops!r}")
+        self.num_ops = integer_argument(num_ops, "num_ops", 0)
         self.algebra = algebra
         self.seed = _seed(seed)
-        self.num_ops = int(num_ops)
         rng = _rng(derive_seed(seed, 0x9E3779B9))
         num_roots = algebra.cartan_weyl.num_roots_L
         ops = []
@@ -157,7 +154,7 @@ class HiddenGcs:
         return exact_moments(self._state, self.algebra)
 
     def reference_state(self):
-        """The hidden state itself.  Test harness only."""
+        """The hidden state itself, the reference that `verify` compares against."""
         return self._state.copy()
 
     @property

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 import re
 import warnings
 
@@ -8,7 +10,9 @@ import pytest
 
 import gcsynth.algebra as algebra_module
 from gcsynth import (
+    Algebra,
     AlgebraBasis,
+    CartanWeylData,
     assemble_algebra,
     make_so2n,
     make_su2,
@@ -30,7 +34,6 @@ from gcsynth.errors import (
     RootIndexOutOfRange,
     RootPairNotEigenvector,
     RootSpectrumIllConditioned,
-    ValidationFailed,
     ZeroRootBracket,
 )
 from gcsynth.lqc import adjoint_action_of
@@ -287,21 +290,6 @@ def test_root_data_matches_dense_oracle(monomial_algebras, su2_one, su2_threehal
             assert np.array_equal(t.mu, cw.mu_matrix[l]) and t.eta == cw.etas[l]
 
 
-@pytest.mark.parametrize("field", ["etas", "mu_matrix"])
-def test_wrong_root_data_fails_su2_relations(su3, field):
-    # A hand-built split whose eta is off by 1e-6, or whose mu moves by 1e-6
-    # orthogonally to itself (mu . lam unchanged), fails only the su(2) check.
-    cw = su3.cartan_weyl
-    wrong = np.array(getattr(cw, field))
-    if field == "etas":
-        wrong[0] *= 1.0 + 1e-6
-    else:
-        wrong[0] += 1e-6 * np.array([-wrong[0, 1], wrong[0, 0]])
-    broken = dataclasses.replace(cw, **{field: wrong})
-    report = validate_algebra(su3.basis, broken)
-    assert {e.name for e in report.failures()} == {"su(2) triple relations"}
-
-
 # ---------------------------------------------------------------------------
 # validate_algebra
 # ---------------------------------------------------------------------------
@@ -311,25 +299,9 @@ def test_valid_su2_report_clean(su2_half):
     assert report.ok, str(report)
 
 
-def test_scaled_element_fails_orthogonality(su2_half):
-    mats = np.array(su2_half.basis.basis)
-    mats[0] = 1.01 * mats[0]
-    broken = AlgebraBasis(dim_M=3, rep_dim=2, basis=mats, normalization_N=2.0,
-                          structure_constants=su2_half.basis.structure_constants)
-    report = validate_algebra(broken)
-    entry = next(e for e in report.entries if "orthogonality" in e.name)
-    assert not entry.passed
-    # Tr((1.01 s_z)^2) - 2 = 0.0402 ~ 0.02 * N
-    assert entry.residual == pytest.approx(0.02 * 2.0, rel=0.02)
-
-
 def test_abelian_pair_fails_killing():
-    mats = np.array([SIGMA_Z, np.eye(2, dtype=complex)])
-    broken = AlgebraBasis(dim_M=2, rep_dim=2, basis=mats, normalization_N=2.0,
-                          structure_constants=np.zeros((2, 2, 2)))
-    report = validate_algebra(broken)
-    assert not report.ok
-    assert any("Killing" in e.name and not e.passed for e in report.entries)
+    with pytest.raises(KillingFormDegenerate):
+        AlgebraBasis([SIGMA_Z, np.eye(2, dtype=complex)])
 
 
 def test_validation_reports_all_catalog(catalog_algebras, half_one):
@@ -353,81 +325,181 @@ def test_validation_makes_no_eigendecomposition(so6, monkeypatch):
         "Cartan-Weyl reconstruction identity", "su(2) triple relations"]
 
 
-def test_validate_never_raises_on_unclosed_basis(su2_half):
-    # A basis whose brackets leave its span must come back as a failed
-    # report, not an exception, even with a Cartan-Weyl split supplied.
-    mats = np.array([SIGMA_Z, SIGMA_X])  # [s_z, s_x] ~ s_y, outside the span
-    broken = AlgebraBasis(dim_M=2, rep_dim=2, basis=mats, normalization_N=2.0,
-                          structure_constants=np.zeros((2, 2, 2)))
-    report = validate_algebra(broken, su2_half.cartan_weyl)
-    assert not report.ok
-    assert any("close" in e.name and not e.passed for e in report.entries)
+def test_report_reads_the_figures_construction_raised_on(su3, so6):
+    # The report's rows are the residuals construction tested; the su(2) row
+    # is round-off since f's antisymmetry makes mu . lam = eta.
+    for algebra in (su3, so6):
+        basis, cw = algebra.basis, algebra.cartan_weyl
+        rows = {e.name: e for e in validate_algebra(basis, cw).entries}
+        mats = np.asarray(basis.basis)
+        gram = np.einsum("mij,nji->mn", mats, mats).real
+        oracle = np.abs(gram - algebra.norm * np.eye(algebra.dim)).max()
+        assert rows["trace orthogonality Tr(O_m O_m') = N delta"].residual == basis.orthogonality
+        assert abs(basis.orthogonality - oracle) <= 1e-14 * algebra.norm
+        assert rows["brackets close over the basis"].residual == basis.closure[0]
+        assert rows["CSA generators commute"].residual == cw.root_residuals[0]
+        assert rows["su(2) triple relations"].residual <= 1e-14
+    with pytest.raises(InvalidAlgebraSpec, match="another basis"):
+        validate_algebra(su3.basis, so6.cartan_weyl)
 
 
-def test_nan_structure_constant_fails_report(su2_half):
-    # A non-finite f must come back as failed checks, not a LinAlgError
-    # from the Killing-form SVD.
-    f = np.array(su2_half.basis.structure_constants)
-    f[0, 1, 2] = np.nan
-    broken = AlgebraBasis(dim_M=3, rep_dim=2, basis=su2_half.basis.basis,
-                          normalization_N=su2_half.norm, structure_constants=f)
-    for report in (validate_algebra(broken), validate_algebra(broken, su2_half.cartan_weyl)):
-        failed = {e.name for e in report.failures()}
-        assert {"brackets close over the basis", "Killing form nondegenerate"} <= failed
+def test_constructors_take_no_derived_data(su3):
+    # f, mu, eta, the dimensions and the adjoint images are derived: no
+    # constructor takes them, none can be set, and `replace` rebuilds.
+    basis, cw = su3.basis, su3.cartan_weyl
+    raw, csa, pairs = list(basis.basis), cw.csa_indices, cw.pair_map
+    for name, value in (("structure_constants", basis.structure_constants),
+                        ("dim_M", 8), ("rep_dim", 3), ("normalization_N", 2.0)):
+        with pytest.raises(TypeError):
+            AlgebraBasis(raw, **{name: value})
+    for name in ("mu_matrix", "etas", "rank_R", "num_roots_L", "defining", "pair_map"):
+        with pytest.raises(TypeError):
+            CartanWeylData(basis, csa, pairs, **{name: getattr(cw, name)})
+    for name, value in (("adjoint", su3.adjoint), ("basis", basis)):
+        with pytest.raises(TypeError):
+            Algebra(cw, **{name: value})
+    for obj, name in ((basis, "structure_constants"), (cw, "etas"), (su3, "cartan_weyl")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cw, etas=cw.etas * 2.0)
+    for bad in (None, raw):
+        with pytest.raises(InvalidAlgebraSpec):
+            CartanWeylData(bad, csa, pairs)
+        with pytest.raises(InvalidAlgebraSpec):
+            Algebra(bad)
 
 
-def test_perturbed_structure_constant_fails_assembly(su3):
-    # A hand-built su(3) basis whose f is off by 1e-6 in one entry: closure
-    # must fail, and assembly must refuse it.
-    f = np.array(su3.basis.structure_constants)
-    f[2, 5, 0] += 1e-6
-    broken = AlgebraBasis(dim_M=8, rep_dim=3, basis=su3.basis.basis,
-                          normalization_N=su3.norm, structure_constants=f)
-    cw = su3.cartan_weyl
-    with pytest.raises(ValidationFailed) as info:
-        assemble_algebra(broken, cw.csa_indices, cw.pair_map)
-    failed = {e.name for e in info.value.report.failures()}
-    assert "brackets close over the basis" in failed
-
-
-def test_nan_basis_entry_fails_validation_before_rotation_spectra(su2_half):
-    # Assembly forces both RootImages spectra only after validate_algebra, so
-    # a hand-built basis with a NaN entry never reaches eigvalsh.
+def test_nan_basis_entry_fails_validation_before_rotation_spectra(su2_half, monkeypatch):
+    # A NaN entry is refused where the basis is made, before any
+    # eigensolver, product or warning.
     mats = np.array(su2_half.basis.basis)
     mats[1, 0, 1] = np.nan
-    broken = AlgebraBasis(dim_M=3, rep_dim=2, basis=mats, normalization_N=su2_half.norm,
-                          structure_constants=su2_half.basis.structure_constants)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationFailed) as info:
-            assemble_algebra(broken, [0], [(1, 2)])
-    assert "basis hermiticity" in {e.name for e in info.value.report.failures()}
+        with pytest.raises(InvalidAlgebraSpec, match="finite"):
+            AlgebraBasis(mats)
+    assert calls == []
 
 
 def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
-    # Closure on the defining rep: one call, shared by construction and
-    # validate_algebra, on the path the basis selects: the row-sparse kernel
-    # for monomial su(3), dense BLAS for spin-1 su(2), whose Jx has two
-    # nonzeros in its middle row.
-    dense, sparse = [], []
-    dense_residual = algebra_module._bracket_residual
-    sparse_residual = algebra_module._RowSparse.residual
+    # Each check runs once per assembly, on the path the basis selects: the
+    # row-sparse kernel for monomial su(3), dense BLAS for spin-1 su(2),
+    # whose Jx has two nonzeros in its middle row.  f and closure share one
+    # row-sparse kernel.
+    calls = []
 
-    def counting_dense(gens, f):
-        dense.append(gens.dtype)
-        return dense_residual(gens, f)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_sparse(self, f):
-        sparse.append(self.vals.dtype)
-        return sparse_residual(self, f)
-
-    monkeypatch.setattr(algebra_module, "_bracket_residual", counting_dense)
-    monkeypatch.setattr(algebra_module._RowSparse, "residual", counting_sparse)
+    for name in ("_bracket_residual", "_root_residuals", "hermiticity_residual", "trace_gram",
+                 "_is_row_sparse"):
+        monkeypatch.setattr(algebra_module, name, counting(name, getattr(algebra_module, name)))
+    for name in ("__init__", "residual"):
+        monkeypatch.setattr(algebra_module._RowSparse, name,
+                            counting(f"_RowSparse.{name}", getattr(algebra_module._RowSparse, name)))
+    once = ["_root_residuals", "hermiticity_residual", "trace_gram", "_is_row_sparse"]
     build_su3()
-    assert (sparse, dense) == ([np.dtype(complex)], [])
-    sparse.clear()
+    assert sorted(calls) == sorted(once + ["_RowSparse.__init__", "_RowSparse.residual"])
+    calls.clear()
     make_su2(2)
-    assert (sparse, dense) == ([], [np.dtype(complex)])
+    assert sorted(calls) == sorted(once + ["_bracket_residual"])
+
+
+_MUTABLE_ALGEBRAS = {
+    "su2:1": lambda: make_su2(1),
+    "su3": build_su3,
+    "so2n:3": lambda: make_so2n(3),
+}
+
+
+@functools.cache
+def _parent(name):
+    """(raw basis, N, csa, pairs) of a catalog algebra, and the fingerprint of
+    the algebra they assemble into."""
+    algebra = _MUTABLE_ALGEBRAS[name]()
+    cw = algebra.cartan_weyl
+    raw, norm, csa, pairs = list(algebra.basis.basis), algebra.norm, cw.csa_indices, cw.pair_map
+    return (raw, norm, csa, pairs), _fingerprint(
+        assemble_algebra(orthonormalize_basis(raw, norm), csa, pairs))
+
+
+def _fingerprint(algebra):
+    """Every array an assembled algebra derives, as bytes, with its labels."""
+    cw = algebra.cartan_weyl
+    arrays = (algebra.basis.basis, algebra.basis.structure_constants, cw.mu_matrix, cw.etas,
+              cw.raising_ops, algebra.adjoint.raising)
+    return ([np.asarray(a).tobytes() for a in arrays],
+            algebra.norm, cw.csa_indices, cw.pair_map)
+
+
+def _mutated_raw(draw, raw):
+    """raw with one element scaled by 0 or a power of two, one entry moved by
+    at least 1e-6 or made NaN or infinite, or one element non-Hermitian."""
+    raw = [np.array(m) for m in raw]
+    k = draw(st.integers(0, len(raw) - 1))
+    dim = len(raw[0])
+    kind = draw(st.sampled_from(["scale", "perturb", "non-finite", "non-hermitian"]))
+    if kind == "scale":
+        raw[k] = raw[k] * draw(st.just(0.0) | st.integers(-1100, 1023).map(
+            lambda e: math.ldexp(1.0, e)))
+    elif kind == "perturb":
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        raw[k][i, j] += draw(st.floats(1e-6, 1e3)) * draw(st.sampled_from([1, -1, 1j, -1j]))
+    elif kind == "non-finite":
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        raw[k][i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)]))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        raw[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return raw
+
+
+def _mutated_labels(draw, csa, pairs):
+    """csa and pairs with one label replaced, dropped or added, or one pair resized."""
+    labels = [list(csa), [list(p) for p in pairs]]
+    which = draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(["replace", "drop", "add", "resize"]))
+    value = draw(st.integers(-3, 2 * len(csa) + 2 * len(pairs) + 2)
+                 | st.sampled_from([1.0, 1.5, "1", None, True, np.int64(1)]))
+    target = labels[which]
+    if kind == "resize":
+        pair = draw(st.sampled_from(labels[1]))
+        pair.append(value) if draw(st.booleans()) else pair.pop()
+    elif kind == "drop":
+        target.pop(draw(st.integers(0, len(target) - 1)))
+    elif kind == "add":
+        target.append(value if which == 0 else [value, value])
+    elif which == 0:
+        target[draw(st.integers(0, len(target) - 1))] = value
+    else:
+        draw(st.sampled_from(target))[draw(st.integers(0, 1))] = value
+    return labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_MUTABLE_ALGEBRAS)), data=st.data())
+def test_construction_cannot_be_bypassed(name, data):
+    # One mutation of a valid raw basis or of its labels yields the parent
+    # algebra bit for bit or a typed error, never a warning or another
+    # algebra.  Scaling by a power of two is undone exactly by the rescaling.
+    (raw, norm, csa, pairs), expected = _parent(name)
+    if data.draw(st.booleans()):
+        raw = _mutated_raw(data.draw, raw)
+    else:
+        csa, pairs = _mutated_labels(data.draw, csa, pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            algebra = assemble_algebra(orthonormalize_basis(raw, target_N=norm), csa, pairs)
+        except GcsynthError:
+            return
+    assert _fingerprint(algebra) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +595,13 @@ def test_row_sparse_and_dense_paths_agree(name, data):
     if error_dense is None:
         assert error_sparse is None
         assert np.abs(f_sparse - f_dense).max() <= 1e-15
+        # The subset is a Lie algebra: on the sparse f, ad is a homomorphism,
+        # [ad O_a, ad O_b] = sum_k f[a, b, k] ad O_k with ad O_a[k, m] = f[a, m, k].
+        ad = np.transpose(f_sparse, (0, 2, 1))
+        bracket = np.einsum("aij,bjk->abik", ad, ad)
+        expansion = np.einsum("abk,kij->abij", f_sparse, ad)
+        assert np.abs(bracket - np.swapaxes(bracket, 0, 1) - expansion).max() \
+            <= 1e-12 * max(1.0, np.abs(f_sparse).max() ** 2)
         return
     assert error_sparse is not None and error_sparse[0] is error_dense[0]
     if error_dense[0] is not BasisNotClosed:
@@ -567,7 +646,8 @@ def test_bad_basis_shapes_are_typed():
         orthonormalize_basis([SIGMA_Z, np.eye(3), SIGMA_Y])
     with pytest.raises(InvalidAlgebraSpec):
         orthonormalize_basis([[1.0, 2.0]])
-    for target in (0.0, -2.0, float("nan")):
+    # "2" and True used to run as N = 2 and N = 1, "x" and [2] to raise bare errors.
+    for target in (0.0, -2.0, float("nan"), "2", True, "x", [2]):
         with pytest.raises(InvalidAlgebraSpec):
             orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y], target_N=target)
 

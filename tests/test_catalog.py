@@ -98,12 +98,13 @@ def test_resolve_algebra_specs():
 
 
 @pytest.mark.parametrize("build, argument", [
-    (make_su2, 0), (make_su2, 1.5), (make_su2, "2"),
-    (make_so2n, 0), (make_so2n, 7), (make_so2n, 2.5),
+    (make_su2, 0), (make_su2, 1.5), (make_su2, "2"), (make_su2, True),
+    (make_so2n, 0), (make_so2n, 7), (make_so2n, 2.5), (make_so2n, True),
     (resolve_algebra, "sp4:1"), (resolve_algebra, "so2n"), (resolve_algebra, "so2n:x"),
     (resolve_algebra, "su2:2.5"), (resolve_algebra, "so2n:9"),
-], ids=["su2-zero", "su2-float", "su2-str", "so2n-zero", "so2n-seven", "so2n-float",
-        "unknown-name", "missing-parameter", "non-integer", "non-integer-float", "so2n-nine"])
+], ids=["su2-zero", "su2-float", "su2-str", "su2-bool", "so2n-zero", "so2n-seven", "so2n-float",
+        "so2n-bool", "unknown-name", "missing-parameter", "non-integer", "non-integer-float",
+        "so2n-nine"])
 def test_bad_catalog_parameters_are_typed(build, argument):
     with pytest.raises(GcsynthError):
         build(argument)

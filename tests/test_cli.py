@@ -171,9 +171,8 @@ def test_error_types_state_their_exit_status_and_fields():
                          "StepDidNotReducePivot", "DegenerateTop", "ZeroGap", "NotAGcs"}
     assert errors.exit_record(errors.MaxStepsExceeded("m", trace=[0.5, 0.25])) == (
         2, {"error": "MaxStepsExceeded", "message": "m", "trace": [0.5, 0.25]})
-    # The validation report stays off the line; its message names the failures.
-    assert errors.exit_record(errors.ValidationFailed("v", report=object())) == (
-        1, {"error": "ValidationFailed", "message": "v"})
+    assert errors.exit_record(errors.NonHermitianInput("v")) == (
+        1, {"error": "NonHermitianInput", "message": "v"})
     assert errors.exit_record(FileNotFoundError("no file")) == (
         1, {"error": "FileNotFoundError", "message": "no file"})
 

@@ -306,10 +306,22 @@ def test_algebra_freed_after_use():
     (np.nan, 0.05), (np.inf, 0.05), (-np.inf, 0.05), (0.0, 0.05), (-0.1, 0.05),
     (0.1, np.nan), (0.1, np.inf), (0.1, 0.0), (0.1, 1.0), (0.1, -0.5),
     (1e-200, 0.05), (1e-160, 0.05), (0.1, 5e-324), (1e200, 0.05), (1.35e154, 0.05),
+    ("0.1", 0.05), (0.1, "x"), (0.1, None), (True, 0.05),
 ])
 def test_bad_budget_tolerances_are_typed(su2_half, epsilon, delta):
+    # A string or None used to raise a bare TypeError, and True ran as epsilon = 1.
     with pytest.raises(InvalidParameter):
         make_budget(epsilon, delta, su2_half)
+
+
+@pytest.mark.parametrize("max_steps", [True, 2.5, float("nan"), "3"],
+                         ids=["bool", "float", "nan", "str"])
+def test_non_integer_max_steps_is_typed(su2_half, max_steps):
+    # True and 2.5 used to run as step caps, NaN lifted the cap, and "3"
+    # raised a bare TypeError.
+    moments = hidden_gcs(su2_half, seed=3, num_ops=2).exact_moments()
+    with pytest.raises(InvalidParameter, match="max_steps must be an integer"):
+        synthesize(moments, su2_half, make_budget(1e-6, 0.05, su2_half), max_steps=max_steps)
 
 
 def test_huge_eps_m_is_typed():
