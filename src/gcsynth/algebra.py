@@ -236,13 +236,13 @@ class AlgebraBasis:
 
     @cached_property
     def measurement_basis(self):
-        """Projective measurements of the basis observables, by one batched `eigh`
-        on the first sampled request: V^dag per observable, its distinct
-        outcomes, and the size of every eigenspace of all in turn.  A run of
-        eigenvalues within 1e-10 max(1, max|e|) of its first is one outcome,
-        their mean, and its Born weight is pooled, so no outcome or probability
-        hangs on an eigenvector choice.  `observable_norms` keeps its own
-        `eigvalsh`, whose bits set the budget."""
+        """Projective measurements of the basis observables, by one batched `eigh` on
+        the first sampled request: V^dag per observable, its distinct outcomes, the
+        size of every eigenspace of all in turn, and per observable its outcome count
+        and their running total.  A run of eigenvalues within 1e-10 max(1, max|e|) of
+        its first is one outcome, their mean, and its Born weight is pooled, so no
+        outcome or probability hangs on an eigenvector choice.  `observable_norms`
+        keeps its own `eigvalsh`, whose bits set the budget."""
         evals, evecs = np.linalg.eigh(self.basis)
         outcomes, sizes = [], []
         for spectrum in evals:
@@ -258,7 +258,8 @@ class AlgebraBasis:
             outcomes.append(_freeze(means))
         vh = np.swapaxes(evecs, -1, -2)
         np.conj(vh, out=vh).setflags(write=False)  # in place: no second M d^2 array
-        return vh, tuple(outcomes), _freeze(sizes)
+        counts = np.array([o.size for o in outcomes])
+        return vh, tuple(outcomes), _freeze(sizes), _freeze(counts), _freeze(np.cumsum(counts))
 
     @cached_property
     def killing_form(self):
@@ -416,9 +417,11 @@ class CartanWeylData:
         basis = self.basis
         if not isinstance(basis, AlgebraBasis):
             raise InvalidAlgebraSpec("a Cartan-Weyl split needs an AlgebraBasis")
+        def index(label):  # operator.index, but True must not stand for label 1
+            return operator.index(None if isinstance(label, (bool, np.bool_)) else label)
         try:
-            csa = tuple(map(operator.index, self.csa_indices))
-            pair_map = tuple((operator.index(u), operator.index(v)) for u, v in root_pairs)
+            csa = tuple(map(index, self.csa_indices))
+            pair_map = tuple((index(u), index(v)) for u, v in root_pairs)
         except (TypeError, ValueError):
             raise InvalidAlgebraSpec("csa_indices must be integers and root_pairs integer "
                                      "pairs") from None

@@ -13,6 +13,7 @@ Catalog entries:
 """
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -34,9 +35,7 @@ def spin_matrices(two_j):
     dim = two_j + 1
     m = j - np.arange(dim)
     jz = np.diag(m).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        jp[k - 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     jm = jp.conj().T
     return jz, (jp + jm) / 2.0, (jp - jm) / 2.0j
 
@@ -63,20 +62,9 @@ def make_su2(two_j):
 def jordan_wigner_majoranas(n):
     """2n Majorana operators on n qubits: c[2p] = Z..ZX, c[2p+1] = Z..ZY."""
     eye = np.eye(2, dtype=complex)
-    ops = []
-    for p in range(n):
-        for tail in (_PAULI_X, _PAULI_Y):
-            mat = np.ones((1, 1), dtype=complex)
-            for site in range(n):
-                if site < p:
-                    factor = _PAULI_Z
-                elif site == p:
-                    factor = tail
-                else:
-                    factor = eye
-                mat = np.kron(mat, factor)
-            ops.append(mat)
-    return ops
+    return [functools.reduce(np.kron, [_PAULI_Z] * p + [tail] + [eye] * (n - 1 - p),
+                             np.ones((1, 1), dtype=complex))
+            for p in range(n) for tail in (_PAULI_X, _PAULI_Y)]
 
 
 def make_so2n(n):
@@ -91,22 +79,15 @@ def make_so2n(n):
     c = jordan_wigner_majoranas(n)
     csa = [-1j * c[2 * p] @ c[2 * p + 1] for p in range(n)]  # qubit Z_p
 
-    hop_x, hop_y, pair_x, pair_y = [], [], [], []
+    x_partners, y_partners = [], []  # per mode pair, the hopping root then the pairing root
     for j in range(n):
         for k in range(j + 1, n):
             m_xx = 1j * c[2 * j] @ c[2 * k]          # i c1_j c1_k
             m_xy = 1j * c[2 * j] @ c[2 * k + 1]      # i c1_j c2_k
             m_yx = 1j * c[2 * j + 1] @ c[2 * k]      # i c2_j c1_k
             m_yy = 1j * c[2 * j + 1] @ c[2 * k + 1]  # i c2_j c2_k
-            hop_x.append((m_xy - m_yx) / np.sqrt(2.0))
-            hop_y.append(-(m_xx + m_yy) / np.sqrt(2.0))
-            pair_x.append(-(m_xy + m_yx) / np.sqrt(2.0))
-            pair_y.append((m_xx - m_yy) / np.sqrt(2.0))
-
-    x_partners, y_partners = [], []
-    for idx in range(len(hop_x)):
-        x_partners += [hop_x[idx], pair_x[idx]]
-        y_partners += [hop_y[idx], pair_y[idx]]
+            x_partners += [(m_xy - m_yx) / np.sqrt(2.0), -(m_xy + m_yx) / np.sqrt(2.0)]
+            y_partners += [-(m_xx + m_yy) / np.sqrt(2.0), (m_xx - m_yy) / np.sqrt(2.0)]
     raw = csa + x_partners + y_partners
     num_roots = len(x_partners)
     basis = orthonormalize_basis(raw, target_N=2.0 ** n)

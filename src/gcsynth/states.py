@@ -9,7 +9,8 @@ a state through `RootImages.rotate` on the defining representation
 unitary and no eigendecomposition.  Sampling reads the eigenbases
 `AlgebraBasis.measurement_basis` computes once per algebra; a seed or an
 op count is an integer (never a boolean), a seed one in [0, 2^64), never
-reduced modulo 2^64.
+reduced modulo 2^64.  Observable m of seed s draws on Philox keyed by
+`derive_seed(s, m)`, SeedSequence([s, m])'s first uint64, at counter zero.
 """
 
 from dataclasses import dataclass
@@ -80,9 +81,41 @@ def derive_seed(seed, index):
 
 
 def _rng(seed):
-    # Counter-based generator: reproducible and cheap to fork by reseeding.
-    # Every seed here comes from `derive_seed`, a uint64 by construction.
+    # Counter-based: a new stream is a new key.  `seed` is a uint64.
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix call k xors with
+# A_k = 0x43b0d7e5 0x931e8875^k mod 2^32, multiplies by A_(k+1) (output word i: B_i
+# alike); calls 0-3 hash the pool, row s feeds row d by 4 + 3 s + d - (d > s), d = s unused.
+_A, _B = ([init * pow(mult, k, 2 ** 32) % 2 ** 32 for k in range(18)]
+          for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)))
+_STAGES = [(_A, range(4))] + [(_A, [4 + 3 * s + d - (d > s) for d in range(4)]) for s in range(4)]
+_KEY_CONSTANTS = np.array([[[16]] * 4, [[0xCA01F9DD]] * 4, [[0x4973F715]] * 4] + [  # shift, mix
+    [[table[k + j]] for k in calls]  # per stage, each row's hashmix xor (j = 0) and multiplier
+    for table, calls in _STAGES + [(_B, [0, 1, 0, 1])] for j in (0, 1)], dtype=np.uint32)
+
+
+def _child_keys(seed, count):
+    """`derive_seed(seed, m)` for every m < count in one pass, bit for bit: the
+    SeedSequence pools side by side, (4, count) uint32, are hashed, each row is
+    mixed into the other three at once, and the output words are hashed, all on
+    constants widened to the pool's shape (numpy combines equal shapes fastest)."""
+    seed = _seed(seed)
+    shift, left, right, *hashes = np.repeat(_KEY_CONSTANTS, count, axis=2)
+    pool = np.zeros((4, count), dtype=np.uint32)  # entropy: the seed's 32-bit words, then m
+    pool[0], pool[1] = seed % 2 ** 32, seed >> 32
+    pool[1 + (seed >= 2 ** 32)] = np.arange(count)
+    for src, xor, mul in zip([None, 0, 1, 2, 3, None], hashes[::2], hashes[1::2]):
+        hashed = xor ^ (pool if src is None else pool[src])
+        hashed *= mul
+        hashed ^= hashed >> shift
+        if src is not None:
+            hashed = pool * left - hashed * right
+            hashed ^= hashed >> shift
+            hashed[src] = pool[src]
+        pool = hashed
+    return [low | high << 32 for low, high in zip(pool[0].tolist(), pool[1].tolist())]
 
 
 def _run_sums(values, sizes):
@@ -99,22 +132,27 @@ def _run_sums(values, sizes):
 
 def sample_all_moments(state, algebra, shots, seed):
     """Sampled estimates of every basis observable: observable m's is the mean
-    of `shots` draws of its outcomes, on the stream `derive_seed(seed, m)`.
-    The eigenbases come from `AlgebraBasis.measurement_basis`, cached per
-    algebra, so a request runs no eigendecomposition and one product gives all
-    M Born distributions, each pooled per eigenspace."""
+    of `shots` draws of its outcomes on Philox keyed by `derive_seed(seed, m)`,
+    at counter zero: one generator, rekeyed per stream from one `_child_keys`
+    pass.  The eigenbases come from `AlgebraBasis.measurement_basis`, cached
+    per algebra, so one product gives all M Born distributions, each pooled
+    per eigenspace."""
     if shots < 1:
         raise InvalidParameter(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ShotCountOverflow(f"{shots} shots per observable exceed the sampler's int64 range")
-    vh, outcomes, sizes = algebra.basis.measurement_basis
+    vh, outcomes, sizes, counts, ends = algebra.basis.measurement_basis
     weights = (np.abs(vh @ _state_vector(state)) ** 2).ravel()
     probs = np.clip(_run_sums(weights, sizes), 0.0, None)
-    counts = np.array([o.size for o in outcomes])
     probs /= np.repeat(_run_sums(probs, counts), counts)
-    seeds = (derive_seed(seed, m) for m in range(algebra.dim))
-    values = [float(np.dot(_rng(s).multinomial(int(shots), probs[end - o.size:end]), o) / shots)
-              for s, o, end in zip(seeds, outcomes, np.cumsum(counts))]
+    rng = _rng(0)
+    stream = rng.bit_generator.state  # as built: counter zero, buffer spent
+    values = []
+    for key, o, end in zip(_child_keys(seed, algebra.dim), outcomes, ends):
+        stream["state"]["key"][0] = key
+        rng.bit_generator.state = stream
+        values.append(float(np.dot(rng.multinomial(int(shots), probs[end - o.size:end]), o)
+                            / shots))
     return MomentVector(values=np.array(values), source="sampled", shots=int(shots),
                         seed=int(seed))
 
@@ -135,13 +173,11 @@ class HiddenGcs:
         self.seed = _seed(seed)
         rng = _rng(derive_seed(seed, 0x9E3779B9))
         num_roots = algebra.cartan_weyl.num_roots_L
-        ops = []
-        for _ in range(self.num_ops):
-            l = int(rng.integers(num_roots))
-            alpha = complex(rng.standard_normal(), rng.standard_normal()) / np.sqrt(2.0)
-            ops.append(GroupOp(l, alpha))
-        self._ops = tuple(ops)
-        self._state = apply_circuit(algebra.highest_weight[0], ops, algebra)
+        self._ops = tuple(
+            GroupOp(int(rng.integers(num_roots)),
+                    complex(rng.standard_normal(), rng.standard_normal()) / np.sqrt(2.0))
+            for _ in range(self.num_ops))
+        self._state = apply_circuit(algebra.highest_weight[0], self._ops, algebra)
         self._state.setflags(write=False)
 
     def sample_moments(self, shots, seed=None):

@@ -634,8 +634,11 @@ def _tied_worst_pairs(mats):
 
 @pytest.mark.parametrize("csa, pairs", [
     ([7], [(1, 2)]), ([-3], [(1, 2)]), ([0], [(1, 1)]), ([], [(0, 1)]), ([0, 1, 2], []),
-], ids=["csa-7", "csa-negative", "pair-repeat", "csa-empty", "roots-empty"])
+    ([0], [(True, 2)]), ([False], [(1, 2)]), ([0], [(1, np.True_)]),
+], ids=["csa-7", "csa-negative", "pair-repeat", "csa-empty", "roots-empty",
+        "pair-true", "csa-false", "pair-numpy-true"])
 def test_bad_labels_are_typed(csa, pairs):
+    # True and False used to stand for labels 1 and 0 and assemble su(2).
     basis = orthonormalize_basis([SIGMA_Z, SIGMA_X, SIGMA_Y])
     with pytest.raises(InvalidAlgebraSpec):
         build_cartan_weyl(basis, csa, pairs)

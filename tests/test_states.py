@@ -1,5 +1,6 @@
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from gcsynth import (
 )
 from gcsynth.algebra import KERNEL_TOL, _weight_vectors
 from gcsynth.errors import InvalidParameter, NotUnique, ShotCountOverflow
-from gcsynth.states import derive_seed, phase_min_distance, state_fidelity
+from gcsynth.states import _child_keys, derive_seed, phase_min_distance, state_fidelity
 
 from conftest import (
     SIGMA_X,
@@ -162,7 +163,7 @@ def test_degenerate_eigenspace_pooling(so6):
     # eigenspaces, so eigh's choice of eigenvectors in each is arbitrary.  The
     # Born weight is pooled per eigenspace: a state inside one eigenspace of
     # an observable reads its outcome at every shot.
-    _, outcomes, sizes = so6.basis.measurement_basis
+    _, outcomes, sizes, _, _ = so6.basis.measurement_basis
     assert sum(o.size for o in outcomes) == sizes.size
     assert (sizes > 1).all() and sizes.sum() == so6.dim * so6.rep_dim
     hw, weights = highest_weight_state(so6)
@@ -201,12 +202,14 @@ def test_sample_all_moments_equals_per_observable_oracle(name):
     # pooled sum flips the binomial draw: pooling with np.add.reduceat
     # instead fails here on su2:3, so2n:3-5 and half-one.
     algebra = SAMPLED_ALGEBRAS[name]()
+    # A seed of 2^32 and up is two 32-bit words of SeedSequence entropy, as
+    # every benchmark request's seed is; a smaller seed is one.
     assert "measurement_basis" not in vars(algebra.basis)  # built on first use only
-    for seed in range(20):
+    for seed in [*range(20), 2 ** 32, 2 ** 32 + 1, 2 ** 61 + 12345, 2 ** 63, 2 ** 64 - 1]:
         phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(algebra.rep_dim))
         for state in (hidden_gcs(algebra, seed=seed, num_ops=seed % 4).reference_state(),
                       phases / np.sqrt(algebra.rep_dim)):
-            shots = 10 ** 6 + 7919 * seed
+            shots = 10 ** 6 + 7919 * (seed % 20)
             expected = sampled_moments_oracle(state, algebra, shots, seed)
             assert np.array_equal(sample_all_moments(state, algebra, shots, seed).values,
                                   expected)
@@ -286,6 +289,51 @@ def test_non_orbit_states_have_purity_deficit(su2_one, so4, so6):
 def test_derived_seeds_are_stable():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert derive_seed(7, 0) != derive_seed(7, 1)
+
+
+def _seed_sequence_keys(seed, count):
+    return [int(np.random.SeedSequence([int(seed), m]).generate_state(1, np.uint64)[0])
+            for m in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
+                                  np.uint64(2 ** 64 - 1)])
+def test_one_pass_keys_equal_seed_sequence(seed):
+    # The uint32 pool arithmetic wraps silently on arrays; on a NumPy scalar it
+    # would warn, which "error" turns into a failure here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys = _child_keys(seed, 70)
+        assert keys == _seed_sequence_keys(seed, 70)
+        assert keys == [derive_seed(seed, m) for m in range(70)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(1, 70))
+def test_one_pass_keys_equal_seed_sequence_on_any_seed(seed, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _child_keys(seed, count) == _seed_sequence_keys(seed, count)
+
+
+def test_rekeyed_generator_draws_as_a_fresh_one():
+    # sample_all_moments' stream switch: one generator whose key is set through
+    # `bit_generator.state` from its as-built state draws what Philox(key=k) does,
+    # whatever the generator drew before (a half-used buffer, a spare uint32).
+    rng = np.random.Generator(np.random.Philox(key=0))
+    stream = rng.bit_generator.state
+    source = np.random.default_rng(29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            key = int(source.integers(2 ** 64, dtype=np.uint64))
+            probs = source.dirichlet(np.ones(int(source.integers(1, 9))))
+            shots = int(source.integers(1, 10 ** 7))
+            stream["state"]["key"][0] = key
+            rng.bit_generator.state = stream
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(rng.multinomial(shots, probs), fresh.multinomial(shots, probs))
+            rng.integers(2 ** 32, size=int(source.integers(0, 3)), dtype=np.uint32)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1, 1.0, "1", None, True, False])
