@@ -39,9 +39,11 @@ for t in cw.root_triples:
     flavor = "hopping" if t.mu.min() < 0 else "pairing"
     print(f"  root {t.root_index}: mu = {t.mu}, eta = {t.eta}  [{flavor}]")
 
-# The invariant suite doubles as a diagnostic report.  It holds the checks a
-# hand-built basis or split can fail; the adjoint representation's bracket
-# and its agreement with group conjugation follow from closure and are left
-# to the test suite.
+# Every check a hand-built basis or split can fail runs where it is built;
+# validate_algebra reads back the residuals those checks cached, as
+# (check, residual, tolerance) rows.  What follows from them (f's
+# antisymmetry, the su(2) relations, the adjoint bracket and its agreement
+# with group conjugation) is left to the test suite.
 print("\nvalidation report for so(6):")
-print(validate_algebra(so6.basis, so6.cartan_weyl))
+for check, residual, tol in validate_algebra(so6.basis, so6.cartan_weyl):
+    print(f"  {check}: residual {residual:.3e} (tol {tol:.1e})")

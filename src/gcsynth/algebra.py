@@ -90,12 +90,10 @@ from .errors import (
 # Structural tolerances (double precision, rep_dim <= 64).
 HERMITICITY_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
-ANTISYMMETRY_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 KILLING_COND_TOL = 1e-8
 CSA_COMMUTE_TOL = 1e-12
 EIGENVECTOR_TOL = 1e-10
-SU2_TOL = 1e-10
 KERNEL_TOL = 1e-10
 WEIGHT_TOL = 1e-8
 # Closed-form rotations: relative gap merging eigenvalues into one node, and
@@ -148,8 +146,6 @@ class AlgebraBasis:
         Common trace norm of the basis elements.
     structure_constants : ndarray, shape (M, M, M)
         Real tensor f with i[O_m, O_m'] = sum_k f[m, m', k] O_k.
-    row_sparse : bool
-        True when f and closure came from the row-sparse kernel (`_is_row_sparse`).
     hermiticity, orthogonality, closure
         The checks' figures: (largest residual, tolerance) of Hermiticity on
         the raw matrices; max |Tr(O_m O_m') - N delta|; (worst relative
@@ -163,7 +159,6 @@ class AlgebraBasis:
     basis: np.ndarray = field(init=False)
     normalization_N: float = field(init=False)
     structure_constants: np.ndarray = field(init=False)
-    row_sparse: bool = field(init=False)
     hermiticity: tuple = field(init=False)
     orthogonality: float = field(init=False)
     closure: tuple = field(init=False)
@@ -177,6 +172,10 @@ class AlgebraBasis:
             raise InvalidAlgebraSpec("basis must be a sequence of square matrices of equal size")
         if not np.isfinite(mats).all():
             raise InvalidAlgebraSpec("basis entries must be finite")
+        if target_N is not None and (isinstance(target_N, bool)
+                                     or not isinstance(target_N, numbers.Real)
+                                     or not 0 < target_N < math.inf):
+            raise InvalidAlgebraSpec(f"target_N must be finite and positive, got {target_N!r}")
 
         resid, tol = hermiticity_residual(mats)
         hermitian = resid <= tol
@@ -184,20 +183,25 @@ class AlgebraBasis:
             raise NonHermitianInput(f"basis element {int(np.argmin(hermitian))} is not Hermitian")
 
         # Summed entrywise rather than read off the BLAS Gram, so the scale
-        # factors (hence the basis and every artifact) stay bit-stable.
+        # factors (hence the basis and every artifact) stay bit-stable.  An
+        # element is refused on its own trace norm alone: zero, or too small
+        # or too large to rescale to N, each of which leaves a factor that is
+        # 0, infinite or NaN.
         diag = np.einsum("mij,mji->m", mats, mats).real
-        if diag.min() <= 1e-12 * max(1.0, diag.max()):
-            raise LinearlyDependentBasis("a basis element has (numerically) zero trace norm")
-        if target_N is not None:
-            if (isinstance(target_N, bool) or not isinstance(target_N, numbers.Real)
-                    or not 0 < target_N < math.inf):
-                raise InvalidAlgebraSpec(f"target_N must be finite and positive, got {target_N!r}")
-            norm = float(target_N)
-        elif np.allclose(diag, diag[0], rtol=ORTHOGONALITY_TOL, atol=0.0):
-            norm = float(diag.mean())
-        else:
-            norm = float(mats.shape[1])
-        mats = mats * np.sqrt(norm / diag)[:, None, None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if target_N is not None:
+                norm = float(target_N)
+            elif np.allclose(diag, diag[0], rtol=ORTHOGONALITY_TOL, atol=0.0):
+                norm = float(diag.mean())
+            else:
+                norm = float(mats.shape[1])
+            factors = np.sqrt(norm / diag)
+        scalable = (0.0 < factors) & (factors < math.inf)
+        if not scalable.all():
+            raise LinearlyDependentBasis(
+                f"basis element {int(np.argmin(scalable))} has zero trace norm, or one that "
+                "cannot be rescaled in double precision")
+        mats = mats * factors[:, None, None]
 
         ortho = np.abs(trace_gram(mats, mats).real - norm * np.eye(len(mats))).max()
         if not ortho <= ORTHOGONALITY_TOL * norm:
@@ -209,8 +213,8 @@ class AlgebraBasis:
         # Plain commutators of i O_m obey the stored-bracket relations, so
         # closure is the bracket residual of i O_m, on the kernel f came from.
         gens = 1j * mats
-        sparse = _RowSparse(gens) if _is_row_sparse(mats) else None
-        if sparse is not None:
+        if _is_row_sparse(mats):
+            sparse = _RowSparse(gens)
             f = sparse.structure_constants(norm)
             closure = sparse.residual(f)
         else:
@@ -218,9 +222,8 @@ class AlgebraBasis:
             closure = _bracket_residual(gens, f)
         vars(self).update(  # frozen: derived fields go straight to the instance dict
             dim_M=len(mats), rep_dim=mats.shape[1], basis=_freeze(mats), normalization_N=norm,
-            structure_constants=_freeze(f), row_sparse=sparse is not None,
-            hermiticity=(float(resid.max()), float(tol.max())), orthogonality=float(ortho),
-            closure=closure)
+            structure_constants=_freeze(f), hermiticity=(float(resid.max()), float(tol.max())),
+            orthogonality=float(ortho), closure=closure)
         residual, (m, n) = closure
         if not residual <= CLOSURE_TOL:
             raise BasisNotClosed(f"[O_{m}, O_{n}] leaves the basis span (residual {residual:.2e})")
@@ -399,7 +402,7 @@ class CartanWeylData:
     the coefficients of Z_l = [E+_l, E-_l] over H_r and `etas[l]` the
     eigenvalue of [Z_l, E+_l] = eta E+_l; `root_triples[l]` reads row l.
     `root_residuals` holds the worst CSA-commutator, eigenvector and span
-    residuals, and lam[l, r], the ad(H_r) eigenvalue of E+_l.
+    residuals.
     """
 
     basis: AlgebraBasis
@@ -435,7 +438,7 @@ class CartanWeylData:
             raise InvalidAlgebraSpec("csa_indices and root_pairs must partition the basis indices")
 
         u, v = np.array(pair_map).T
-        (commute, (r, s)), (eigen, (l, k)), (span, m), z, lam = _root_residuals(
+        (commute, (r, s)), (eigen, (l, k)), (span, m), z = _root_residuals(
             basis.structure_constants, csa, u, v)
         if not commute <= CSA_COMMUTE_TOL:
             raise CsaNotAbelian(f"H_{r} and H_{s} do not commute (residual {commute:.2e})")
@@ -450,7 +453,7 @@ class CartanWeylData:
             csa_indices=csa, rank_R=rank, num_roots_L=num_roots, pair_map=pair_map,
             defining=RootImages((mats[u] + 1j * mats[v]) / 2.0), mu_matrix=_freeze(mu),
             etas=_freeze(2.0 * np.einsum("lr,lr->l", mu, mu)),
-            root_residuals=(commute, eigen, span, _freeze(lam)))
+            root_residuals=(commute, eigen, span))
 
     @property
     def raising_ops(self):
@@ -492,9 +495,10 @@ def orthonormalize_basis(raw_basis, target_N=None):
     AlgebraBasis
         With structure constants derived and semisimplicity verified.
 
-    Raises, in this order: InvalidAlgebraSpec (shape, finiteness),
-    NonHermitianInput, LinearlyDependentBasis, InvalidAlgebraSpec (target_N),
-    GramNotDiagonal, BasisNotClosed, KillingFormDegenerate.
+    Raises, in this order: InvalidAlgebraSpec (shape, finiteness, target_N),
+    NonHermitianInput, LinearlyDependentBasis (an element with zero trace
+    norm, or one that cannot be rescaled to N), GramNotDiagonal,
+    BasisNotClosed, KillingFormDegenerate.
     """
     return AlgebraBasis(raw_basis, target_N)
 
@@ -668,9 +672,9 @@ def _root_residuals(f, csa, u, v):
         f[u, v, k] = 0 for every non-CSA k, and then mu[l, r] = -f[u, v, r]/2.
     Index gathers over csa and the pairs only: O(R L M) work, no product.
 
-    Returns (commute, (r, s)), (eigen, (l, r)), (span, l), z, lam: the worst
-    residual of each identity with where it occurs (NaN counts as worst),
-    Z's coefficients z (L, M) and lam (L, R).  commute and eigen are relative
+    Returns (commute, (r, s)), (eigen, (l, r)), (span, l), z: the worst
+    residual of each identity with where it occurs (NaN counts as worst) and
+    Z's coefficients z (L, M).  commute and eigen are relative
     to 1 + max |f|; span is the off-CSA part of Z_l relative to |Z_l|, and
     infinite when Z_l vanishes.
     """
@@ -688,8 +692,7 @@ def _root_residuals(f, csa, u, v):
     off = np.linalg.norm(np.delete(z, csa, axis=1), axis=1)
     span = np.divide(off, z_norm, out=np.full(len(z), np.inf), where=z_norm > 0.0)
     worst = int(np.argmax(span))
-    return (_worst_pair(commute), _worst_pair(eigen), (float(span[worst]), worst),
-            z, lam.T)
+    return _worst_pair(commute), _worst_pair(eigen), (float(span[worst]), worst), z
 
 
 def build_cartan_weyl(basis, csa_indices, root_pairs):
@@ -720,78 +723,27 @@ def build_cartan_weyl(basis, csa_indices, root_pairs):
     return CartanWeylData(basis, csa_indices, root_pairs)
 
 
-# ---------------------------------------------------------------------------
-# Validation report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-
-    def __str__(self):
-        tag = "pass" if self.passed else "FAIL"
-        return f"[{tag}] {self.name}: residual {self.residual:.3e} (tol {self.tolerance:.1e})"
-
-
-@dataclass
-class ValidationReport:
-    entries: list = field(default_factory=list)
-
-    def add(self, name, residual, tolerance):
-        self.entries.append(CheckResult(name, residual <= tolerance, float(residual), tolerance))
-        return self.entries[-1]
-
-    @property
-    def ok(self):
-        return all(e.passed for e in self.entries)
-
-    def __str__(self):
-        return "\n".join(str(e) for e in self.entries)
-
-
 def validate_algebra(basis, cw=None):
-    """Report the invariants of a basis and, when given, its Cartan-Weyl split.
+    """The residuals construction raised on, as (check, residual, tolerance) rows.
 
-    A read-out of the residuals construction cached and raised on
-    (Hermiticity of the raw matrices, trace orthogonality, closure, CSA
-    commutativity, the eigen and span parts of the su(2) row), plus figures
-    that hold by construction and are reported, never raised on: the
-    antisymmetry of f, the Killing row, the index count, the reconstruction
-    identity, and mu . lam = eta, since f is a trace of Hermitian products,
-    f[k, n, m] = -f[m, n, k], so lam[l, r] = f[r, v, u] = 2 mu[l, r].
-    InvalidAlgebraSpec if `cw` was built on another basis.
+    Read from the figures the basis cached (Hermiticity of the raw matrices,
+    trace orthogonality, closure) and, when given, those of its Cartan-Weyl
+    split (CSA commutativity, the root eigenvectors, [E+, E-] in the CSA);
+    nothing is recomputed.  InvalidAlgebraSpec if `cw` was built on another
+    basis.
     """
     if cw is not None and cw.basis is not basis:
         raise InvalidAlgebraSpec("the Cartan-Weyl split was built on another basis")
-    report = ValidationReport()
-    report.add("basis hermiticity", *basis.hermiticity)
-    report.add("trace orthogonality Tr(O_m O_m') = N delta", basis.orthogonality,
-               ORTHOGONALITY_TOL * basis.normalization_N)
-    f = basis.structure_constants
-    antisym = np.abs(f + np.transpose(f, (1, 0, 2))).max()
-    report.add("structure constants antisymmetric", antisym,
-               ANTISYMMETRY_TOL * (1.0 + np.abs(f).max()))
-    report.add("brackets close over the basis", basis.closure[0], CLOSURE_TOL)
-    report.add("Killing form nondegenerate", 0.0, KILLING_COND_TOL)
-    if cw is None:
-        return report
-
-    commute, eigen, span, lam = cw.root_residuals
-    report.add("CSA generators commute", commute, CSA_COMMUTE_TOL)
-    report.add("L = (M - R)/2", abs(basis.dim_M - cw.rank_R - 2 * cw.num_roots_L), 0.0)
-    mats = basis.basis
-    u, v = cw.pair_indices
-    e_p, e_m = cw.raising_ops, cw.lowering_ops
-    recon = max(np.abs(mats[u] - (e_p + e_m)).max(), np.abs(mats[v] - 1j * (e_m - e_p)).max())
-    report.add("Cartan-Weyl reconstruction identity", recon,
-               1e-12 * (1.0 + np.abs(mats).max()))
-    mu, etas = cw.mu_matrix, cw.etas
-    su2 = max(eigen, span, np.abs(np.einsum("lr,lr->l", mu, lam) / etas - 1.0).max())
-    report.add("su(2) triple relations", su2, SU2_TOL)
-    return report
+    rows = [("basis hermiticity", *basis.hermiticity),
+            ("trace orthogonality Tr(O_m O_m') = N delta", basis.orthogonality,
+             ORTHOGONALITY_TOL * basis.normalization_N),
+            ("brackets close over the basis", basis.closure[0], CLOSURE_TOL)]
+    if cw is not None:
+        commute, eigen, span = cw.root_residuals
+        rows += [("CSA generators commute", commute, CSA_COMMUTE_TOL),
+                 ("root pairs are CSA ad-eigenvectors", eigen, EIGENVECTOR_TOL),
+                 ("[E+, E-] lies in the CSA", span, EIGENVECTOR_TOL)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -901,17 +853,22 @@ class Algebra:
 
     @cached_property
     def spectral_gap(self):
-        """Gap between the two largest eigenvalues of F_hw = sum_r w(H_r) H_r.
-
-        F_hw is diagonal in `weight_basis`, so its eigenvalues are the weight
-        table times w: no eigendecomposition on the defining representation.
-        """
-        evals = np.sort(self.weight_basis[1] @ self.highest_weight[1])
-        gap = float(evals[-1] - evals[-2])
-        scale = max(abs(evals[0]), abs(evals[-1]), 1e-300)
+        """Gap between the two largest eigenvalues of F_hw = sum_r w(H_r) H_r."""
+        _, gap, scale = self.csa_top(self.highest_weight[1])
         if gap <= 1e-12 * scale:
             raise ZeroGap("highest-weight Hamiltonian has a degenerate top eigenvalue")
         return gap
+
+    def csa_top(self, gamma):
+        """The top of F = sum_r gamma_r H_r, as (i, gap, scale): F's top eigenvector
+        is weight_basis column i, gap its distance to the second eigenvalue,
+        and scale max(|eigenvalue|, 1e-300).  F is diagonal in `weight_basis`,
+        so its eigenvalues are the weight table times gamma: no
+        eigendecomposition on the defining representation."""
+        evals = self.weight_basis[1] @ gamma
+        order = np.argsort(evals)
+        low, top = evals[order[0]], evals[order[-1]]
+        return int(order[-1]), float(top - evals[order[-2]]), max(abs(low), abs(top), 1e-300)
 
     @cached_property
     def weight_basis(self):

@@ -41,15 +41,10 @@ PIVOT_ABS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One planned su(2) rotation: pivot root, field components, angle, exponent."""
+    """One planned su(2) rotation: pivot root and exponent alpha, whose modulus
+    is the polar angle theta over sqrt(2 eta)."""
 
     pivot: int
-    xi_x: float
-    xi_y: float
-    xi_z: float
-    theta: float
-    pi_x: float
-    pi_y: float
     alpha: complex
 
 
@@ -100,8 +95,7 @@ def plan_step(coeffs, pivot, algebra):
     pi_x = scale * xi_y
     pi_y = -scale * xi_x
     alpha = (pi_x - 1j * pi_y) / math.sqrt(2.0 * eta)
-    return StepPlan(pivot=triple.root_index, xi_x=xi_x, xi_y=xi_y, xi_z=xi_z,
-                    theta=theta, pi_x=pi_x, pi_y=pi_y, alpha=alpha)
+    return StepPlan(pivot=triple.root_index, alpha=alpha)
 
 
 def apply_step(coeffs, plan, algebra, distance):
@@ -120,12 +114,9 @@ def apply_step(coeffs, plan, algebra, distance):
     Raises
     ------
     StepDidNotReducePivot
-        If the pivot coefficient survives the step.
+        If the pivot coefficient survives the step (as it does under a plan
+        with alpha = 0, which `plan_step` never makes).
     """
-    if plan.alpha == 0:
-        # Identity conjugation: nothing moves and nothing to verify.
-        return coeffs, plan
-
     out = algebra.adjoint.rotate(plan.pivot, -plan.alpha, coeffs)
     # Absolute floor: near convergence sqrt(d) sinks below the conjugation
     # noise floor and a purely relative test would trip falsely.

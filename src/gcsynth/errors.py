@@ -117,10 +117,6 @@ class ZeroPivot(GcsynthError):
     """Step planning requested for a root with zero coefficient."""
 
 
-class NotAWeightState(GcsynthError):
-    """Input state is not a simultaneous CSA eigenvector."""
-
-
 class LeavesAlgebraSpan(GcsynthError):
     """A gate's conjugation action does not preserve the algebra span."""
 

@@ -22,6 +22,7 @@ from .pipeline import synthesize
 from .states import GroupOp, exact_moments
 
 SPAN_TOL = 1e-8
+GCS_TOL = 1e-8  # purity deficit allowed by the certificate, relative to the orbit purity
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def propagate(circuit):
                         shots=circuit.initial.shots, seed=circuit.initial.seed)
 
 
-def gcs_certificate(moments, algebra, tol=1e-8):
+def gcs_certificate(moments, algebra):
     """Whether the moments carry the full orbit purity; returns (ok, deficit).
     LengthMismatch unless there is one moment per basis element."""
     if len(moments) != algebra.dim:
@@ -105,7 +106,7 @@ def gcs_certificate(moments, algebra, tol=1e-8):
     weights = algebra.highest_weight[1]
     p_h = float(np.dot(weights, weights))
     deficit = p_h - moments.purity
-    return bool(abs(deficit) <= tol * p_h), float(deficit)
+    return bool(abs(deficit) <= GCS_TOL * p_h), float(deficit)
 
 
 def hw_moments(algebra):

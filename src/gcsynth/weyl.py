@@ -1,24 +1,26 @@
 """Weyl-reflection mapping from a weight state to the highest-weight state.
 
 The weight state is `top_weight_state` of the diagonalized coefficient
-vector c, read from its CSA entries alone.  A reflection in root l is the group operation exp{i(alpha E+_l + alpha* E-_l)}
-with |alpha| = pi / sqrt(2 eta_l) (cached as `Algebra.reflection_alphas`): a pi
+vector c, read from its CSA entries alone, with its weights, a row of the
+CSA weight table.  A reflection in root l is the group operation
+exp{i(alpha E+_l + alpha* E-_l)} with |alpha| = pi / sqrt(2 eta_l) (cached as `Algebra.reflection_alphas`): a pi
 rotation in the root's su(2), mapping Sz_l -> -Sz_l and so a weight state of
 weight w to one of weight s_l(w) = w - 4 m_l mu_l, m_l = mu_l . w / eta_l (the
 root vector is 2 mu_l; Humphreys, Introduction to Lie Algebras, 10.1).  The walk
 runs on weights alone, choosing greedily among roots with m_l < 0 the one that
 most increases the overlap with the highest weight; sum_l m_l strictly increases
 at every such reflection, so the walk ends on any weight in the orbit of the
-highest weight.  The state is rotated only once per chosen reflection, to check
-that the walk reached |hw>.
+highest weight.  The walk starts from the given weights, measuring none; the
+state is rotated only once per chosen reflection, to check that the walk
+reached |hw>.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _freeze, vector_weights
-from .errors import DegenerateTop, NoProgress, NotAWeightState
+from .algebra import _freeze
+from .errors import DegenerateTop, NoProgress
 from .states import GroupOp, state_fidelity
 
 DEGENERACY_REL_TOL = 1e-8
@@ -28,12 +30,10 @@ M_NEGATIVE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WeightStateInfo:
-    """A simultaneous CSA eigenvector with its weights and selecting eigenvalue."""
+    """A simultaneous CSA eigenvector with its weights."""
 
     state: np.ndarray
     weights: np.ndarray
-    eigenvalue: float
-    gap: float
 
     def __post_init__(self):
         object.__setattr__(self, "state", _freeze(self.state, complex))
@@ -44,8 +44,9 @@ def top_weight_state(coeffs, algebra):
     """Eigenvector of largest eigenvalue of the CSA part sum_r gamma_r H_r of c.
 
     gamma is c on the CSA indices; the root entries of c are not read.  The
-    element is diagonal in `Algebra.weight_basis`, with eigenvalues
-    weights @ gamma: no eigendecomposition per call.
+    element is diagonal in `Algebra.weight_basis` (`Algebra.csa_top`): the
+    state is a column of that basis and its weights the matching row of the
+    weight table, so no eigendecomposition or weight measurement per call.
 
     Raises
     ------
@@ -53,22 +54,18 @@ def top_weight_state(coeffs, algebra):
         When the gap to the second eigenvalue is below 1e-8 of the operator
         norm; the synthesis problem is ill-posed for such inputs.
     """
-    vectors, weight_table = algebra.weight_basis
-    evals = weight_table @ coeffs[list(algebra.cartan_weyl.csa_indices)]
-    order = np.argsort(evals)
-    top, second = evals[order[-1]], evals[order[-2]]
-    norm = max(abs(evals[order[0]]), abs(top), 1e-300)
-    gap = float(top - second)
+    top, gap, norm = algebra.csa_top(coeffs[list(algebra.cartan_weyl.csa_indices)])
     if gap < DEGENERACY_REL_TOL * norm:
         raise DegenerateTop(
             f"top eigenvalue gap {gap:.3e} is below {DEGENERACY_REL_TOL:.0e} * ||F||"
         )
-    return WeightStateInfo(state=vectors[:, order[-1]], weights=weight_table[order[-1]],
-                           eigenvalue=float(top), gap=gap)
+    vectors, weight_table = algebra.weight_basis
+    return WeightStateInfo(state=vectors[:, top], weights=weight_table[top])
 
 
 def reflect_to_highest_weight(info, algebra):
-    """Weyl reflections connecting the highest-weight state to `info.state`.
+    """Weyl reflections connecting the highest-weight state to `info.state`, a
+    weight state of weights `info.weights`.
 
     Returns
     -------
@@ -78,19 +75,14 @@ def reflect_to_highest_weight(info, algebra):
 
     Raises
     ------
-    NotAWeightState
-        info.state is not a simultaneous CSA eigenvector.
     NoProgress
-        No reflection raises the state further and it is not |hw|: the
-        weight lies outside the orbit of the highest weight (the input was
-        not a GCS).
+        No reflection raises the weights further and the reflections chosen
+        do not carry the state to |hw>: the weight lies outside the orbit of
+        the highest weight (the input was not a GCS), or the state is not a
+        weight state of `info.weights`.
     """
     cw = algebra.cartan_weyl
-    state = np.asarray(info.state, dtype=complex)
-    weights = vector_weights(state, algebra)
-    if weights is None:
-        raise NotAWeightState("state is not a simultaneous eigenvector of the CSA")
-
+    state, weights = info.state, info.weights
     hw, w_hw = algebra.highest_weight
     mu = cw.mu_matrix
     etas = cw.etas

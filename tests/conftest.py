@@ -7,7 +7,7 @@ import pytest
 from gcsynth import assemble_algebra, make_so2n, make_su2, orthonormalize_basis
 from gcsynth.algebra import NODE_TOL, check_root_index
 from gcsynth.catalog import spin_matrices
-from gcsynth.errors import NoProgress, NonFiniteGate, NotAWeightState
+from gcsynth.errors import NoProgress, NonFiniteGate
 from gcsynth.states import GroupOp, derive_seed, state_fidelity
 from gcsynth.weyl import M_NEGATIVE_TOL, PROGRESS_TOL
 
@@ -254,7 +254,7 @@ def _measure_weights(state, csa_ops, tol=1e-9):
         hv = h @ state
         w = float(np.real(np.vdot(state, hv)))
         if np.linalg.norm(hv - w * state) > tol * max(1.0, float(np.abs(h).max())):
-            raise NotAWeightState(f"state is not an eigenvector of H_{r}")
+            raise ValueError(f"state is not an eigenvector of H_{r}")
         weights[r] = w
     return weights
 

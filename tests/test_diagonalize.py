@@ -18,7 +18,7 @@ from gcsynth import (
     synthesize,
 )
 from gcsynth.algebra import RootImages
-from gcsynth.diagonalize import run
+from gcsynth.diagonalize import StepPlan, run
 from gcsynth.errors import (
     AlreadyDiagonal,
     InvalidParameter,
@@ -76,16 +76,9 @@ def test_pivot_strictly_reduced_after_step(su3):
 def test_plan_frozen_su2_sigma_x(su2_half):
     # gamma = 0, iota = 1 (F = s_x), eta = 2: the worked single-root case.
     plan = plan_step(cw_coefficients(su2_half, [0.0], [1.0]), 0, su2_half)
-    assert plan.xi_x == pytest.approx(2.0)
-    assert plan.xi_y == pytest.approx(0.0)
-    assert plan.xi_z == pytest.approx(0.0)
-    assert plan.theta == pytest.approx(np.pi / 2.0)
-    assert plan.pi_x == pytest.approx(0.0)
-    assert plan.pi_y == pytest.approx(-np.pi / 2.0)
+    # |alpha| is theta / sqrt(2 eta) with theta = arctan2(1, 0) = pi / 2.
     assert plan.alpha == pytest.approx(1j * np.pi / 4.0)
-    # pi is perpendicular to (xi_x, xi_y).
-    assert plan.pi_x * plan.xi_x + plan.pi_y * plan.xi_y == pytest.approx(0.0, abs=1e-12)
-    assert abs(plan.alpha) == pytest.approx(abs(plan.theta) / np.sqrt(2.0 * 2.0))
+    assert abs(plan.alpha) == pytest.approx((np.pi / 2.0) / np.sqrt(2.0 * 2.0))
 
 
 def test_plan_cross_check_2x2_conjugation(su2_half):
@@ -102,8 +95,7 @@ def test_plan_cross_check_2x2_conjugation(su2_half):
 
 def test_plan_imaginary_iota_gives_real_alpha(su2_half):
     plan = plan_step(cw_coefficients(su2_half, [0.0], [0.8j]), 0, su2_half)
-    assert plan.xi_x == pytest.approx(0.0)
-    assert plan.xi_y != 0.0
+    assert plan.alpha.real != 0.0
     assert plan.alpha.imag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -112,8 +104,9 @@ def test_plan_negative_xi_z_upper_branch(su2_half):
     # annihilates the pivot.
     coeffs = cw_coefficients(su2_half, [-1.0], [0.01])
     plan = plan_step(coeffs, 0, su2_half)
-    assert plan.theta > np.pi / 2.0
-    assert plan.theta == pytest.approx(np.pi, abs=0.05)
+    theta = abs(plan.alpha) * np.sqrt(2.0 * su2_half.cartan_weyl.root_triples[0].eta)
+    assert theta > np.pi / 2.0
+    assert theta == pytest.approx(np.pi, abs=0.05)
     after, _ = apply_step(coeffs, plan, su2_half, offdiag_distance(coeffs, su2_half))
     assert abs(root_coefficients(after, su2_half)[0]) < 1e-12
     # The 2x2 oracle agrees.
@@ -166,20 +159,20 @@ def test_sign_flipped_plan_raises(su3):
         coeffs = build_target(MomentVector(rng.standard_normal(su3.dim)), su3)
         pivot = select_pivot(np.abs(root_coefficients(coeffs, su3)))
         plan = plan_step(coeffs, pivot, su3)
-        assert abs(plan.theta - np.pi / 2.0) > 1e-3
-        flipped = replace(plan, theta=-plan.theta, pi_x=-plan.pi_x, pi_y=-plan.pi_y,
-                          alpha=-plan.alpha)
+        eta = su3.cartan_weyl.root_triples[pivot].eta
+        assert abs(abs(plan.alpha) * np.sqrt(2.0 * eta) - np.pi / 2.0) > 1e-3
+        flipped = replace(plan, alpha=-plan.alpha)
         with pytest.raises(StepDidNotReducePivot):
             apply_step(coeffs, flipped, su3, offdiag_distance(coeffs, su3))
 
 
-def test_apply_zero_alpha_plan_is_identity(su2_half):
+def test_apply_zero_alpha_plan_gets_the_pivot_check(su2_half):
+    # plan_step never makes alpha = 0; a hand-built zero plan rotates nothing,
+    # so its pivot survives and the step is refused like any other.
     coeffs = cw_coefficients(su2_half, [1.0], [0.5])
-    plan = plan_step(coeffs, 0, su2_half)
-    zero_plan = type(plan)(pivot=0, xi_x=0.0, xi_y=0.0, xi_z=0.0, theta=0.0,
-                           pi_x=0.0, pi_y=0.0, alpha=0.0)
-    after, _ = apply_step(coeffs, zero_plan, su2_half, offdiag_distance(coeffs, su2_half))
-    assert np.allclose(after, coeffs)
+    zero_plan = StepPlan(pivot=0, alpha=0.0)
+    with pytest.raises(StepDidNotReducePivot, match="pivot 0 kept"):
+        apply_step(coeffs, zero_plan, su2_half, offdiag_distance(coeffs, su2_half))
 
 
 # ---------------------------------------------------------------------------

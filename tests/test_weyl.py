@@ -12,9 +12,9 @@ from gcsynth import (
     reflect_to_highest_weight,
     top_weight_state,
 )
-from gcsynth import weyl
+import gcsynth.algebra as algebra_module
 from gcsynth.algebra import RootImages, vector_weights
-from gcsynth.errors import DegenerateTop, NoProgress, NotAWeightState
+from gcsynth.errors import DegenerateTop, NoProgress
 from gcsynth.states import phase_min_distance, state_fidelity
 from gcsynth.weyl import WeightStateInfo
 
@@ -32,7 +32,7 @@ def _csa_coeffs(algebra, gamma):
 def test_top_su2_positive_gamma(su2_half):
     info = top_weight_state(_csa_coeffs(su2_half, [1.0]), su2_half)
     assert state_fidelity(info.state, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert info.eigenvalue == pytest.approx(1.0)
+    assert info.weights @ [1.0] == pytest.approx(1.0)
 
 
 def test_top_su2_negative_gamma(su2_half):
@@ -50,7 +50,7 @@ def test_top_so4_matches_brute_force(so4):
         if evals[-1] - evals[-2] < 1e-3:
             continue
         info = top_weight_state(_csa_coeffs(so4, gamma), so4)
-        assert info.eigenvalue == pytest.approx(evals[-1], abs=1e-12)
+        assert info.weights @ gamma == pytest.approx(evals[-1], abs=1e-12)
         assert state_fidelity(info.state, evecs[:, -1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -70,7 +70,6 @@ def test_top_ignores_root_entries(catalog_algebras, su3):
             projected = top_weight_state(csa_part(coeffs, algebra), algebra)
             assert np.array_equal(info.state, projected.state)
             assert np.array_equal(info.weights, projected.weights)
-            assert info.eigenvalue == projected.eigenvalue and info.gap == projected.gap
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +102,7 @@ def test_so6_even_orbit_reaches_vacuum(so6):
         state = np.zeros(8, dtype=complex)
         state[index] = 1.0
         weights = np.array([np.real(np.vdot(state, h @ state)) for h in csa_ops])
-        info = WeightStateInfo(state=state, weights=weights,
-                               eigenvalue=float(np.dot(w_hw, weights)), gap=1.0)
+        info = WeightStateInfo(state=state, weights=weights)
         if sum(bits) % 2 == 0:
             ops = reflect_to_highest_weight(info, so6)
             assert len(ops) <= 4 * num_roots
@@ -121,7 +119,7 @@ def test_reflections_preserve_weight_states(so4):
     state = np.zeros(4, dtype=complex)
     state[3] = 1.0  # |11>: weights (-1, -1), the lowest in the even sector
     weights = np.array([np.real(np.vdot(state, h @ state)) for h in csa_ops])
-    info = WeightStateInfo(state=state, weights=weights, eigenvalue=0.0, gap=1.0)
+    info = WeightStateInfo(state=state, weights=weights)
     ops = reflect_to_highest_weight(info, so4)
     hw, _ = highest_weight_state(so4)
     # Walk the preparation segment; every intermediate must be a CSA eigenvector.
@@ -143,7 +141,7 @@ def test_progress_functional_increases(so6):
     state = np.zeros(8, dtype=complex)
     state[6] = 1.0  # |110>: even sector, weights (-1, -1, +1)
     weights = np.array([np.real(np.vdot(state, h @ state)) for h in csa_ops])
-    info = WeightStateInfo(state=state, weights=weights, eigenvalue=0.0, gap=1.0)
+    info = WeightStateInfo(state=state, weights=weights)
     ops = reflect_to_highest_weight(info, so6)
     # Replay in the forward direction (toward hw): progress at every step.
     current = state
@@ -156,18 +154,20 @@ def test_progress_functional_increases(so6):
 
 
 def test_not_a_weight_state_rejected(su2_half):
+    # The walk reads the weights it is given; the closing fidelity check
+    # refuses a state the chosen reflections do not carry to |hw>.
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    info = WeightStateInfo(state=plus, weights=np.array([0.0]), eigenvalue=0.0, gap=1.0)
-    with pytest.raises(NotAWeightState):
+    info = WeightStateInfo(state=plus, weights=np.array([0.0]))
+    with pytest.raises(NoProgress):
         reflect_to_highest_weight(info, su2_half)
 
 
 def test_nan_state_rejected(so4):
-    # NaN compares False both ways; it must not read as an eigenvector or as |hw>.
+    # NaN compares False both ways; it must not read as |hw>.
     state = np.array(so4.highest_weight[0])
     state[1] = np.nan
-    info = WeightStateInfo(state=state, weights=so4.highest_weight[1], eigenvalue=0.0, gap=1.0)
-    with pytest.raises(NotAWeightState):
+    info = WeightStateInfo(state=state, weights=so4.highest_weight[1])
+    with pytest.raises(NoProgress):
         reflect_to_highest_weight(info, so4)
 
 
@@ -179,15 +179,25 @@ def walk_algebras(su2_half, su2_one, su2_threehalf, so4, so6, so8, su3):
 
 def _weight_infos(algebra):
     vectors, weight_table = algebra.weight_basis
-    return [WeightStateInfo(state=vectors[:, i], weights=weight_table[i], eigenvalue=0.0, gap=1.0)
+    return [WeightStateInfo(state=vectors[:, i], weights=weight_table[i])
             for i in range(vectors.shape[1])]
 
 
 def _walk(walker, info, algebra):
     try:
         return [(op.root_index, op.alpha) for op in walker(info, algebra)]
-    except (NoProgress, NotAWeightState) as exc:
+    except NoProgress as exc:
         return type(exc)
+
+
+def test_weight_table_rows_equal_measured_weights(walk_algebras):
+    # The walk starts from the weight-table row instead of measuring the
+    # state's weights: for every weight-table vector the two agree bit for
+    # bit, so no reflection choice and no artifact moves.
+    for algebra in walk_algebras:
+        for info in _weight_infos(algebra):
+            assert np.array_equal(vector_weights(info.state, algebra), info.weights), \
+                algebra.name
 
 
 def test_weight_walk_matches_state_walk(walk_algebras):
@@ -217,9 +227,9 @@ def test_reflection_acts_on_weights_in_closed_form(walk_algebras):
 
 def test_walk_rotates_once_per_emitted_reflection(so8, su3, monkeypatch):
     # Candidates are scored on weights alone: a walk emitting J reflections
-    # measures the input once and rotates the state exactly J times.
+    # measures no weights and rotates the state exactly J times.
     calls = {"rotate": 0, "weights": 0}
-    rotate, measure = RootImages.rotate, weyl.vector_weights
+    rotate, measure = RootImages.rotate, algebra_module.vector_weights
 
     def counted_rotate(self, *args):
         calls["rotate"] += 1
@@ -230,16 +240,18 @@ def test_walk_rotates_once_per_emitted_reflection(so8, su3, monkeypatch):
         return measure(*args)
 
     monkeypatch.setattr(RootImages, "rotate", counted_rotate)
-    monkeypatch.setattr(weyl, "vector_weights", counted_weights)
+    # Built before counting: the weight basis and |hw> are cached algebra data.
+    walks = [(algebra, _weight_infos(algebra), algebra.highest_weight) for algebra in (so8, su3)]
+    monkeypatch.setattr(algebra_module, "vector_weights", counted_weights)
     emitted = 0
-    for algebra in (so8, su3):
-        for info in _weight_infos(algebra):
+    for algebra, infos, _ in walks:
+        for info in infos:
             calls.update(rotate=0, weights=0)
             try:
                 ops = reflect_to_highest_weight(info, algebra)
             except NoProgress:
                 continue
-            assert calls == {"rotate": len(ops), "weights": 1}
+            assert calls == {"rotate": len(ops), "weights": 0}
             emitted += len(ops)
     assert emitted > 0
 
