@@ -265,6 +265,17 @@ class AlgebraBasis:
         return vh, tuple(outcomes), _freeze(sizes), _freeze(counts), _freeze(np.cumsum(counts))
 
     @cached_property
+    def support(self):
+        """For `lqc.adjoint_action_of`: the flat indices S of the N^2 entries
+        some O_m is nonzero on, those off S, the O_m on S as (M, 2|S|) real rows
+        (re, im interleaved), and the span scale max(1, max_m ||O_m||_F)."""
+        flat = self.basis.reshape(self.dim_M, -1)
+        touched = flat.any(axis=0)
+        on, off = np.flatnonzero(touched), np.flatnonzero(~touched)
+        scale = max(1.0, float(np.linalg.norm(flat, axis=1).max()))
+        return _freeze(on), _freeze(off), _freeze(np.take(flat, on, axis=1).view(float)), scale
+
+    @cached_property
     def killing_form(self):
         """K[m, m'] = -sum_ab f[m, a, b] f[m', a, b]; nonsingular iff semisimple."""
         flat = self.structure_constants.reshape(self.dim_M, -1)

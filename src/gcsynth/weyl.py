@@ -84,8 +84,7 @@ def reflect_to_highest_weight(info, algebra):
     cw = algebra.cartan_weyl
     state, weights = info.state, info.weights
     hw, w_hw = algebra.highest_weight
-    mu = cw.mu_matrix
-    etas = cw.etas
+    mu, etas = cw.mu_matrix, cw.etas
     w_scale = max(1.0, float(np.abs(w_hw).max()))
     applied = []  # roots moving the state toward |hw>
 
@@ -94,20 +93,19 @@ def reflect_to_highest_weight(info, algebra):
         candidates = np.nonzero(m_vals < -M_NEGATIVE_TOL * w_scale)[0]
         if candidates.size == 0:
             break
-        best = None
-        for l in candidates:
-            new_weights = weights - 4.0 * m_vals[l] * mu[l]
-            overlap_gain = float(np.dot(w_hw, new_weights - weights))
-            height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))
-            key = (overlap_gain, height_gain, -int(l))
-            if best is None or key > best[0]:
-                best = (key, int(l), new_weights)
-        (overlap_gain, height_gain, _), l, weights = best
-        if height_gain <= PROGRESS_TOL or overlap_gain < -PROGRESS_TOL * w_scale:
+        # Every candidate in one pass; the best has the largest (overlap gain,
+        # height gain, -l).  Stacked products keep one dot and one matrix-vector
+        # product per candidate, so the keys equal a per-candidate loop's bits.
+        moved = weights - (4.0 * m_vals[candidates])[:, None] * mu[candidates]
+        overlap_gain = ((moved - weights)[:, None, :] @ w_hw)[:, 0]
+        height_gain = ((mu @ moved[:, :, None])[:, :, 0] / etas).sum(axis=1) - np.sum(m_vals)
+        best = np.lexsort((-candidates, height_gain, overlap_gain))[-1]
+        if height_gain[best] <= PROGRESS_TOL or overlap_gain[best] < -PROGRESS_TOL * w_scale:
             raise NoProgress(
                 "no reflection increases the weight overlap; state is outside the GCS orbit"
             )
-        applied.append(l)
+        applied.append(int(candidates[best]))
+        weights = moved[best]
 
     for l in applied:
         state = cw.defining.rotate(l, algebra.reflection_alphas[l], state)

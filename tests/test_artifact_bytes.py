@@ -54,7 +54,7 @@ EXPECTED = {
 
 BENCH_EXPECTED = {
     ("exact-jacobi", 1): "922d321d1b9435e8e7bf5b70924f33707e43272d4e44f605d3e47cb446bcd225",
-    ("lqc-circuits", 1): "272466498403e2edec8b0d1c20a8fb6f3760d801bee66ca981521627f7c1125d",
+    ("lqc-circuits", 1): "fd2ebc39b04c2bc393faa665aa9c49f64c84dd343d94211dc2e23a909150a46f",
     ("tomo-sampled", 1): "5548b15c33e6ff725859f21cc92a2a5bc9363617246a625a8c69c4f94863c515",
     ("tomo-sampled", 2): "5bd1d1818ad4bf9f6332dffed0a6899c25e3ba7e34d801559e24cff6fd1ec37d",
     ("tomo-sampled", 3): "519a1441dbdee35ee2a4acd8cad6eb1bc93fd0bf9cbfcfb083625b10dbc72920",

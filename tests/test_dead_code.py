@@ -80,14 +80,23 @@ def _names_used(node):
     return _names_read(node) | {name for name, _ in _imported(node)} | strings
 
 
+def _readme_code():
+    """The README's code, one string: its ```sh and ```python blocks and its
+    inline code spans.  Other fenced blocks (a formula, the Layout tree) are prose."""
+    text = (REPO / "README.md").read_text()
+    fenced = re.findall(r"^```(\w*)\n(.*?)^```", text, flags=re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return " ".join([body for lang, body in fenced if lang in ("sh", "python")]
+                    + re.findall(r"`[^`\n]+`", prose))
+
+
 def _reached_names():
-    """Names read by a demo, `perfbench/`, a README code span or block, or a
-    package statement outside any definition and import; then, until nothing
-    grows, by each package-level definition whose name is reached."""
+    """Names read by a demo, `perfbench/`, the README's code, or a package
+    statement outside any definition and import; then, until nothing grows,
+    by each package-level definition whose name is reached."""
     outside = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     reached = set().union(*(_names_used(ast.parse(path.read_text())) for path in outside))
-    code = re.findall(r"```.*?```|`[^`\n]+`", (REPO / "README.md").read_text(), flags=re.S)
-    reached |= set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+    reached |= set(re.findall(r"[A-Za-z_]\w*", _readme_code()))
     definitions = []
     for module, tree in MODULES.items():
         for node in tree.body if module != "__init__.py" else ():
@@ -185,14 +194,17 @@ def test_no_unreferenced_private_names():
     assert not unreferenced, "unreferenced private names: " + ", ".join(unreferenced)
 
 
+def _unused_exports(exports, reached):
+    return [name for name in exports if name not in reached and name not in EXPORT_EXCEPTIONS]
+
+
 def test_every_export_has_a_non_test_user():
     # Re-exports are checked under the name they are defined by
     # (`diagonalize_run` as `run`).
     reached = _reached_names()
     exports = [alias.name for node in MODULES["__init__.py"].body
                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    unused = [name for name in exports
-              if name not in reached and name not in EXPORT_EXCEPTIONS]
+    unused = _unused_exports(exports, reached)
     assert not unused, "exports only tests use: " + ", ".join(unused)
     assert not reached & set(EXPORT_EXCEPTIONS), "a listed exception has a user now"
 
@@ -200,9 +212,8 @@ def test_every_export_has_a_non_test_user():
 def test_every_class_member_has_a_non_test_user():
     outside = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     reached = set().union(*(_attributes_read(ast.parse(path.read_text())) for path in outside))
-    # Only dotted names of the README's code count: its Layout block is prose.
-    code = re.findall(r"```.*?```|`[^`\n]+`", (REPO / "README.md").read_text(), flags=re.S)
-    reached |= set(re.findall(r"\.([A-Za-z_]\w*)", " ".join(code)))
+    # Only dotted names of the README's code count.
+    reached |= set(re.findall(r"\.([A-Za-z_]\w*)", _readme_code()))
     unused = set(_test_only_members(MODULES, reached))
     assert not unused - set(MEMBER_EXCEPTIONS), \
         "class members only tests read: " + ", ".join(sorted(unused - set(MEMBER_EXCEPTIONS)))
@@ -224,3 +235,7 @@ def test_checks_catch_planted_dead_code():
         "def dump(holder):\n    return asdict(holder.part), Kept(None, 1, 2.0).used()\n")
     assert _test_only_members({"m.py": tree}, set()) \
         == ["Kept.spare", "Kept.recursive"]
+    # An export named like a word of the README's Layout prose is not reached.
+    assert "runnable walkthroughs" in (REPO / "README.md").read_text()
+    assert _unused_exports(["walkthroughs", "reflect_to_highest_weight"], _reached_names()) \
+        == ["walkthroughs"]

@@ -17,8 +17,10 @@ from gcsynth import (
     propagate,
     verify,
 )
+import gcsynth.lqc as lqc_module
+from gcsynth.algebra import trace_gram
 from gcsynth.errors import GcsynthError, InvalidGate, LeavesAlgebraSpan, NonFiniteGate, NotAGcs
-from gcsynth.lqc import hw_moments
+from gcsynth.lqc import SPAN_TOL, hw_moments
 
 from conftest import expi_hermitian, group_op_unitary
 
@@ -109,6 +111,86 @@ def test_span_leaving_unitary_rejected(su2_one):
     u = np.diag([1.0, 1.0, np.exp(0.7j)])
     with pytest.raises(LeavesAlgebraSpan):
         adjoint_action_of(u, su2_one)
+
+
+def _dense_action(unitary, algebra):
+    """The gate action on all N^2 entries, in complex arithmetic: U^dag O_m U,
+    d from the trace Gram, and the worst span residual with its scale."""
+    mats = np.asarray(algebra.basis.basis)
+    conjugated = unitary.conj().T @ mats @ unitary
+    d_complex = trace_gram(conjugated, mats) / algebra.norm
+    flat = mats.reshape(algebra.dim, -1)
+    resid = np.linalg.norm(conjugated.reshape(algebra.dim, -1) - d_complex @ flat, axis=1)
+    scale = max(1.0, float(np.linalg.norm(flat, axis=1).max()))
+    return d_complex.real, float(resid.max()), scale
+
+
+def _accepted(unitary, algebra):
+    try:
+        adjoint_action_of(unitary, algebra)
+    except LeavesAlgebraSpan:
+        return False
+    return True
+
+
+def _assert_residual_near(unitary, algebra, residual, scale, monkeypatch):
+    # The action's worst residual r is read through its span decision: with
+    # the tolerance set to (residual -+ 1e-12 scale) / scale, r is refused
+    # below and accepted above, so |r - residual| <= 1e-12 scale.
+    for shift, accepted in ((-1e-12, False), (1e-12, True)):
+        monkeypatch.setattr(lqc_module, "SPAN_TOL", residual / scale + shift)
+        assert _accepted(unitary, algebra) is accepted, (algebra.name, residual)
+    monkeypatch.undo()
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras(catalog_algebras, so8, su3, half_one):
+    return catalog_algebras + [so8, su3, half_one]
+
+
+def test_in_algebra_unitaries_match_dense_oracle(oracle_algebras, monkeypatch):
+    # exp(iH) with H in the algebra keeps the span: d equals the dense
+    # oracle's to 1e-15, and so does the worst residual, relative to scale.
+    rng = np.random.default_rng(83)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for algebra in oracle_algebras:
+            mats = np.asarray(algebra.basis.basis)
+            for _ in range(4):
+                h = np.einsum("m,mij->ij", rng.normal(scale=0.6, size=algebra.dim), mats)
+                unitary = expi_hermitian(h)
+                d, residual, scale = _dense_action(unitary, algebra)
+                assert np.abs(adjoint_action_of(unitary, algebra).matrix - d).max() <= 1e-15
+                _assert_residual_near(unitary, algebra, residual, scale, monkeypatch)
+
+
+def test_span_leaving_unitaries_match_dense_oracle(oracle_algebras, monkeypatch):
+    # exp(i eps K) with K Hermitian, traceless and trace-orthogonal to the
+    # algebra leaves the span by about eps ||[K, O_m]||.  Each eps whose oracle
+    # residual is at least 10x above or at most 0.1x below SPAN_TOL * scale
+    # gets the oracle's decision.
+    rng = np.random.default_rng(89)
+    decisions = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for algebra in oracle_algebras:
+            mats, n = np.asarray(algebra.basis.basis), algebra.rep_dim
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            k = raw + raw.conj().T
+            k -= np.trace(k) / n * np.eye(n)
+            k -= np.einsum("m,mij->ij", np.einsum("mij,ji->m", mats, k).real / algebra.norm, mats)
+            if np.abs(k).max() < 1e-9:  # the algebra spans every traceless matrix
+                continue
+            for eps in (1e-12, 1e-10, 1e-4, 1e-2, 0.5):
+                unitary = expi_hermitian(eps * k)
+                _, residual, scale = _dense_action(unitary, algebra)
+                if 0.1 * SPAN_TOL * scale < residual < 10.0 * SPAN_TOL * scale:
+                    continue
+                expected = residual <= SPAN_TOL * scale
+                assert _accepted(unitary, algebra) is expected, (algebra.name, eps)
+                _assert_residual_near(unitary, algebra, residual, scale, monkeypatch)
+                decisions.add(expected)
+    assert decisions == {True, False}
 
 
 def test_composition_order(so4):

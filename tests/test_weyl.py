@@ -13,10 +13,11 @@ from gcsynth import (
     top_weight_state,
 )
 import gcsynth.algebra as algebra_module
+import gcsynth.weyl as weyl_module
 from gcsynth.algebra import RootImages, vector_weights
 from gcsynth.errors import DegenerateTop, NoProgress
 from gcsynth.states import phase_min_distance, state_fidelity
-from gcsynth.weyl import WeightStateInfo
+from gcsynth.weyl import M_NEGATIVE_TOL, PROGRESS_TOL, WeightStateInfo
 
 from conftest import csa_part, cw_coefficients, expi_hermitian, reflect_by_states, root_su2
 
@@ -210,6 +211,60 @@ def test_weight_walk_matches_state_walk(walk_algebras):
             assert _walk(reflect_to_highest_weight, info, algebra) == expected
             walks += isinstance(expected, list) and len(expected) > 0
     assert walks > 50
+
+
+def _scalar_walk(weights, algebra):
+    """The roots `reflect_to_highest_weight` chooses from `weights`, each
+    candidate scored in its own Python step by the key (overlap gain, height
+    gain, -l): the array walk's oracle."""
+    cw = algebra.cartan_weyl
+    w_hw = algebra.highest_weight[1]
+    mu, etas = cw.mu_matrix, cw.etas
+    w_scale = max(1.0, float(np.abs(w_hw).max()))
+    applied = []
+    for _ in range(4 * cw.num_roots_L + 1):
+        m_vals = mu @ weights / etas
+        candidates = np.nonzero(m_vals < -M_NEGATIVE_TOL * w_scale)[0]
+        if candidates.size == 0:
+            break
+        best = None
+        for l in candidates:
+            new_weights = weights - 4.0 * m_vals[l] * mu[l]
+            overlap_gain = float(np.dot(w_hw, new_weights - weights))
+            height_gain = float(np.sum(mu @ new_weights / etas) - np.sum(m_vals))
+            key = (overlap_gain, height_gain, -int(l))
+            if best is None or key > best[0]:
+                best = (key, int(l), new_weights)
+        (overlap_gain, height_gain, _), l, weights = best
+        if height_gain <= PROGRESS_TOL or overlap_gain < -PROGRESS_TOL * w_scale:
+            raise NoProgress("no reflection increases the weight overlap")
+        applied.append(l)
+    return applied
+
+
+def test_array_walk_chooses_as_scalar_loop(walk_algebras, monkeypatch):
+    # On every weight-table vector (so2n:4-6 among them) and on sums of table
+    # rows, most outside the orbit of the highest weight and rich in tied
+    # keys, the array walk chooses the per-candidate loop's roots, or both
+    # raise NoProgress.  The closing fidelity check is passed, so that the
+    # choice alone is compared.
+    monkeypatch.setattr(weyl_module, "state_fidelity", lambda a, b: 1.0)
+    rng = np.random.default_rng(97)
+    chosen = 0
+    for algebra in walk_algebras:
+        hw, table = algebra.highest_weight[0], algebra.weight_basis[1]
+        for weights in np.concatenate([table, rng.integers(-1, 2, (40, len(table))) @ table]):
+            info = WeightStateInfo(hw, weights)
+            try:
+                expected = _scalar_walk(weights, algebra)
+            except NoProgress:
+                with pytest.raises(NoProgress):
+                    reflect_to_highest_weight(info, algebra)
+                continue
+            ops = reflect_to_highest_weight(info, algebra)
+            assert [op.root_index for op in reversed(ops)] == expected, algebra.name
+            chosen += len(expected) > 1
+    assert chosen >= 150  # walks of two or more reflections, where the choice matters
 
 
 def test_reflection_acts_on_weights_in_closed_form(walk_algebras):
