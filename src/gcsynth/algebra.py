@@ -49,16 +49,17 @@ interpolation on its generator's whole spectrum, with rounding growth
 bounded by MAX_NODE_AMPLIFICATION.  Traces of products of Hermitian
 matrices are real, so the Gram matrix and f keep their real parts.
 
-Row-sparse bases take a faster path to the same checks.  When no row of any
-basis element holds more than ROW_SPARSE_MAX_NNZ nonzeros (monomial bases:
-Pauli strings, Gell-Mann matrices, the Majorana quadratics of so(2n)), the
-structure constants and the closure residual come from `_RowSparse`, which
-keeps each generator as per-row (column, value) arrays: a bracket is an
-index gather in O(d), not a dense O(d^3) product, and the residual is an
-exact scatter of the bracket minus its expansion.  The choice is made from
-the basis alone.  The dense BLAS routines (`_structure_constants`,
-`_bracket_residual`) serve every other basis and are the kernel's test
-oracle.
+Monomial bases take a faster path to the same f and closure residual.  Both
+come from one pass over each row m of brackets [O_m, O_n]: the row gives
+f[m], and then, from the same brackets, the closure residual of the pairs
+n > m, so each bracket is formed once per assembly.  When no row of any
+basis element holds more than one nonzero (Pauli strings, Gell-Mann
+matrices, the Majorana quadratics of so(2n)), `_Monomial` keeps each
+generator as one (column, value) per row: a bracket is an index gather in
+O(d), not a dense O(d^3) product, and the residual is an exact scatter of
+the bracket minus its expansion.  The choice is made from the basis alone
+(`_is_monomial`).  The dense BLAS kernel `_dense_brackets` serves every
+other basis and is `_Monomial`'s test oracle.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -100,10 +101,6 @@ WEIGHT_TOL = 1e-8
 # the most rounding growth allowed (about 1e-10 absolute in double precision).
 NODE_TOL = 1e-8
 MAX_NODE_AMPLIFICATION = 1e4
-# Assembly uses the row-sparse kernel when no row of any basis element holds
-# more nonzeros than this (1: monomial bases).  Spin-j su(2) beyond j = 1/2
-# has tridiagonal Jx and few rows, where dense BLAS is as fast.
-ROW_SPARSE_MAX_NNZ = 1
 
 
 def trace_gram(a, b):
@@ -120,8 +117,10 @@ def hermiticity_residual(mats):
 
 
 def check_root_index(root_index, num_roots):
-    """Raise RootIndexOutOfRange unless 0 <= root_index < num_roots."""
-    if not 0 <= root_index < num_roots:
+    """Raise RootIndexOutOfRange unless root_index is an integer (a NumPy one
+    included, a boolean not) with 0 <= root_index < num_roots."""
+    if (type(root_index) is not int and not isinstance(root_index, np.integer)
+            or not 0 <= root_index < num_roots):
         raise RootIndexOutOfRange(f"root index {root_index} is not in 0..{num_roots - 1}")
 
 
@@ -210,16 +209,8 @@ class AlgebraBasis:
                 "only rescaling is supported"
             )
 
-        # Plain commutators of i O_m obey the stored-bracket relations, so
-        # closure is the bracket residual of i O_m, on the kernel f came from.
-        gens = 1j * mats
-        if _is_row_sparse(mats):
-            sparse = _RowSparse(gens)
-            f = sparse.structure_constants(norm)
-            closure = sparse.residual(f)
-        else:
-            f = _structure_constants(mats, norm)
-            closure = _bracket_residual(gens, f)
+        f, closure = (_Monomial(1j * mats).brackets(norm) if _is_monomial(mats)
+                      else _dense_brackets(mats, norm))
         vars(self).update(  # frozen: derived fields go straight to the instance dict
             dim_M=len(mats), rep_dim=mats.shape[1], basis=_freeze(mats), normalization_N=norm,
             structure_constants=_freeze(f), hermiticity=(float(resid.max()), float(tol.max())),
@@ -514,41 +505,30 @@ def orthonormalize_basis(raw_basis, target_N=None):
     return AlgebraBasis(raw_basis, target_N)
 
 
-def _structure_constants(mats, norm):
-    """f[m, m', k] = Tr([O_m, O_m'] O_k) / N under the i-commutator.
+def _dense_brackets(mats, norm):
+    """Structure constants f[m, n, k] = Tr(i[O_m, O_n] O_k) / N and the closure
+    residual (worst relative residual, (m, n)) of a stack of matrices.
 
-    Works one row of brackets at a time so peak memory stays at O(M d^2)
-    rather than O(M^2 d^2).  Closure is checked by `AlgebraBasis`.
+    One row m of brackets B_n = i[O_m, O_n] at a time, so peak memory stays at
+    O(M d^2) rather than O(M^2 d^2): the row gives f[m], and the same B_n for
+    n > m give ||B_n - sum_k f[m, n, k] O_k|| relative to max(1, ||O_m||
+    ||O_n||) (Frobenius norms).  Pairs n < m are covered by antisymmetry of
+    f, which holds by construction.  A NaN residual is returned as the worst,
+    so it fails every `<=` tolerance test.
     """
-    dim_m, rep_dim = mats.shape[0], mats.shape[1]
+    dim_m = len(mats)
+    flat = mats.reshape(dim_m, -1)
     # Tr(B O_k) = vec(B) . vec(O_k^T) lets BLAS carry the trace contractions.
-    flat_t = np.transpose(mats, (0, 2, 1)).reshape(dim_m, rep_dim * rep_dim)
-    f = np.empty((dim_m, dim_m, dim_m))
-    for m in range(dim_m):
-        brackets = 1j * (mats[m] @ mats - mats @ mats[m])  # (M, d, d)
-        f[m] = ((brackets.reshape(dim_m, rep_dim * rep_dim) @ flat_t.T) / norm).real
-    return f
-
-
-def _bracket_residual(gens, f):
-    """Worst ||[X_m, X_n] - sum_k f[m, n, k] X_k|| over pairs m < n, and that pair.
-
-    Plain commutators, one row of brackets at a time; each residual is in the
-    Frobenius norm relative to max(1, ||X_m|| ||X_n||).  Pairs m >= n are
-    covered by antisymmetry of f, which holds by construction.  A NaN
-    residual is returned as the worst, so it fails every `<=` tolerance test.
-    """
-    dim_m = len(gens)
-    flat = gens.reshape(dim_m, -1)
+    flat_t = np.transpose(mats, (0, 2, 1)).reshape(dim_m, -1)
     norms = np.linalg.norm(flat, axis=1)
+    f = np.empty((dim_m, dim_m, dim_m))
     resid = np.zeros((dim_m, dim_m))
-    for m in range(dim_m - 1):
-        rest = gens[m + 1:]
-        brackets = (gens[m] @ rest).reshape(len(rest), -1)
-        brackets -= (rest @ gens[m]).reshape(len(rest), -1) + f[m, m + 1:] @ flat
-        resid[m, m + 1:] = np.linalg.norm(brackets, axis=1) \
+    for m in range(dim_m):
+        brackets = (1j * (mats[m] @ mats - mats @ mats[m])).reshape(dim_m, -1)
+        f[m] = ((brackets @ flat_t.T) / norm).real
+        resid[m, m + 1:] = np.linalg.norm(brackets[m + 1:] - f[m, m + 1:] @ flat, axis=1) \
             / np.maximum(1.0, norms[m] * norms[m + 1:])
-    return _worst_pair(resid)
+    return f, _worst_pair(resid)
 
 
 def _worst_pair(resid):
@@ -557,102 +537,79 @@ def _worst_pair(resid):
     return float(resid[m, n]), (int(m), int(n))
 
 
-def _is_row_sparse(mats):
-    """True when no row of any matrix in the stack holds more than
-    ROW_SPARSE_MAX_NNZ nonzeros; assembly then uses `_RowSparse`."""
-    return int(np.count_nonzero(mats, axis=2).max()) <= ROW_SPARSE_MAX_NNZ
+def _is_monomial(mats):
+    """True when no row of any matrix in the stack holds more than one nonzero;
+    assembly then uses `_Monomial`."""
+    return int(np.count_nonzero(mats, axis=2).max()) <= 1
 
 
-class _RowSparse:
-    """Stacked generators X_m (M, d, d) stored row by row as (column, value) arrays.
+class _Monomial:
+    """Stacked generators X_m (M, d, d) with at most one nonzero per row: row i
+    of X_m holds vals[m, i] at column cols[m, i] (value 0 on an empty row).
 
-    Row i of X_m holds vals[m, i, t] at column cols[m, i, t], t < width,
-    padded with zero values up to the densest row; (gen, row, col, val) lists
-    every nonzero entry, ordered by generator.  Products are index gathers,
-    (X_a X_b)[i] = sum over entries (i, j, v) of X_a of v X_b[j], so one
-    bracket costs O(d width^2) instead of O(d^3).  Each method works one row
-    m of brackets at a time: temporaries stay at O(M d width^2) entries plus
-    one row of bins.
+    A product is an index gather, (X_a X_b)[i] = v X_b[j] for the entry
+    (i, j, v) of X_a, so one bracket costs O(d) instead of O(d^3).
     """
 
     def __init__(self, gens):
-        self.gen, self.row, self.col = np.nonzero(gens)
-        self.val = gens[self.gen, self.row, self.col]
-        self.start = np.searchsorted(self.gen, np.arange(len(gens) + 1))
-        flat_row = self.gen * gens.shape[1] + self.row
-        slot = np.arange(len(flat_row)) - np.searchsorted(flat_row, flat_row)
-        shape = gens.shape[:2] + (int(slot.max(initial=0)) + 1,)
-        self.cols = np.zeros(shape, dtype=int)
-        self.vals = np.zeros(shape, dtype=gens.dtype)
-        self.cols[self.gen, self.row, slot] = self.col
-        self.vals[self.gen, self.row, slot] = self.val
+        self.cols = np.argmax(gens != 0, axis=2)
+        self.vals = np.take_along_axis(gens, self.cols[..., None], axis=2)[..., 0]
 
-    def _brackets(self, m, first):
-        """Entries (pair, row, col, value) of [X_m, X_n] for n = first..M-1, pair
-        n - first, as flat arrays; the two products are separate entries, to be
-        summed by whoever scatters them (zero values included)."""
-        mine = slice(self.start[m], self.start[m + 1])
-        theirs = slice(self.start[first], None)
-        # X_m X_n: entry (i, j, v) of X_m times row j of X_n, for every n.
-        col_mn = self.cols[first:, self.col[mine]]  # (K, E_m, width)
-        val_mn = self.vals[first:, self.col[mine]] * self.val[mine][:, None]
-        pair_mn = np.broadcast_to(np.arange(len(col_mn))[:, None, None], col_mn.shape)
-        row_mn = np.broadcast_to(self.row[mine][:, None], col_mn.shape)
-        # X_n X_m: entry (i, j, v) of X_n times row j of X_m.
-        col_nm = self.cols[m][self.col[theirs]]  # (E_n, width)
-        val_nm = -self.val[theirs][:, None] * self.vals[m][self.col[theirs]]
-        pair_nm = np.broadcast_to((self.gen[theirs] - first)[:, None], col_nm.shape)
-        row_nm = np.broadcast_to(self.row[theirs][:, None], col_nm.shape)
-        return tuple(np.concatenate([a.ravel(), b.ravel()]) for a, b in
-                     ((pair_mn, pair_nm), (row_mn, row_nm), (col_mn, col_nm), (val_mn, val_nm)))
+    def brackets(self, norm):
+        """`_dense_brackets` for X_m = i O_m, same definitions and result:
+        f[m, n, k] = -Tr([X_m, X_n] X_k) / N and the closure residual of
+        [X_m, X_n] = sum_k f[m, n, k] X_k, from one pass over the rows m.
 
-    def structure_constants(self, norm):
-        """`_structure_constants` for X_m = i O_m: f[m, n, k] = -Tr([X_m, X_n] X_k) / N.
-
-        Each trace reads X_k[c, i] for a bracket entry at (i, c) from a
-        position -> (k, value) lookup, so only generators nonzero there are
-        touched.
+        Row m lists the entries (pair n, row, col, value) of every [X_m, X_n],
+        the two products as separate entries (zero values included).  Each
+        trace reads X_k[c, i] for an entry at (i, c) from a position -> (k,
+        value) lookup, so only generators nonzero there are touched.  The
+        entries with n > m, less the nonzero (or NaN) terms of their
+        expansion, are then scattered into d x d bins for the residual.
+        Temporaries stay at O(M d) entries plus one row of bins.
         """
-        dim_m, dim = self.vals.shape[:2]
-        pos = self.row * dim + self.col
+        dim_m, dim = self.vals.shape
+        gen, row = np.nonzero(self.vals)  # every entry, ordered by generator
+        col, val = self.cols[gen, row], self.vals[gen, row]
+        start = np.searchsorted(gen, np.arange(dim_m + 1))
+        pos = row * dim + col
         order = np.argsort(pos, kind="stable")
-        owner, weight = self.gen[order], self.val[order]
+        owner, weight = gen[order], val[order]
         counts = np.bincount(pos, minlength=dim * dim)
         starts = np.cumsum(counts) - counts
-        trace = np.zeros((dim_m, dim_m * dim_m))
-        for m in range(dim_m):
-            pair, row, col, val = self._brackets(m, 0)
-            look = col * dim + row  # Tr(B X_k) pairs B[i, c] with X_k[c, i]
-            # One term per (entry, generator nonzero at the looked-up position).
-            cnt = np.where(val != 0, counts[look], 0)
-            src = np.arange(cnt.sum()) + np.repeat(starts[look] - np.cumsum(cnt) + cnt, cnt)
-            trace[m] = np.bincount(np.repeat(pair * dim_m, cnt) + owner[src],
-                                   (np.repeat(val, cnt) * weight[src]).real, dim_m * dim_m)
-        return -trace.reshape(dim_m, dim_m, dim_m) / norm
-
-    def residual(self, f):
-        """`_bracket_residual` of these generators, same definition and result.
-
-        The residual [X_m, X_n] - sum_k f[m, n, k] X_k of each pair is
-        scattered into its d x d bins, one row m (pairs n > m) at a time; only
-        nonzero (or NaN) f[m, n, k] contribute to the sum.
-        """
-        dim_m, dim = self.vals.shape[:2]
-        norms = np.sqrt(np.bincount(self.gen, np.abs(self.val) ** 2, dim_m))
-        rows = np.arange(dim)[:, None]
+        norms = np.sqrt(np.bincount(gen, np.abs(val) ** 2, dim_m))
+        rows = np.arange(dim)
+        f = np.empty((dim_m, dim_m, dim_m))
         resid = np.zeros((dim_m, dim_m))
-        for m in range(dim_m - 1):
-            pair, row, col, val = self._brackets(m, m + 1)
+        for m in range(dim_m):
+            mine = slice(start[m], start[m + 1])
+            # X_m X_n: entry (i, j, v) of X_m times row j of X_n, for every n;
+            # then -X_n X_m: entry (i, j, v) of X_n times row j of X_m.
+            col_mn = self.cols[:, col[mine]]  # (M, E_m)
+            pair = np.concatenate([np.repeat(np.arange(dim_m), col_mn.shape[1]), gen])
+            rows_b = np.concatenate([np.tile(row[mine], dim_m), row])
+            cols_b = np.concatenate([col_mn.ravel(), self.cols[m][col]])
+            vals_b = np.concatenate([(self.vals[:, col[mine]] * val[mine]).ravel(),
+                                     -val * self.vals[m][col]])
+            look = cols_b * dim + rows_b  # Tr(B X_k) pairs B[i, c] with X_k[c, i]
+            # One term per (entry, generator nonzero at the looked-up position).
+            cnt = np.where(vals_b != 0, counts[look], 0)
+            src = np.arange(cnt.sum()) + np.repeat(starts[look] - np.cumsum(cnt) + cnt, cnt)
+            f[m] = -np.bincount(np.repeat(pair * dim_m, cnt) + owner[src],
+                                (np.repeat(vals_b, cnt) * weight[src]).real,
+                                dim_m * dim_m).reshape(dim_m, dim_m) / norm
+            later = pair > m
             j, k = np.nonzero(f[m, m + 1:])
-            expansion = -f[m, m + 1 + j, k][:, None, None] * self.vals[k]
-            keys = np.concatenate([(pair * dim + row) * dim + col,
-                                   ((j[:, None, None] * dim + rows) * dim + self.cols[k]).ravel()])
-            values = np.concatenate([val, expansion.ravel()])
+            keys = np.concatenate([((pair[later] - m - 1) * dim + rows_b[later]) * dim
+                                   + cols_b[later],
+                                   ((j[:, None] * dim + rows) * dim + self.cols[k]).ravel()])
+            values = np.concatenate([vals_b[later],
+                                     (-f[m, m + 1 + j, k][:, None] * self.vals[k]).ravel()])
             bins = [np.bincount(keys, part, (dim_m - m - 1) * dim * dim).reshape(-1, dim * dim)
                     for part in (values.real, values.imag)]
             sq = sum(np.einsum("pi,pi->p", part, part) for part in bins)
             resid[m, m + 1:] = np.sqrt(sq) / np.maximum(1.0, norms[m] * norms[m + 1:])
-        return _worst_pair(resid)
+        return f, _worst_pair(resid)
 
 
 def _adjoint_from_constants(f, cw):

@@ -7,9 +7,9 @@ derived and cached by `Algebra.highest_weight`.  A group operation acts on
 a state through `RootImages.rotate` on the defining representation
 (`CartanWeylData.defining`), a few matrix-vector products, O(d^2): no
 unitary and no eigendecomposition.  Sampling reads the eigenbases
-`AlgebraBasis.measurement_basis` computes once per algebra; a seed or an
-op count is an integer (never a boolean), a seed one in [0, 2^64), never
-reduced modulo 2^64.  Observable m of seed s draws on Philox keyed by
+`AlgebraBasis.measurement_basis` computes once per algebra; a seed, a
+shot count or an op count is an integer (never a boolean), a seed one in
+[0, 2^64), never reduced modulo 2^64.  Observable m of seed s draws on Philox keyed by
 `derive_seed(s, m)`, SeedSequence([s, m])'s first uint64, at counter zero.
 """
 
@@ -137,8 +137,7 @@ def sample_all_moments(state, algebra, shots, seed):
     pass.  The eigenbases come from `AlgebraBasis.measurement_basis`, cached
     per algebra, so one product gives all M Born distributions, each pooled
     per eigenspace."""
-    if shots < 1:
-        raise InvalidParameter(f"shots must be >= 1, got {shots}")
+    shots = integer_argument(shots, "shots", 1)
     if shots > np.iinfo(np.int64).max:
         raise ShotCountOverflow(f"{shots} shots per observable exceed the sampler's int64 range")
     vh, outcomes, sizes, counts, ends = algebra.basis.measurement_basis
@@ -151,9 +150,9 @@ def sample_all_moments(state, algebra, shots, seed):
     for key, o, end in zip(_child_keys(seed, algebra.dim), outcomes, ends):
         stream["state"]["key"][0] = key
         rng.bit_generator.state = stream
-        values.append(float(np.dot(rng.multinomial(int(shots), probs[end - o.size:end]), o)
+        values.append(float(np.dot(rng.multinomial(shots, probs[end - o.size:end]), o)
                             / shots))
-    return MomentVector(values=np.array(values), source="sampled", shots=int(shots),
+    return MomentVector(values=np.array(values), source="sampled", shots=shots,
                         seed=int(seed))
 
 

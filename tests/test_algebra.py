@@ -22,6 +22,7 @@ from gcsynth import (
     validate_algebra,
 )
 from gcsynth.catalog import MAX_TWO_J, spin_matrices
+from gcsynth.diagonalize import plan_step
 from gcsynth.errors import (
     BasisNotClosed,
     CsaNotAbelian,
@@ -50,6 +51,7 @@ from conftest import (
     build_su3,
     build_tied_top,
     commutator,
+    cw_coefficients,
     expi_hermitian,
     gell_mann,
     group_op_unitary,
@@ -446,9 +448,8 @@ def test_nan_basis_entry_fails_validation_before_rotation_spectra(su2_half, monk
 
 def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
     # Each check runs once per assembly, on the path the basis selects: the
-    # row-sparse kernel for monomial su(3), dense BLAS for spin-1 su(2),
-    # whose Jx has two nonzeros in its middle row.  f and closure share one
-    # row-sparse kernel.
+    # monomial kernel for su(3), dense BLAS for spin-1 su(2), whose Jx has
+    # two nonzeros in its middle row.  One bracket pass gives f and closure.
     calls = []
 
     def counting(name, fn):
@@ -457,18 +458,17 @@ def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_bracket_residual", "_root_residuals", "hermiticity_residual", "trace_gram",
-                 "_is_row_sparse"):
+    for name in ("_dense_brackets", "_root_residuals", "hermiticity_residual", "trace_gram",
+                 "_is_monomial"):
         monkeypatch.setattr(algebra_module, name, counting(name, getattr(algebra_module, name)))
-    for name in ("__init__", "residual"):
-        monkeypatch.setattr(algebra_module._RowSparse, name,
-                            counting(f"_RowSparse.{name}", getattr(algebra_module._RowSparse, name)))
-    once = ["_root_residuals", "hermiticity_residual", "trace_gram", "_is_row_sparse"]
+    monkeypatch.setattr(algebra_module._Monomial, "brackets",
+                        counting("_Monomial.brackets", algebra_module._Monomial.brackets))
+    once = ["_root_residuals", "hermiticity_residual", "trace_gram", "_is_monomial"]
     build_su3()
-    assert sorted(calls) == sorted(once + ["_RowSparse.__init__", "_RowSparse.residual"])
+    assert sorted(calls) == sorted(once + ["_Monomial.brackets"])
     calls.clear()
     make_su2(2)
-    assert sorted(calls) == sorted(once + ["_bracket_residual"])
+    assert sorted(calls) == sorted(once + ["_dense_brackets"])
 
 
 _MUTABLE_ALGEBRAS = {
@@ -563,7 +563,7 @@ def test_construction_cannot_be_bypassed(name, data):
 
 
 # ---------------------------------------------------------------------------
-# Row-sparse kernel against the dense BLAS oracle
+# Monomial kernel against the dense BLAS oracle
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -571,49 +571,54 @@ def monomial_algebras(su2_half, su3):
     return [su2_half, su3] + [make_so2n(n) for n in range(2, 7)]
 
 
-def _adjoint_real(algebra):
-    return -adjoint_matrices(algebra).imag
-
-
 def test_row_sparse_matches_dense_oracle(monomial_algebras):
+    # The closed basis has round-off residuals; a non-closed subset of it,
+    # or rescaled elements (f is then no projection), give larger ones whose
+    # worst pair both kernels must name alike.  Rescaling by up to s lets the
+    # summed terms outgrow f and the residual by up to s^2, and the rounding
+    # of both kernels with them.
     rng = np.random.default_rng(7)
     for algebra in monomial_algebras:
         mats, norm = np.asarray(algebra.basis.basis), algebra.norm
-        assert algebra_module._is_row_sparse(mats), algebra.name
-        f_sparse = algebra_module._RowSparse(1j * mats).structure_constants(norm)
-        f_dense = algebra_module._structure_constants(mats, norm)
-        assert np.abs(f_sparse - f_dense).max() <= 1e-15, algebra.name
-        # The residuals of the true f are round-off; a perturbed f, or unequal
-        # generator norms, give larger residuals whose worst pair both paths
-        # must name alike.
-        bumped = f_dense + np.where(rng.random(f_dense.shape) < 0.05,
-                                    1e-3 * rng.standard_normal(f_dense.shape), 0.0)
-        scale = rng.uniform(0.5, 2.0, algebra.dim)[:, None, None]
-        adjoint = _adjoint_real(algebra)
-        for gens, f in ((1j * mats, f_dense), (1j * mats, bumped),
-                        (adjoint, f_dense), (scale * adjoint, bumped)):
-            value, pair = algebra_module._RowSparse(gens).residual(f)
-            oracle, oracle_pair = algebra_module._bracket_residual(gens, f)
-            assert abs(value - oracle) <= 1e-15 * max(1.0, oracle), algebra.name
-            if f is bumped:
+        assert algebra_module._is_monomial(mats), algebra.name
+        subset = mats[np.sort(rng.choice(np.arange(1, algebra.dim), max(2, algebra.dim // 2),
+                                         replace=False))]
+        scale = rng.uniform(0.5, 2.0, algebra.dim)
+        for case, units in ((mats, 1.0), (subset, 1.0),
+                            (scale[:, None, None] * mats, scale.max() ** 2)):
+            f_dense, (oracle, oracle_pair) = algebra_module._dense_brackets(case, norm)
+            f_mono, (value, pair) = algebra_module._Monomial(1j * case).brackets(norm)
+            assert np.abs(f_mono - f_dense).max() \
+                <= 1e-15 * units * max(1.0, np.abs(f_dense).max()), algebra.name
+            assert abs(value - oracle) <= 1e-15 * units * max(1.0, oracle), algebra.name
+            if case is mats:
+                assert oracle <= 1e-15, algebra.name
+                continue
+            assert oracle > algebra_module.CLOSURE_TOL, algebra.name
+            tied = _tied_worst_pairs(case, f_dense)
+            assert {pair, oracle_pair} <= tied, algebra.name
+            if len(tied) == 1:
                 assert pair == oracle_pair, algebra.name
 
 
 def test_row_sparse_residual_reports_nan_as_worst(su3):
-    f = np.array(su3.basis.structure_constants)
-    f[3, 6, 1] = np.nan
-    value, pair = algebra_module._RowSparse(1j * np.asarray(su3.basis.basis)).residual(f)
-    assert np.isnan(value) and pair == (3, 6)
+    # A NaN in O_3 makes every bracket with O_3 NaN; the dense traces spread
+    # it further (NaN times 0).  Either way a NaN residual is the worst, and
+    # the monomial kernel names the first pair that holds O_3.
+    mats = np.array(su3.basis.basis)
+    mats[3, 0, 2] = np.nan
+    assert algebra_module._is_monomial(mats)
+    _, (oracle, _) = algebra_module._dense_brackets(mats, su3.norm)
+    _, (value, pair) = algebra_module._Monomial(1j * mats).brackets(su3.norm)
+    assert np.isnan(oracle) and np.isnan(value) and pair == (0, 3)
 
 
 def test_so2n_builds_make_no_dense_bracket_pass(monkeypatch):
     dense = []
-    monkeypatch.setattr(algebra_module, "_structure_constants",
-                        lambda *args: dense.append(args) or None)
-    monkeypatch.setattr(algebra_module, "_bracket_residual",
+    monkeypatch.setattr(algebra_module, "_dense_brackets",
                         lambda *args: dense.append(args) or None)
     for n in range(2, 7):
-        assert algebra_module._is_row_sparse(make_so2n(n).basis.basis)
+        assert algebra_module._is_monomial(make_so2n(n).basis.basis)
     assert dense == []
 
 
@@ -628,12 +633,12 @@ def _assemble_basis(mats, dense):
     """(structure constants, None) or (None, (error type, message))."""
     with pytest.MonkeyPatch.context() as patch:
         if dense:
-            patch.setattr(algebra_module, "ROW_SPARSE_MAX_NNZ", 0)
+            patch.setattr(algebra_module, "_is_monomial", lambda mats: False)
         try:
             basis = orthonormalize_basis(mats)
         except GcsynthError as exc:
             return None, (type(exc), str(exc))
-        assert algebra_module._is_row_sparse(basis.basis) != dense
+    assert algebra_module._is_monomial(basis.basis)
     return np.asarray(basis.structure_constants), None
 
 
@@ -673,21 +678,24 @@ def test_row_sparse_and_dense_paths_agree(name, data):
     named = [re.fullmatch(r"\[O_(\d+), O_(\d+)\] leaves the basis span \((.*)\)", message)
              for _, message in (error_dense, error_sparse)]
     assert named[0].group(3) == named[1].group(3)
-    tied = _tied_worst_pairs(np.array(mats))
+    mats = np.array(mats)
+    norm = np.trace(mats[0] @ mats[0]).real
+    tied = _tied_worst_pairs(mats, algebra_module._dense_brackets(mats, norm)[0])
     assert {tuple(int(g) for g in match.groups()[:2]) for match in named} <= tied
 
 
-def _tied_worst_pairs(mats):
-    """Pairs m < n whose closure residual is within 1e-12 of the worst, per pair
-    by the i_bracket oracle on the dense f (the inputs are already normalized)."""
-    norm = float(np.trace(mats[0] @ mats[0]).real)
-    f = algebra_module._structure_constants(mats, norm)
+def _tied_worst_pairs(mats, f):
+    """Pairs m < n whose closure residual is within 1e-12 of the worst, a row of
+    pairs at a time by the i_bracket oracle on the dense f."""
+    flat = mats.reshape(len(mats), -1)
+    norms = np.linalg.norm(flat, axis=1)
     resid = {}
-    for m in range(len(mats)):
-        for n in range(m + 1, len(mats)):
-            expansion = np.einsum("k,kij->ij", f[m, n], mats)
-            resid[m, n] = np.linalg.norm(i_bracket(mats[m], mats[n]) - expansion) \
-                / max(1.0, np.linalg.norm(mats[m]) * np.linalg.norm(mats[n]))
+    for m in range(len(mats) - 1):
+        rest = slice(m + 1, None)
+        expansion = (f[m, rest] @ flat).reshape(mats[rest].shape)
+        values = np.linalg.norm(i_bracket(mats[m], mats[rest]) - expansion, axis=(1, 2)) \
+            / np.maximum(1.0, norms[m] * norms[rest])
+        resid.update(((m, m + 1 + j), value) for j, value in enumerate(values))
     worst = max(resid.values())
     return {pair for pair, value in resid.items() if value >= worst - 1e-12}
 
@@ -840,6 +848,26 @@ def test_out_of_range_root_index_is_typed(su2_half):
         apply_group_op(state, GroupOp(5, 0.3), su2_half)
     with pytest.raises(RootIndexOutOfRange):
         apply_group_op(state, GroupOp(-1, 0.3), su2_half)
+
+
+def test_non_integer_root_index_is_typed(su3):
+    # su(3) has roots 0..2, so a boolean or float 1 used to pass the range
+    # test: True acted as root 1, and 1.0 failed later as a bare TypeError.
+    state = su3.highest_weight[0]
+    coeffs = cw_coefficients(su3, [0.0, 0.0], [0.5, 0.5, 0.5])
+    for root in (True, np.True_, 1.0, np.float64(1.0), "1"):
+        with pytest.raises(RootIndexOutOfRange):
+            apply_group_op(state, GroupOp(root, 0.3), su3)
+        with pytest.raises(RootIndexOutOfRange):
+            adjoint_action_of(GroupOp(root, 0.3), su3)
+        with pytest.raises(RootIndexOutOfRange):
+            plan_step(coeffs, root, su3)
+    root = np.int64(1)
+    assert np.array_equal(apply_group_op(state, GroupOp(root, 0.3), su3),
+                          apply_group_op(state, GroupOp(1, 0.3), su3))
+    assert np.array_equal(adjoint_action_of(GroupOp(root, 0.3), su3).matrix,
+                          adjoint_action_of(GroupOp(1, 0.3), su3).matrix)
+    assert plan_step(coeffs, root, su3) == plan_step(coeffs, 1, su3)
 
 
 def test_conjugation_consistency_oracle(catalog_algebras, half_one):

@@ -371,6 +371,18 @@ def test_shot_count_below_one_is_typed(su2_half):
             sample_all_moments(hw, su2_half, shots, seed=1)
 
 
+def test_non_integer_shot_count_is_typed(su2_half):
+    # 2.5 used to take 2 draws and divide by 2.5, reading +-0.8 for a +-1
+    # outcome; True ran as 1 shot.
+    hw, _ = highest_weight_state(su2_half)
+    for shots in (2.5, 2.0, True, np.True_, float("nan"), "3"):
+        with pytest.raises(InvalidParameter):
+            sample_all_moments(hw, su2_half, shots, seed=1)
+    moments = sample_all_moments(hw, su2_half, np.int64(3), seed=1)
+    assert type(moments.shots) is int and moments.shots == 3
+    assert np.array_equal(moments.values, sample_all_moments(hw, su2_half, 3, seed=1).values)
+
+
 def test_shot_count_past_int64_is_typed(su2_half):
     hw, _ = highest_weight_state(su2_half)
     with pytest.raises(ShotCountOverflow):
