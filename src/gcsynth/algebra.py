@@ -54,12 +54,12 @@ come from one pass over each row m of brackets [O_m, O_n]: the row gives
 f[m], and then, from the same brackets, the closure residual of the pairs
 n > m, so each bracket is formed once per assembly.  When no row of any
 basis element holds more than one nonzero (Pauli strings, Gell-Mann
-matrices, the Majorana quadratics of so(2n)), `_Monomial` keeps each
-generator as one (column, value) per row: a bracket is an index gather in
-O(d), not a dense O(d^3) product, and the residual is an exact scatter of
-the bracket minus its expansion.  The choice is made from the basis alone
-(`_is_monomial`).  The dense BLAS kernel `_dense_brackets` serves every
-other basis and is `_Monomial`'s test oracle.
+matrices, the Majorana quadratics of so(2n)), `_monomial_brackets` reads
+each generator as one (column, value) per row: a bracket is an index
+gather in O(d), not a dense O(d^3) product, and the residual is an exact
+scatter of the bracket minus its expansion.  The choice is made from the
+basis alone (`_is_monomial`).  The dense BLAS kernel `_dense_brackets` serves every
+other basis and is the monomial kernel's test oracle.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -86,6 +86,7 @@ from .errors import (
     RootSpectrumIllConditioned,
     ZeroGap,
     ZeroRootBracket,
+    is_integer,
 )
 
 # Structural tolerances (double precision, rep_dim <= 64).
@@ -117,10 +118,9 @@ def hermiticity_residual(mats):
 
 
 def check_root_index(root_index, num_roots):
-    """Raise RootIndexOutOfRange unless root_index is an integer (a NumPy one
-    included, a boolean not) with 0 <= root_index < num_roots."""
-    if (type(root_index) is not int and not isinstance(root_index, np.integer)
-            or not 0 <= root_index < num_roots):
+    """Raise RootIndexOutOfRange unless root_index is an integer (`is_integer`)
+    with 0 <= root_index < num_roots."""
+    if not is_integer(root_index) or not 0 <= root_index < num_roots:
         raise RootIndexOutOfRange(f"root index {root_index} is not in 0..{num_roots - 1}")
 
 
@@ -209,7 +209,7 @@ class AlgebraBasis:
                 "only rescaling is supported"
             )
 
-        f, closure = (_Monomial(1j * mats).brackets(norm) if _is_monomial(mats)
+        f, closure = (_monomial_brackets(mats, norm) if _is_monomial(mats)
                       else _dense_brackets(mats, norm))
         vars(self).update(  # frozen: derived fields go straight to the instance dict
             dim_M=len(mats), rep_dim=mats.shape[1], basis=_freeze(mats), normalization_N=norm,
@@ -539,77 +539,72 @@ def _worst_pair(resid):
 
 def _is_monomial(mats):
     """True when no row of any matrix in the stack holds more than one nonzero;
-    assembly then uses `_Monomial`."""
+    assembly then uses `_monomial_brackets`."""
     return int(np.count_nonzero(mats, axis=2).max()) <= 1
 
 
-class _Monomial:
-    """Stacked generators X_m (M, d, d) with at most one nonzero per row: row i
-    of X_m holds vals[m, i] at column cols[m, i] (value 0 on an empty row).
+def _monomial_brackets(mats, norm):
+    """`_dense_brackets` for a stack with at most one nonzero per row, same
+    definitions and result, in X_m = i O_m: f[m, n, k] = -Tr([X_m, X_n]
+    X_k) / N and the closure residual of [X_m, X_n] = sum_k f[m, n, k] X_k,
+    from one pass over the rows m.
 
-    A product is an index gather, (X_a X_b)[i] = v X_b[j] for the entry
+    Row i of X_m holds vals[m, i] at column cols[m, i] (value 0 on an empty
+    row); only these entries are kept, not the dense stack of X_m.  A
+    product is an index gather, (X_a X_b)[i] = v X_b[j] for the entry
     (i, j, v) of X_a, so one bracket costs O(d) instead of O(d^3).
+    Row m lists the entries (pair n, row, col, value) of every [X_m, X_n],
+    the two products as separate entries (zero values included).  Each
+    trace reads X_k[c, i] for an entry at (i, c) from a position -> (k,
+    value) lookup, so only generators nonzero there are touched.  The
+    entries with n > m, less the nonzero (or NaN) terms of their
+    expansion, are then scattered into d x d bins for the residual.
+    Temporaries stay at O(M d) entries plus one row of bins.
     """
-
-    def __init__(self, gens):
-        self.cols = np.argmax(gens != 0, axis=2)
-        self.vals = np.take_along_axis(gens, self.cols[..., None], axis=2)[..., 0]
-
-    def brackets(self, norm):
-        """`_dense_brackets` for X_m = i O_m, same definitions and result:
-        f[m, n, k] = -Tr([X_m, X_n] X_k) / N and the closure residual of
-        [X_m, X_n] = sum_k f[m, n, k] X_k, from one pass over the rows m.
-
-        Row m lists the entries (pair n, row, col, value) of every [X_m, X_n],
-        the two products as separate entries (zero values included).  Each
-        trace reads X_k[c, i] for an entry at (i, c) from a position -> (k,
-        value) lookup, so only generators nonzero there are touched.  The
-        entries with n > m, less the nonzero (or NaN) terms of their
-        expansion, are then scattered into d x d bins for the residual.
-        Temporaries stay at O(M d) entries plus one row of bins.
-        """
-        dim_m, dim = self.vals.shape
-        gen, row = np.nonzero(self.vals)  # every entry, ordered by generator
-        col, val = self.cols[gen, row], self.vals[gen, row]
-        start = np.searchsorted(gen, np.arange(dim_m + 1))
-        pos = row * dim + col
-        order = np.argsort(pos, kind="stable")
-        owner, weight = gen[order], val[order]
-        counts = np.bincount(pos, minlength=dim * dim)
-        starts = np.cumsum(counts) - counts
-        norms = np.sqrt(np.bincount(gen, np.abs(val) ** 2, dim_m))
-        rows = np.arange(dim)
-        f = np.empty((dim_m, dim_m, dim_m))
-        resid = np.zeros((dim_m, dim_m))
-        for m in range(dim_m):
-            mine = slice(start[m], start[m + 1])
-            # X_m X_n: entry (i, j, v) of X_m times row j of X_n, for every n;
-            # then -X_n X_m: entry (i, j, v) of X_n times row j of X_m.
-            col_mn = self.cols[:, col[mine]]  # (M, E_m)
-            pair = np.concatenate([np.repeat(np.arange(dim_m), col_mn.shape[1]), gen])
-            rows_b = np.concatenate([np.tile(row[mine], dim_m), row])
-            cols_b = np.concatenate([col_mn.ravel(), self.cols[m][col]])
-            vals_b = np.concatenate([(self.vals[:, col[mine]] * val[mine]).ravel(),
-                                     -val * self.vals[m][col]])
-            look = cols_b * dim + rows_b  # Tr(B X_k) pairs B[i, c] with X_k[c, i]
-            # One term per (entry, generator nonzero at the looked-up position).
-            cnt = np.where(vals_b != 0, counts[look], 0)
-            src = np.arange(cnt.sum()) + np.repeat(starts[look] - np.cumsum(cnt) + cnt, cnt)
-            f[m] = -np.bincount(np.repeat(pair * dim_m, cnt) + owner[src],
-                                (np.repeat(vals_b, cnt) * weight[src]).real,
-                                dim_m * dim_m).reshape(dim_m, dim_m) / norm
-            later = pair > m
-            j, k = np.nonzero(f[m, m + 1:])
-            keys = np.concatenate([((pair[later] - m - 1) * dim + rows_b[later]) * dim
-                                   + cols_b[later],
-                                   ((j[:, None] * dim + rows) * dim + self.cols[k]).ravel()])
-            values = np.concatenate([vals_b[later],
-                                     (-f[m, m + 1 + j, k][:, None] * self.vals[k]).ravel()])
-            bins = [np.bincount(keys, part, (dim_m - m - 1) * dim * dim).reshape(-1, dim * dim)
-                    for part in (values.real, values.imag)]
-            sq = sum(np.einsum("pi,pi->p", part, part) for part in bins)
-            resid[m, m + 1:] = np.sqrt(sq) / np.maximum(1.0, norms[m] * norms[m + 1:])
-        return f, _worst_pair(resid)
+    cols = np.argmax(mats != 0, axis=2)
+    vals = 1j * np.take_along_axis(mats, cols[..., None], axis=2)[..., 0]
+    dim_m, dim = vals.shape
+    gen, row = np.nonzero(vals)  # every entry, ordered by generator
+    col, val = cols[gen, row], vals[gen, row]
+    start = np.searchsorted(gen, np.arange(dim_m + 1))
+    pos = row * dim + col
+    order = np.argsort(pos, kind="stable")
+    owner, weight = gen[order], val[order]
+    counts = np.bincount(pos, minlength=dim * dim)
+    starts = np.cumsum(counts) - counts
+    norms = np.sqrt(np.bincount(gen, np.abs(val) ** 2, dim_m))
+    rows = np.arange(dim)
+    f = np.empty((dim_m, dim_m, dim_m))
+    resid = np.zeros((dim_m, dim_m))
+    for m in range(dim_m):
+        mine = slice(start[m], start[m + 1])
+        # X_m X_n: entry (i, j, v) of X_m times row j of X_n, for every n;
+        # then -X_n X_m: entry (i, j, v) of X_n times row j of X_m.
+        col_mn = cols[:, col[mine]]  # (M, E_m)
+        pair = np.concatenate([np.repeat(np.arange(dim_m), col_mn.shape[1]), gen])
+        rows_b = np.concatenate([np.tile(row[mine], dim_m), row])
+        cols_b = np.concatenate([col_mn.ravel(), cols[m][col]])
+        vals_b = np.concatenate([(vals[:, col[mine]] * val[mine]).ravel(),
+                                 -val * vals[m][col]])
+        look = cols_b * dim + rows_b  # Tr(B X_k) pairs B[i, c] with X_k[c, i]
+        # One term per (entry, generator nonzero at the looked-up position).
+        cnt = np.where(vals_b != 0, counts[look], 0)
+        src = np.arange(cnt.sum()) + np.repeat(starts[look] - np.cumsum(cnt) + cnt, cnt)
+        f[m] = -np.bincount(np.repeat(pair * dim_m, cnt) + owner[src],
+                            (np.repeat(vals_b, cnt) * weight[src]).real,
+                            dim_m * dim_m).reshape(dim_m, dim_m) / norm
+        later = pair > m
+        j, k = np.nonzero(f[m, m + 1:])
+        keys = np.concatenate([((pair[later] - m - 1) * dim + rows_b[later]) * dim
+                               + cols_b[later],
+                               ((j[:, None] * dim + rows) * dim + cols[k]).ravel()])
+        values = np.concatenate([vals_b[later],
+                                 (-f[m, m + 1 + j, k][:, None] * vals[k]).ravel()])
+        bins = [np.bincount(keys, part, (dim_m - m - 1) * dim * dim).reshape(-1, dim * dim)
+                for part in (values.real, values.imag)]
+        sq = sum(np.einsum("pi,pi->p", part, part) for part in bins)
+        resid[m, m + 1:] = np.sqrt(sq) / np.maximum(1.0, norms[m] * norms[m + 1:])
+    return f, _worst_pair(resid)
 
 
 def _adjoint_from_constants(f, cw):

@@ -3,7 +3,7 @@
 Each error states its CLI exit status (`exit_status`: 1 for bad input, 2 for
 a `NumericalFailure`) and what its JSON error line carries (`carried`).  The
 bad-input errors come first, then the numerical failures, then the warning.
-`integer_argument` is the one test of an integer argument.
+`is_integer` is the one test of what counts as an integer argument.
 """
 
 import numpy as np
@@ -35,13 +35,18 @@ class InvalidParameter(GcsynthError, ValueError):
     count, catalog name or parameter, moment source)."""
 
 
+def is_integer(value):
+    """True for an int or a NumPy integer.  Booleans are not integers here,
+    as in the file loaders."""
+    return type(value) is int or (  # a plain int skips both tests
+        not isinstance(value, bool) and isinstance(value, (int, np.integer)))
+
+
 def integer_argument(value, name, low, high=None, rule=None):
     """value as an int in low..high (no upper end when high is None), else
-    InvalidParameter.  Booleans are not integers here, as in the file
-    loaders; NumPy integers are.  `rule` words both messages in place of
-    "an integer" and the bounds."""
-    if type(value) is not int and (isinstance(value, bool)  # a plain int skips both tests
-                                   or not isinstance(value, (int, np.integer))):
+    InvalidParameter.  `rule` words both messages in place of "an integer"
+    and the bounds."""
+    if not is_integer(value):
         raise InvalidParameter(f"{name} must be {rule or 'an integer'}, got {value!r}")
     if value < low or (high is not None and value > high):
         bounds = f"in {low}..{high}" if high is not None else f">= {low}"

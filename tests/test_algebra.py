@@ -458,14 +458,12 @@ def test_each_bracket_check_runs_once_per_assembly(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_dense_brackets", "_root_residuals", "hermiticity_residual", "trace_gram",
-                 "_is_monomial"):
+    for name in ("_dense_brackets", "_monomial_brackets", "_root_residuals",
+                 "hermiticity_residual", "trace_gram", "_is_monomial"):
         monkeypatch.setattr(algebra_module, name, counting(name, getattr(algebra_module, name)))
-    monkeypatch.setattr(algebra_module._Monomial, "brackets",
-                        counting("_Monomial.brackets", algebra_module._Monomial.brackets))
     once = ["_root_residuals", "hermiticity_residual", "trace_gram", "_is_monomial"]
     build_su3()
-    assert sorted(calls) == sorted(once + ["_Monomial.brackets"])
+    assert sorted(calls) == sorted(once + ["_monomial_brackets"])
     calls.clear()
     make_su2(2)
     assert sorted(calls) == sorted(once + ["_dense_brackets"])
@@ -576,7 +574,7 @@ def test_row_sparse_matches_dense_oracle(monomial_algebras):
     # or rescaled elements (f is then no projection), give larger ones whose
     # worst pair both kernels must name alike.  Rescaling by up to s lets the
     # summed terms outgrow f and the residual by up to s^2, and the rounding
-    # of both kernels with them.
+    # of both kernels with them, so only that input has scaled bounds.
     rng = np.random.default_rng(7)
     for algebra in monomial_algebras:
         mats, norm = np.asarray(algebra.basis.basis), algebra.norm
@@ -584,12 +582,13 @@ def test_row_sparse_matches_dense_oracle(monomial_algebras):
         subset = mats[np.sort(rng.choice(np.arange(1, algebra.dim), max(2, algebra.dim // 2),
                                          replace=False))]
         scale = rng.uniform(0.5, 2.0, algebra.dim)
-        for case, units in ((mats, 1.0), (subset, 1.0),
-                            (scale[:, None, None] * mats, scale.max() ** 2)):
+        rescaled = scale[:, None, None] * mats
+        for case in (mats, subset, rescaled):
             f_dense, (oracle, oracle_pair) = algebra_module._dense_brackets(case, norm)
-            f_mono, (value, pair) = algebra_module._Monomial(1j * case).brackets(norm)
-            assert np.abs(f_mono - f_dense).max() \
-                <= 1e-15 * units * max(1.0, np.abs(f_dense).max()), algebra.name
+            f_mono, (value, pair) = algebra_module._monomial_brackets(case, norm)
+            units = scale.max() ** 2 if case is rescaled else 1.0
+            f_bound = units * max(1.0, np.abs(f_dense).max()) if case is rescaled else 1.0
+            assert np.abs(f_mono - f_dense).max() <= 1e-15 * f_bound, algebra.name
             assert abs(value - oracle) <= 1e-15 * units * max(1.0, oracle), algebra.name
             if case is mats:
                 assert oracle <= 1e-15, algebra.name
@@ -609,7 +608,7 @@ def test_row_sparse_residual_reports_nan_as_worst(su3):
     mats[3, 0, 2] = np.nan
     assert algebra_module._is_monomial(mats)
     _, (oracle, _) = algebra_module._dense_brackets(mats, su3.norm)
-    _, (value, pair) = algebra_module._Monomial(1j * mats).brackets(su3.norm)
+    _, (value, pair) = algebra_module._monomial_brackets(mats, su3.norm)
     assert np.isnan(oracle) and np.isnan(value) and pair == (0, 3)
 
 
